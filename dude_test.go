@@ -1,9 +1,12 @@
 package dudetm
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -277,4 +280,55 @@ func TestPoolWaitDurableCrash(t *testing.T) {
 	if pool2.Durable() < frontier {
 		t.Fatalf("recovered durable %d < crash frontier %d", pool2.Durable(), frontier)
 	}
+}
+
+// TestOldFormatImageRefusedByName pins the format bump that came with
+// the run-encoded log: an image whose header says DUDETM02 holds
+// (addr, val)-pair log records this build would mis-scan, so every
+// mount and decode path must refuse it with an error naming both the
+// image's format and the one this build mounts — never scan it.
+func TestOldFormatImageRefusedByName(t *testing.T) {
+	opts := Options{DataSize: 1 << 20, Threads: 2}
+	pool, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid, _ := pool.Update(0, func(tx *Tx) error {
+		tx.Store(pool.Root(0), 42)
+		return nil
+	})
+	pool.WaitDurable(tid)
+	pool.Close()
+	img := pool.Snapshot()
+	if _, err := Forensics(img); err != nil {
+		t.Fatalf("current-format image: %v", err)
+	}
+
+	// Rewrite the header as a well-formed format-02 header: magic in
+	// word 0, CRC-32C of bytes [0,48) in word 6.
+	binary.LittleEndian.PutUint64(img[0:], 0x44554445544d3032) // "DUDETM02"
+	crc := crc32.Checksum(img[:48], crc32.MakeTable(crc32.Castagnoli))
+	binary.LittleEndian.PutUint64(img[48:], uint64(crc))
+	path := filepath.Join(t.TempDir(), "old.img")
+	if err := os.WriteFile(path, img, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a DUDETM02 image", what)
+		}
+		for _, name := range []string{"DUDETM02", "DUDETM03"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: error %q does not name %s", what, err, name)
+			}
+		}
+	}
+	_, err = OpenSnapshot(img, opts)
+	check("OpenSnapshot (Recover)", err)
+	_, err = OpenImage(path, opts)
+	check("OpenImage", err)
+	_, err = Forensics(img)
+	check("Forensics", err)
 }

@@ -22,7 +22,11 @@ import (
 //	[logsOff, ...)          nlogs persistent log buffers
 //	[dataOff, +dataSize)    persistent data region (page aligned)
 const (
-	poolMagic     = 0x44554445544d3032 // "DUDETM02"
+	// poolMagic names the on-media format; its last two characters are
+	// the format version. 03 run-encoded the log records' payload
+	// (redolog.AppendEntries); an 02 image holds (addr, val) pairs this
+	// build would mis-scan, so readHeader refuses it by name.
+	poolMagic     = 0x44554445544d3033 // "DUDETM03"
 	headerBytes   = 64
 	metaSlotBytes = 64
 )
@@ -95,7 +99,11 @@ func writeHeader(dev *pmem.Device, l layout) {
 func readHeader(dev *pmem.Device) (layout, error) {
 	var b [headerBytes]byte
 	dev.Load(0, b[:])
-	if binary.LittleEndian.Uint64(b[0:]) != poolMagic {
+	if magic := binary.LittleEndian.Uint64(b[0:]); magic != poolMagic {
+		if magic>>16 == poolMagic>>16 {
+			return layout{}, fmt.Errorf("dudetm: pool image format %s, this build mounts only %s (no in-place upgrade: reload the data into a fresh pool)",
+				magicName(magic), magicName(poolMagic))
+		}
 		return layout{}, fmt.Errorf("dudetm: bad pool magic")
 	}
 	crc := binary.LittleEndian.Uint64(b[48:])
@@ -113,6 +121,13 @@ func readHeader(dev *pmem.Device) (layout, error) {
 		return layout{}, fmt.Errorf("dudetm: pool layout (%d bytes) exceeds device (%d bytes)", l.total, dev.Size())
 	}
 	return l, nil
+}
+
+// magicName spells a pool magic as its eight characters.
+func magicName(magic uint64) string {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], magic)
+	return string(b[:])
 }
 
 // pmSource adapts the persistent data region as the shadow.Source paged

@@ -23,13 +23,10 @@ type persistMsg struct {
 }
 
 // applyTask is one pre-partitioned address shard of a replay run fanned
-// out to a Reproduce applier: the shard's entries, plus the distinct
-// cache lines (byte addresses) the partition pass assigned to it for
-// write-back. Appliers share the run's flush batch; the ordering loop
-// joins wg and issues the single fence.
+// out to a Reproduce applier. Appliers share the run's flush batch; the
+// ordering loop joins wg and issues the single fence.
 type applyTask struct {
 	entries []redolog.Entry
-	lines   []uint64
 	b       *pmem.Batch
 	wg      *sync.WaitGroup
 }
@@ -242,28 +239,53 @@ func (s *System) persistWorker(wi int) {
 	}
 }
 
-// reproApplier is one Reproduce-stage applier: it stores its
-// pre-partitioned entry bucket into the persistent data region, then
-// accumulates exactly the distinct cache lines the partition pass
-// assigned to this shard into the run's shared batch. No per-entry
-// shard filtering happens here anymore — the ordering loop's counting
-// partition hands every applier a contiguous bucket, so the old
-// O(entries × shards) rescans are gone. The fence stays with the
-// ordering loop — one barrier per replay run, issued only after every
-// shard has joined.
+// runChunk caps the words one StoreRun carries: applyRuns stages a
+// run's values in a stack buffer of this many words.
+const runChunk = 64
+
+// applyRuns stores entries into the persistent data region at base and
+// writes the stored lines back into b — the one replay primitive shared
+// by recovery, the inline Reproduce path and the sharded appliers. It
+// cuts entries into the same contiguous runs the log encoded
+// (redolog.RunLen) and issues one Device.StoreRun and one Batch.Flush
+// per run: words are stored single-copy atomically and in entry order
+// (so a duplicate address keeps last-writer-wins), dirty marking is
+// per line and accounting per run. All stores precede all flushes, so
+// a line two runs share is written back once — the second flush finds
+// it clean. The fence stays with the caller.
+//
+//dudelint:noalloc
+//dudelint:fencebudget 0
+func applyRuns(dev *pmem.Device, b *pmem.Batch, base uint64, entries []redolog.Entry) {
+	var vals [runChunk]uint64
+	for rest := entries; len(rest) > 0; {
+		n := redolog.RunLen(rest, runChunk)
+		for i, e := range rest[:n] {
+			vals[i] = e.Val
+		}
+		dev.StoreRun(base+rest[0].Addr, vals[:n])
+		rest = rest[n:]
+	}
+	for rest := entries; len(rest) > 0; {
+		n := redolog.RunLen(rest, len(rest))
+		b.Flush(base+rest[0].Addr, 8*uint64(n))
+		rest = rest[n:]
+	}
+}
+
+// reproApplier is one Reproduce-stage applier: it applies the
+// contiguous bucket the ordering loop's counting partition handed it,
+// flushing into the run's shared batch. A cache line never spans
+// shards, so no two appliers store or flush the same line. The fence
+// stays with the ordering loop — one barrier per replay run, issued
+// only after every shard has joined.
 //
 //dudelint:noalloc
 //dudelint:fencebudget 0
 func (s *System) reproApplier() {
 	defer s.wg.Done()
-	base := s.lay.dataOff
 	for t := range s.applyCh {
-		for _, e := range t.entries {
-			s.dev.Store8(base+e.Addr, e.Val)
-		}
-		for _, a := range t.lines {
-			t.b.Flush(a, pmem.LineSize)
-		}
+		applyRuns(s.dev, t.b, s.lay.dataOff, t.entries)
 		t.wg.Done()
 	}
 }
@@ -279,11 +301,10 @@ const recycleInterval = 500 * time.Microsecond
 
 // reproState owns the Reproduce loop's pooled replay buffers: the
 // loop-lifetime flush batch (Fence resets it for reuse), the epoch
-// combiner, the counting-partition backing arrays, and the
-// epoch-stamped line-dedup map. Everything here is allocated once (or
-// grown to a high-water mark by ensure, outside the annotated replay
-// path), so steady-state replay — per-group or per-epoch — allocates
-// nothing.
+// combiner and the counting-partition backing arrays. Everything here
+// is allocated once (or grown to a high-water mark by ensure, outside
+// the annotated replay path), so steady-state replay — per-group or
+// per-epoch — allocates nothing.
 type reproState struct {
 	batch *pmem.Batch
 	wg    sync.WaitGroup
@@ -291,63 +312,52 @@ type reproState struct {
 	epoch []repoMsg // dense run being coalesced, in ascending tid order
 
 	// Counting-partition state: flat holds every entry, bucketed
-	// contiguously per shard; lineBuf holds each shard's distinct
-	// write-back lines (worst case 2 per entry: the entry's line plus a
-	// straddled successor). buckets/lines are reslices of flat/lineBuf.
+	// contiguously per shard; buckets are reslices of flat.
 	flat    []redolog.Entry
-	lineBuf []uint64
 	buckets [][]redolog.Entry
-	lines   [][]uint64
 	counts  []int
 	fill    []int
-	lfill   []int
-
-	// lineSeen dedups write-backs to cache-line granularity. Slots are
-	// stamp-stamped like combiner slots: bumping stamp invalidates the
-	// whole map in O(1) instead of clearing it.
-	lineSeen map[uint64]uint64
-	stamp    uint64
-	flushed  int // distinct lines flushed by the last replay run
 }
 
 // newReproState sizes the replay buffers for the configured fan-out.
 func newReproState(s *System) *reproState {
 	r := s.cfg.ReproThreads
 	return &reproState{
-		batch:    s.dev.NewBatch(),
-		comb:     redolog.NewCombiner(),
-		epoch:    make([]repoMsg, 0, s.cfg.ReplayEpochGroups),
-		buckets:  make([][]redolog.Entry, r),
-		lines:    make([][]uint64, r),
-		counts:   make([]int, r),
-		fill:     make([]int, r),
-		lfill:    make([]int, r),
-		lineSeen: make(map[uint64]uint64, 4096),
+		batch:   s.dev.NewBatch(),
+		comb:    redolog.NewCombiner(),
+		epoch:   make([]repoMsg, 0, s.cfg.ReplayEpochGroups),
+		buckets: make([][]redolog.Entry, r),
+		counts:  make([]int, r),
+		fill:    make([]int, r),
 	}
 }
 
-// ensure grows the partition backing arrays to hold n entries (and up
-// to 2n write-back lines). Growth happens here, outside the annotated
-// replay path, so replay itself stays allocation-free once the
-// high-water mark is reached.
+// ensure grows the partition backing array to hold n entries. Growth
+// happens here, outside the annotated replay path, so replay itself
+// stays allocation-free once the high-water mark is reached.
 func (rs *reproState) ensure(n int) {
 	if len(rs.flat) < n {
-		grown := n + n/2
-		rs.flat = make([]redolog.Entry, grown)
-		rs.lineBuf = make([]uint64, 2*grown)
+		rs.flat = make([]redolog.Entry, n+n/2)
 	}
+}
+
+// lineRunLen returns the length of the leading run of entries that
+// stays inside one cache line of the data region at base — the unit the
+// partition deals to a shard.
+//
+//dudelint:noalloc
+func lineRunLen(base uint64, entries []redolog.Entry) int {
+	a := base + entries[0].Addr
+	return redolog.RunLen(entries, int((pmem.LineSize-a%pmem.LineSize)/8))
 }
 
 // partition buckets a combined entry run by cache-line shard
 // (line % ReproThreads, so a line never spans shards) with a two-pass
-// counting sort into rs.flat, and computes each shard's distinct
-// write-back lines into rs.lineBuf. Line dedup is per-shard-exact: an
-// entry's own line always belongs to the entry's shard, so deduping it
-// globally is safe; a straddled second line may belong to a different
-// shard, so it is appended to this shard's list undeduped — the flush
-// must be issued by the applier that performs the store (flush after
-// store, same goroutine), and a duplicate flush of a line another shard
-// also writes back is merely redundant, never unordered.
+// counting sort into rs.flat. It moves whole within-line runs, not
+// words: a run that straddles lines is cut at each line boundary and
+// its pieces dealt to their shards in order, so every bucket keeps the
+// entry order (last-writer-wins survives) and each applier still sees
+// contiguous runs to store and flush.
 //
 //dudelint:noalloc
 //dudelint:fencebudget 0
@@ -357,105 +367,61 @@ func (s *System) partition(rs *reproState, entries []redolog.Entry) {
 	for i := range rs.counts {
 		rs.counts[i] = 0
 	}
-	for _, e := range entries {
-		rs.counts[((base+e.Addr)/pmem.LineSize)%nsh]++
+	for rest := entries; len(rest) > 0; {
+		n := lineRunLen(base, rest)
+		rs.counts[((base+rest[0].Addr)/pmem.LineSize)%nsh] += n
+		rest = rest[n:]
 	}
 	off := 0
 	for i := range rs.counts {
 		rs.fill[i] = off
-		rs.lfill[i] = 2 * off
 		off += rs.counts[i]
 	}
-	rs.stamp++
-	rs.flushed = 0
-	for _, e := range entries {
-		a := base + e.Addr
-		l1 := a / pmem.LineSize
-		sh := l1 % nsh
-		rs.flat[rs.fill[sh]] = e
-		rs.fill[sh]++
-		if rs.lineSeen[l1] != rs.stamp {
-			rs.lineSeen[l1] = rs.stamp
-			rs.lineBuf[rs.lfill[sh]] = l1 * pmem.LineSize
-			rs.lfill[sh]++
-			rs.flushed++
-		}
-		if l2 := (a + 7) / pmem.LineSize; l2 != l1 {
-			rs.lineBuf[rs.lfill[sh]] = l2 * pmem.LineSize
-			rs.lfill[sh]++
-			rs.flushed++
-		}
+	for rest := entries; len(rest) > 0; {
+		n := lineRunLen(base, rest)
+		sh := ((base + rest[0].Addr) / pmem.LineSize) % nsh
+		copy(rs.flat[rs.fill[sh]:], rest[:n])
+		rs.fill[sh] += n
+		rest = rest[n:]
 	}
 	start := 0
 	for i := range rs.counts {
 		rs.buckets[i] = rs.flat[start:rs.fill[i]]
-		rs.lines[i] = rs.lineBuf[2*start : rs.lfill[i]]
 		start += rs.counts[i]
-	}
-}
-
-// replayInline applies a combined entry run on the ordering loop
-// itself: store everything, then write back each dirty cache line
-// exactly once (stamp-bumped dedup), straddled lines included. This is
-// the non-sharded path — small runs below minShardEntries and
-// single-applier configs — and it gets the same line-granular flush
-// economy as the fan-out.
-//
-//dudelint:noalloc
-//dudelint:fencebudget 0
-func (s *System) replayInline(rs *reproState, entries []redolog.Entry) {
-	base := s.lay.dataOff
-	for _, e := range entries {
-		s.dev.Store8(base+e.Addr, e.Val)
-	}
-	rs.stamp++
-	rs.flushed = 0
-	for _, e := range entries {
-		a := base + e.Addr
-		l1 := a / pmem.LineSize
-		if rs.lineSeen[l1] != rs.stamp {
-			rs.lineSeen[l1] = rs.stamp
-			rs.batch.Flush(l1*pmem.LineSize, pmem.LineSize)
-			rs.flushed++
-		}
-		if l2 := (a + 7) / pmem.LineSize; l2 != l1 && rs.lineSeen[l2] != rs.stamp {
-			rs.lineSeen[l2] = rs.stamp
-			rs.batch.Flush(l2*pmem.LineSize, pmem.LineSize)
-			rs.flushed++
-		}
 	}
 }
 
 // replayEntries stores one combined, ID-ordered entry run into the
 // persistent data region and writes it back at cache-line granularity
 // under a single fence — the epoch apply path. Large runs are
-// partitioned once and fanned out to the appliers; small runs apply
-// inline. Either way the only persist ordering Reproduce needs is
-// data-before-recycle (§3.4), enforced by the one fence here before any
-// Recycle the caller issues.
+// partitioned once and fanned out to the appliers; small runs and
+// single-applier configs apply inline on the ordering loop. Either way
+// every dirty line is written back exactly once — the return value
+// counts them off the volume the fence ordered — and the only persist
+// ordering Reproduce needs is data-before-recycle (§3.4), enforced by
+// the one fence here before any Recycle the caller issues.
 //
 // The budget pins the epoch fence economy: exactly one barrier per
 // replay run, whether the run is one group or a whole coalesced epoch.
 //
 //dudelint:noalloc
 //dudelint:fencebudget 1
-func (s *System) replayEntries(rs *reproState, entries []redolog.Entry) {
+func (s *System) replayEntries(rs *reproState, entries []redolog.Entry) (lines uint64) {
 	if r := s.cfg.ReproThreads; r > 1 && len(entries) >= minShardEntries {
 		s.partition(rs, entries)
 		rs.wg.Add(r)
 		for sh := 0; sh < r; sh++ {
 			s.applyCh <- applyTask{
 				entries: rs.buckets[sh],
-				lines:   rs.lines[sh],
 				b:       rs.batch,
 				wg:      &rs.wg,
 			}
 		}
 		rs.wg.Wait()
 	} else {
-		s.replayInline(rs, entries)
+		applyRuns(s.dev, rs.batch, s.lay.dataOff, entries)
 	}
-	rs.batch.Fence()
+	return rs.batch.Fence() / pmem.LineSize
 }
 
 // reproduceLoop is the Reproduce step: replay persisted groups in
@@ -534,9 +500,8 @@ func (s *System) reproduceLoop() {
 		if n := len(m.g.Entries); n > 0 {
 			t0 := time.Now()
 			rs.ensure(n)
-			s.replayEntries(rs, m.g.Entries)
+			s.rm.lines.Add(s.replayEntries(rs, m.g.Entries))
 			s.rm.fences.Add(1)
-			s.rm.lines.Add(uint64(rs.flushed))
 			s.rm.busy.Add(uint64(time.Since(t0)))
 		}
 		retire(m)
@@ -553,9 +518,8 @@ func (s *System) reproduceLoop() {
 		in, out := rs.comb.RawCount(), rs.comb.Len()
 		if out > 0 {
 			rs.ensure(out)
-			s.replayEntries(rs, rs.comb.Entries())
+			s.rm.lines.Add(s.replayEntries(rs, rs.comb.Entries()))
 			s.rm.fences.Add(1)
-			s.rm.lines.Add(uint64(rs.flushed))
 		}
 		s.rm.busy.Add(uint64(time.Since(t0)))
 		s.rm.epochs.Add(1)

@@ -109,12 +109,7 @@ func Recover(dev *pmem.Device, cfg Config) (*System, error) {
 		if gr.g.MinTid != next {
 			break
 		}
-		for _, e := range gr.g.Entries {
-			dev.Store8(lay.dataOff+e.Addr, e.Val)
-		}
-		for _, e := range gr.g.Entries {
-			b.Flush(lay.dataOff+e.Addr, 8)
-		}
+		applyRuns(dev, b, lay.dataOff, gr.g.Entries)
 		next = gr.g.MaxTid + 1
 		rec.GroupsReplayed++
 		rec.EntriesReplayed += uint64(len(gr.g.Entries))

@@ -31,7 +31,7 @@ func (c *captureSink) ShipGroup(minTid, maxTid uint64, entries []redolog.Entry) 
 		maxTid:  maxTid,
 		entries: append([]redolog.Entry(nil), entries...),
 	})
-	c.raw += uint64(len(entries) * redolog.EntrySize)
+	c.raw += uint64(len(redolog.AppendEntries(nil, entries)))
 }
 
 func (c *captureSink) ShipStats() (uint64, uint64) {

@@ -11,7 +11,7 @@ import (
 // Batch.Flush) and ordered by a fence. Within each function body it
 // checks two things, in statement order:
 //
-//  1. every pmem.Device Store/Store8 is eventually covered by a
+//  1. every pmem.Device Store/Store8/StoreRun is eventually covered by a
 //     flush-like call before the function returns, and
 //  2. no atomic "publish" (a sync/atomic store such as advancing the
 //     durable ID) happens between a device store and its first flush —

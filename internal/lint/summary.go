@@ -488,7 +488,8 @@ func callSites(prog *Program, pkg *Package, body *ast.BlockStmt) []CallSite {
 
 // Event kinds, in the vocabulary the persist analyzers share:
 //
-//	pevStore        a Device.Store/Store8 (or a callee's unflushed one)
+//	pevStore        a Device.Store/Store8/StoreRun (or a callee's
+//	                unflushed one)
 //	pevFlush        a write-back this function must fence (own-batch
 //	                Flush / FlushRange, or a callee's unfenced one)
 //	pevCoveredFlush a write-back carrying no fence obligation upward: a
@@ -528,7 +529,7 @@ func persistEvents(prog *Program, pkg *Package, scope funcScope) []pEvent {
 			return true
 		}
 		switch {
-		case isDeviceCall(pkg, call, "Store", "Store8"):
+		case isDeviceCall(pkg, call, "Store", "Store8", "StoreRun"):
 			events = append(events, pEvent{call.Pos(), pevStore, ""})
 		case isDeviceCall(pkg, call, "FlushRange"):
 			events = append(events, pEvent{call.Pos(), pevFlush, ""})

@@ -125,3 +125,25 @@ func (r *region) bad5(addr, val uint64) {
 	publishHelper(r, val)
 	r.dev.Persist(addr, 8)
 }
+
+// --- Run stores -----------------------------------------------------
+
+// bad6: a whole run stored with StoreRun and never written back is as
+// lost on Crash() as a single word.
+func (r *region) bad6(addr uint64, vals []uint64) {
+	r.dev.StoreRun(addr, vals) // want: never covered by a flush
+}
+
+// bad7: the run is published before its lines are flushed.
+func (r *region) bad7(addr uint64, vals []uint64) {
+	r.dev.StoreRun(addr, vals) // want: published before flushed
+	r.durable.Store(addr)
+	r.dev.Persist(addr, 8*uint64(len(vals)))
+}
+
+// good7: the replay primitive's shape — store the run, then flush its
+// range into the caller's batch (the caller fences).
+func (r *region) good7(t applyTask, addr uint64, vals []uint64) {
+	r.dev.StoreRun(addr, vals)
+	t.b.Flush(addr, 8*uint64(len(vals)))
+}

@@ -290,6 +290,12 @@ func (d *Device) Store(addr uint64, b []byte) {
 		d.markDirty(line)
 	}
 	copy(d.data[addr:], b)
+	d.countStore(addr, n)
+}
+
+// countStore accounts one store operation of n bytes at addr, globally
+// and to the region containing addr.
+func (d *Device) countStore(addr, n uint64) {
 	d.stores.Add(1)
 	d.bytesStored.Add(n)
 	if r := d.regionOf(addr); r != nil {
@@ -306,12 +312,28 @@ func (d *Device) Store8(addr, val uint64) {
 	d.check(addr, 8)
 	d.markDirty(addr >> lineShift)
 	word.Store(d.data, addr, val)
-	d.stores.Add(1)
-	d.bytesStored.Add(8)
-	if r := d.regionOf(addr); r != nil {
-		r.stores.Add(1)
-		r.bytesStored.Add(8)
+	d.countStore(addr, 8)
+}
+
+// StoreRun writes vals as consecutive 8-byte words starting at addr,
+// which must be 8-aligned. Each word is stored single-copy atomically,
+// exactly as len(vals) Store8 calls would store it, but the persisted
+// copy is saved once per covered line and the run is accounted once —
+// the replay paths store whole contiguous runs, and per-word
+// bookkeeping was most of their cost.
+func (d *Device) StoreRun(addr uint64, vals []uint64) {
+	n := 8 * uint64(len(vals))
+	if n == 0 {
+		return
 	}
+	d.check(addr, n)
+	for line := addr >> lineShift; line <= (addr+n-1)>>lineShift; line++ {
+		d.markDirty(line)
+	}
+	for i, v := range vals {
+		word.Store(d.data, addr+8*uint64(i), v)
+	}
+	d.countStore(addr, n)
 }
 
 // Load reads len(b) bytes at addr into b, observing the latest (possibly
@@ -419,8 +441,9 @@ func (b *Batch) Flush(addr, n uint64) {
 }
 
 // Fence orders the batch and stalls for max(latency, volume/bandwidth).
-// The batch can be reused afterwards.
-func (b *Batch) Fence() {
+// It returns the write-back volume it ordered, in bytes. The batch can
+// be reused afterwards.
+func (b *Batch) Fence() uint64 {
 	if mask := b.touched.Swap(0); mask != 0 {
 		if rs := b.d.regions.Load(); rs != nil {
 			for _, r := range *rs {
@@ -430,7 +453,9 @@ func (b *Batch) Fence() {
 			}
 		}
 	}
-	b.d.Fence(b.bytes.Swap(0))
+	bytes := b.bytes.Swap(0)
+	b.d.Fence(bytes)
+	return bytes
 }
 
 // Crash simulates a power failure: every line not made durable reverts to

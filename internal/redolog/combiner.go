@@ -6,40 +6,75 @@ package redolog
 // and later replayed — atomically. Entries must be added in transaction
 // order.
 //
-// The index map is retained across groups and its slots are
-// epoch-stamped: Reset bumps the epoch instead of clearing (or
-// reallocating) the map, so a slot left over from an earlier group is
-// simply stale rather than wrong. Steady-state combination therefore
-// allocates nothing per group (BenchmarkCombiner checks this), and
-// Reset is O(1) instead of O(map size).
+// The index is an open-addressed table sized by the largest group seen,
+// not by the addresses ever seen: slots are epoch-stamped, Reset bumps
+// the epoch instead of clearing, and a slot left over from an earlier
+// group counts as empty. Nothing is deleted within a group, so linear
+// probing stays sound. Steady-state combination allocates nothing per
+// group (BenchmarkCombiner checks this), Reset is O(1), and the table
+// of a 1 K-entry group stays cache resident however many distinct
+// addresses the workload touches over its lifetime.
 type Combiner struct {
-	idx     map[uint64]combSlot
+	slots   []combSlot // power-of-two length, at least twice the live entries
+	shift   uint       // 64 - log2(len(slots))
 	epoch   uint64
 	entries []Entry
 	raw     int // entries added before combination
 }
 
-// combSlot is one index-map slot: the entry position valid for epoch.
+// combSlot is one index slot: addr's entry position, valid for epoch.
 type combSlot struct {
+	addr  uint64
 	epoch uint64
 	i     int
 }
 
+const combMinSlots = 2048
+
 // NewCombiner creates an empty combiner.
 func NewCombiner() *Combiner {
-	return &Combiner{idx: make(map[uint64]combSlot, 1024), epoch: 1}
+	c := &Combiner{epoch: 1}
+	c.resize(combMinSlots)
+	return c
+}
+
+// resize re-indexes the current group's entries into a table of n slots.
+func (c *Combiner) resize(n int) {
+	c.slots = make([]combSlot, n)
+	c.shift = 64
+	for m := n; m > 1; m >>= 1 {
+		c.shift--
+	}
+	for i, e := range c.entries {
+		*c.slot(e.Addr) = combSlot{addr: e.Addr, epoch: c.epoch, i: i}
+	}
+}
+
+// slot returns addr's slot in the current group: the one holding it, or
+// the empty (stale) one where it belongs.
+func (c *Combiner) slot(addr uint64) *combSlot {
+	mask := uint64(len(c.slots) - 1)
+	for h := (addr * 0x9e3779b97f4a7c15) >> c.shift; ; h = (h + 1) & mask {
+		if sl := &c.slots[h]; sl.epoch != c.epoch || sl.addr == addr {
+			return sl
+		}
+	}
 }
 
 // Add records a write, overwriting any earlier write to the same address
 // in the current group.
 func (c *Combiner) Add(addr, val uint64) {
 	c.raw++
-	if sl, ok := c.idx[addr]; ok && sl.epoch == c.epoch {
+	sl := c.slot(addr)
+	if sl.epoch == c.epoch {
 		c.entries[sl.i].Val = val
 		return
 	}
-	c.idx[addr] = combSlot{epoch: c.epoch, i: len(c.entries)}
+	*sl = combSlot{addr: addr, epoch: c.epoch, i: len(c.entries)}
 	c.entries = append(c.entries, Entry{Addr: addr, Val: val})
+	if 2*len(c.entries) > len(c.slots) {
+		c.resize(2 * len(c.slots))
+	}
 }
 
 // AddAll records a slice of writes in order.

@@ -184,6 +184,58 @@ func TestCombinerQuickLastWriteWins(t *testing.T) {
 	}
 }
 
+// TestCombinerIndexBoundedByGroup feeds one combiner many groups that
+// never repeat an address across groups, then one group large enough to
+// grow the index mid-group: the index is sized by the largest group,
+// not by the addresses ever seen, stale slots from earlier groups never
+// leak into a later one, and first-write order plus last-writer-wins
+// survive a resize.
+func TestCombinerIndexBoundedByGroup(t *testing.T) {
+	c := NewCombiner()
+	const perGroup = combMinSlots / 2
+	for g := uint64(0); g < 200; g++ {
+		for i := uint64(0); i < perGroup; i++ {
+			c.Add((g*perGroup+i)*8, g)
+			c.Add((g*perGroup+i)*8, g+1) // overwrites
+		}
+		if c.Len() != perGroup || c.RawCount() != 2*perGroup {
+			t.Fatalf("group %d: len=%d raw=%d", g, c.Len(), c.RawCount())
+		}
+		for i, e := range c.Entries() {
+			if e != (Entry{Addr: (g*perGroup + uint64(i)) * 8, Val: g + 1}) {
+				t.Fatalf("group %d entry %d = %+v", g, i, e)
+			}
+		}
+		c.Reset()
+	}
+	if len(c.slots) != combMinSlots {
+		t.Fatalf("index grew to %d slots over groups of %d entries, want %d", len(c.slots), perGroup, combMinSlots)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	model := map[uint64]uint64{}
+	var order []uint64
+	for i := 0; i < 20*combMinSlots; i++ {
+		addr, val := uint64(rng.Intn(4*combMinSlots))*8, rng.Uint64()
+		if _, seen := model[addr]; !seen {
+			order = append(order, addr)
+		}
+		model[addr] = val
+		c.Add(addr, val)
+	}
+	if c.Len() != len(order) {
+		t.Fatalf("len=%d, want %d distinct addresses", c.Len(), len(order))
+	}
+	for i, e := range c.Entries() {
+		if e.Addr != order[i] || e.Val != model[e.Addr] {
+			t.Fatalf("entry %d = %+v, want addr %d val %d", i, e, order[i], model[order[i]])
+		}
+	}
+	if 2*c.Len() > len(c.slots) {
+		t.Fatalf("index has %d slots for %d entries", len(c.slots), c.Len())
+	}
+}
+
 // --- Writer / Scanner ---
 
 const (
@@ -446,43 +498,8 @@ func TestQuickWriterScanRoundTrip(t *testing.T) {
 	}
 }
 
-// --- Entry serialization ---
-
-func TestEntryCodecRoundTrip(t *testing.T) {
-	f := func(addrs, vals []uint64) bool {
-		n := len(addrs)
-		if len(vals) < n {
-			n = len(vals)
-		}
-		entries := make([]Entry, n)
-		for i := 0; i < n; i++ {
-			entries[i] = Entry{Addr: addrs[i], Val: vals[i]}
-		}
-		b := AppendEntries(nil, entries)
-		got, ok := DecodeEntries(b)
-		if !ok || len(got) != n {
-			return false
-		}
-		for i := range got {
-			if got[i] != entries[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeEntriesRejectsBadLength(t *testing.T) {
-	if _, ok := DecodeEntries(make([]byte, 17)); ok {
-		t.Fatal("accepted non-multiple length")
-	}
-}
-
 // BenchmarkCombiner drives a steady stream of groups through one
-// combiner: after warmup the epoch-stamped index reuses its map and
+// combiner: after warmup the epoch-stamped index reuses its table and
 // entry slice, so the per-group allocation count must be zero.
 func BenchmarkCombiner(b *testing.B) {
 	c := NewCombiner()
@@ -492,7 +509,7 @@ func BenchmarkCombiner(b *testing.B) {
 		// ~25% same-address overlap so combination does real work.
 		group[i] = Entry{Addr: uint64(rng.Intn(192)) * 8, Val: rng.Uint64()}
 	}
-	// Warm up: grow the map and entry slice to steady-state capacity.
+	// Warm up: grow the index and entry slice to steady-state capacity.
 	c.AddAll(group)
 	c.Reset()
 	b.ReportAllocs()

@@ -75,7 +75,7 @@ func Scan(dev *pmem.Device, meta, base, size uint64) (ScanResult, error) {
 		wantCRC := binary.LittleEndian.Uint64(hdr[48:])
 
 		// Bound fields before arithmetic: a torn header can hold garbage.
-		if payloadLen >= size || uncomp > size<<8 || uncomp%EntrySize != 0 {
+		if payloadLen >= size || uncomp > size<<8 || uncomp%8 != 0 {
 			res.Torn = recSeq == seq
 			break
 		}

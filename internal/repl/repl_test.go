@@ -3,12 +3,15 @@ package repl_test
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"dudetm/internal/dudetm"
 	"dudetm/internal/pmem"
+	"dudetm/internal/redolog"
 	"dudetm/internal/repl"
+	"dudetm/internal/wire"
 )
 
 func testConfig() dudetm.Config {
@@ -302,5 +305,55 @@ func TestReplicationQuorumLossFailsWaiters(t *testing.T) {
 	}
 	if ev := pri.ReplStats().DegradedEvents; ev == 0 {
 		t.Fatal("degraded events not counted")
+	}
+}
+
+// TestOldProtocolPeerRefusedAtHandshake: a version-2 primary (whose
+// group payloads are (addr, val) pairs this build would mis-read) is
+// turned away at its hello with the version error — the replica never
+// answers, never reads the group queued behind the hello, and so never
+// gets as far as a payload CRC or decode failure.
+func TestOldProtocolPeerRefusedAtHandshake(t *testing.T) {
+	n := startReplica(t, testConfig())
+	defer n.close()
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	served := make(chan error, 1)
+	go func() {
+		served <- n.rcv.ServeConn(srv)
+		srv.Close()
+	}()
+
+	hello := wire.AppendReplHello(nil, 0)
+	hello[9] = 2 // kind byte, 8-byte magic, then the version
+	raw := redolog.AppendEntries(nil, []redolog.Entry{{Addr: 64, Val: 1}})
+	group, err := wire.AppendReplGroup(nil, 1, 1, raw, false, uint32(len(raw)), wire.ReplPayloadCRC(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		// The group write fails once the replica hangs up; that is the point.
+		if wire.WriteFrame(cli, hello) == nil {
+			wire.WriteFrame(cli, group)
+		}
+	}()
+
+	select {
+	case err := <-served:
+		if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "want 3") {
+			t.Fatalf("handshake error %v, want the protocol version mismatch", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("replica kept serving a version-2 stream")
+	}
+	cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if pl, err := wire.ReadFrame(cli); err == nil {
+		t.Fatalf("replica answered a version-2 hello with %d bytes", len(pl))
+	}
+	if st := n.rcv.Stats(); st.Groups != 0 || st.Gaps != 0 {
+		t.Fatalf("replica ingested from a refused stream: %+v", st)
+	}
+	if d := n.sys.Durable(); d != 0 {
+		t.Fatalf("replica durable frontier moved to %d", d)
 	}
 }

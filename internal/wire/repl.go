@@ -20,8 +20,10 @@ import (
 // transaction-ID order, ReplAck frames whenever the replica's durable
 // frontier advances.
 //
-// A ReplGroup payload is the group's serialized redo entries
-// (redolog.AppendEntries layout), optionally lz4 block-compressed.
+// A ReplGroup payload is the group's serialized redo entries in
+// redolog.AppendEntries' run encoding — per contiguous run one header
+// word addr|(n-1)<<48 then n value words, the same bytes the primary's
+// persistent log holds — optionally lz4 block-compressed.
 // PayloadCRC is the CRC-32C of the UNCOMPRESSED entry bytes: the frame
 // CRC already guards the wire bytes, so this second checksum pins the
 // decompression output — a corrupt compressed stream that still frames
@@ -62,9 +64,11 @@ const ReplMagic = 0x4455_4445_5245_504c // "DUDEREPL"
 // ReplVersion is the replication protocol version. Version 2 enriched
 // ReplAck with the acked group's tid range and the replica's measured
 // ingest (fence) duration, feeding the primary's cross-node critical-path
-// decomposition. Both ends of a stream must speak the same version — the
-// hello handshake rejects a mismatch before any group flows.
-const ReplVersion = 2
+// decomposition. Version 3 run-encoded the ReplGroup payload (see
+// above); a version-2 peer would mis-read it as (addr, val) pairs. Both
+// ends of a stream must speak the same version — the hello handshake
+// rejects a mismatch by name before any group flows.
+const ReplVersion = 3
 
 const replGroupFlagCompressed = 1 << 0
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dudetm/internal/lz4"
@@ -258,4 +259,26 @@ func FuzzDecodeReplFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReplHelloFromOldVersionRefusedByName pins the version bump that
+// came with the run-encoded group payload: a version-2 hello fails to
+// decode — so the stream dies at the handshake, before any group whose
+// payload this build would mis-read — and the error names both
+// versions.
+func TestReplHelloFromOldVersionRefusedByName(t *testing.T) {
+	hello := AppendReplHello(nil, 7)
+	if m, err := DecodeRepl(hello); err != nil || m.Epoch != 7 {
+		t.Fatalf("current hello: %+v, %v", m, err)
+	}
+	hello[9] = 2 // kind byte, 8-byte magic, then the version
+	_, err := DecodeRepl(hello)
+	if err == nil {
+		t.Fatal("version-2 hello accepted")
+	}
+	for _, want := range []string{"version 2", "want 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
 }

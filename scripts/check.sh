@@ -177,4 +177,15 @@ test -s "$REPL_IMG" || { echo "replicated drill wrote no crash image"; exit 1; }
     || { echo "promoted replica image failed forensic verification"; exit 1; }
 rm -f "$REPL_IMG"
 
+echo "== repository benchmark smoke (all workloads + drills at -quick scale)"
+# The yardstick itself, at smoke scale: all four workloads, then the
+# recovery, power-failure and replica drills with their full audits. It
+# exits non-zero on any failed operation, lost acknowledged write or
+# unmeasured metric, so a log-format or replay change is audited
+# end to end on every PR (numbers at this scale are not a verdict).
+go run ./benchmark -seed 7 -quick >/tmp/dude.check.benchmark.txt 2>&1 \
+    || { tail -n 40 /tmp/dude.check.benchmark.txt; echo "benchmark -quick failed"; exit 1; }
+tail -n 1 /tmp/dude.check.benchmark.txt | cut -c1-200
+rm -f /tmp/dude.check.benchmark.txt
+
 echo "ok: all tier-1 checks passed"
