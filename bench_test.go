@@ -438,11 +438,11 @@ func BenchmarkObs(b *testing.B) {
 // pipeline workload: recorder disabled vs. the default ring. The tps
 // metric across the two rows is the steady-state recording overhead
 // signal — stamps ride the pipeline's existing persist barriers
-// (TestBlackboxFenceBudget pins the fence budget and the blackbox
-// package's alloc test pins the stamp path at zero allocations), so on
-// vs. off should be within noise. Runs are recorded to
-// BENCH_blackbox.json (same schema as dudebench -json); the off row
-// comes first.
+// (TestBlackboxFenceBudget pins the fence budget, TestBlackboxByteBudget
+// the one line per group, and the blackbox package's alloc test pins the
+// stamp path at zero allocations), so on vs. off should be within noise.
+// Runs are recorded to BENCH_blackbox.json (same schema as dudebench
+// -json); the off row comes first.
 func BenchmarkBlackbox(b *testing.B) {
 	harness.StartRecording()
 	harness.SetExperiment("blackbox")

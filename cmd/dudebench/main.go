@@ -28,6 +28,36 @@ import (
 	"dudetm/internal/harness"
 )
 
+type exp struct {
+	name string
+	desc string
+	run  func() error
+}
+
+// registry lists the experiments. Declaration order is the run order of
+// -experiment all and the (stable) output order of -list; scripts key
+// off both. Each paper experiment's description is a verbatim clause of
+// its doc comment in internal/harness/experiments.go (pinned by
+// TestListDescriptionsComeFromDocComments).
+func registry(cfg harness.ExpConfig, maxThreads int, lc harness.LoadCurveOpts, cp harness.CritpathOpts) []exp {
+	return []exp{
+		{"fig2", "throughput of Volatile-STM, DUDETM, DUDETM-Inf and DUDETM-Sync across NVM bandwidths of 1-16 GB/s (paper Fig. 2)", func() error { return harness.Fig2(cfg) }},
+		{"table1", "memory-write statistics of each benchmark under DUDETM (paper Table 1)", func() error { return harness.Table1(cfg) }},
+		{"table2", "DUDETM vs DUDETM-Sync vs Mnemosyne vs NVML (paper Table 2)", func() error { return harness.Table2(cfg) }},
+		{"table3", "durable-transaction latency percentiles of hash-based TPC-C across systems (paper Table 3)", func() error { return harness.Table3(cfg) }},
+		{"fig3", "NVM-write reduction from cross-transaction log combination and lz4 compression as the persist group size grows (paper Fig. 3)", func() error { return harness.Fig3(cfg) }},
+		{"fig4", "throughput of the B+-tree KV update workload as the shadow memory shrinks (paper Fig. 4)", func() error { return harness.Fig4(cfg) }},
+		{"fig5", "scalability of TPC-C (B+-tree) with thread count (paper Fig. 5)", func() error { return harness.Fig5(cfg, maxThreads) }},
+		{"table4", "STM- vs HTM-based DudeTM (and their volatile upper bounds) with the durability slowdown (paper Table 4)", func() error { return harness.Table4(cfg) }},
+		{"recovery", "crash-recovery replay throughput and correctness drill", func() error { return harness.Recovery(cfg) }},
+		{"repl", "replicated durability: ship, quorum ack, failover", func() error { return harness.Repl(cfg) }},
+		{"pipeline", "per-stage utilization and backlog under steady load", func() error { return harness.Pipeline(cfg) }},
+		{"loadcurve", "open-loop latency-vs-offered-load sweep with SLO gate (BENCH_loadcurve.json)", func() error { return harness.LoadCurve(cfg, lc) }},
+		{"critpath", "critical-path decomposition at knee-relative loads (BENCH_critpath.json)", func() error { return harness.Critpath(cfg, cp) }},
+		{"smoke", "fast end-to-end sanity pass over the pipeline", func() error { return harness.Smoke(cfg) }},
+	}
+}
+
 func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run")
 	threads := flag.Int("threads", 2, "Perform threads (the paper uses 4 on a 12-core host)")
@@ -48,33 +78,8 @@ func main() {
 		progress = os.Stderr
 	}
 
-	type exp struct {
-		name string
-		desc string
-		run  func() error
-	}
-	// Declaration order is the run order of -experiment all and the
-	// (stable) output order of -list; scripts key off both.
-	exps := []exp{
-		{"fig2", "single-thread latency breakdown of one durable transaction (paper Fig. 2)", func() error { return harness.Fig2(cfg) }},
-		{"table1", "baseline STM vs durable-transaction throughput (paper Table 1)", func() error { return harness.Table1(cfg) }},
-		{"table2", "read/write-mix throughput across systems (paper Table 2)", func() error { return harness.Table2(cfg) }},
-		{"table3", "transaction-size sensitivity (paper Table 3)", func() error { return harness.Table3(cfg) }},
-		{"fig3", "throughput vs NVM write latency (paper Fig. 3)", func() error { return harness.Fig3(cfg) }},
-		{"fig4", "decoupled pipeline vs synchronous persist under load (paper Fig. 4)", func() error { return harness.Fig4(cfg) }},
-		{"fig5", "thread-count scaling sweep (paper Fig. 5)", func() error { return harness.Fig5(cfg, *maxThreads) }},
-		{"table4", "log-size and group-commit sensitivity (paper Table 4)", func() error { return harness.Table4(cfg) }},
-		{"recovery", "crash-recovery replay throughput and correctness drill", func() error { return harness.Recovery(cfg) }},
-		{"repl", "replicated durability: ship, quorum ack, failover", func() error { return harness.Repl(cfg) }},
-		{"pipeline", "per-stage utilization and backlog under steady load", func() error { return harness.Pipeline(cfg) }},
-		{"loadcurve", "open-loop latency-vs-offered-load sweep with SLO gate (BENCH_loadcurve.json)", func() error {
-			return harness.LoadCurve(cfg, harness.LoadCurveOpts{OutPath: *lcOut, Points: *lcPoints})
-		}},
-		{"critpath", "critical-path decomposition at knee-relative loads (BENCH_critpath.json)", func() error {
-			return harness.Critpath(cfg, harness.CritpathOpts{OutPath: *cpOut})
-		}},
-		{"smoke", "fast end-to-end sanity pass over the pipeline", func() error { return harness.Smoke(cfg) }},
-	}
+	exps := registry(cfg, *maxThreads,
+		harness.LoadCurveOpts{OutPath: *lcOut, Points: *lcPoints}, harness.CritpathOpts{OutPath: *cpOut})
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%-10s %s\n", e.name, e.desc)

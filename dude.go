@@ -420,8 +420,8 @@ func (p *Pool) AuditRecovery(ackedTid uint64) error { return p.sys.AuditRecovery
 
 // Forensics decodes a pool image (a Snapshot, a Crash image, or a file
 // read from disk) into a CrashReport without mounting it: the durable
-// frontier recomputed from the logs, sealed-but-unpersisted groups,
-// in-flight persist barriers, torn-record counts and the surviving
+// frontier recomputed from the logs, the persist barriers a torn log
+// tail shows were in flight, torn-record counts and the surviving
 // flight-recorder event tail.
 func Forensics(img []byte) (*CrashReport, error) {
 	dev := pmem.New(pmem.Config{Size: uint64(len(img))})

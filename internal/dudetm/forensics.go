@@ -31,8 +31,10 @@ type BBEvent struct {
 const eventTail = 64
 
 // CrashReport is the post-crash forensic summary of a pool image: what
-// the log region proves was durable, and what the flight recorder says
-// the pipeline was doing when power failed.
+// the log region proves was durable or in flight, and what the flight
+// recorder says the pipeline was doing when power failed. Work sealed
+// but not yet appending leaves no durable trace — it was never
+// acknowledged either way.
 type CrashReport struct {
 	// LogFrontier is the durable frontier recomputable from the log
 	// image alone: the largest ID reachable from Anchor through a
@@ -44,13 +46,11 @@ type CrashReport struct {
 	// flight recorder captured. Always <= LogFrontier: the stamp is
 	// written back only after the group's own persist barrier.
 	LastDurableStamp uint64 `json:"last_durable_stamp"`
-	// SealedUnpersisted lists groups the coordinator sealed (their seal
-	// stamp is on media) that never made it into a log: the work the
-	// crash destroyed between seal and append.
-	SealedUnpersisted []TidRange `json:"sealed_unpersisted,omitempty"`
-	// InFlightFences lists groups whose fence-begin stamp is on media
-	// with no matching persist-fence stamp and no surviving log group:
-	// persist barriers the crash interrupted mid-append.
+	// InFlightFences lists the persist barriers the crash interrupted
+	// mid-append: the tid range each torn log tail claims, when the
+	// header's tid words reached media (redolog.ScanResult.TornMinTid).
+	// A record that survived whole is its own persist-fence evidence and
+	// counts under LiveGroups instead.
 	InFlightFences []TidRange `json:"in_flight_fences,omitempty"`
 	// TornBlackboxSlots counts recorder slots failing their CRC.
 	TornBlackboxSlots int `json:"torn_blackbox_slots"`
@@ -73,9 +73,6 @@ func (r *CrashReport) String() string {
 		r.LogFrontier, r.Anchor, r.LastDurableStamp)
 	fmt.Fprintf(&b, "\n  live log content: %d groups, %d entries; %d torn log(s), %d torn recorder slot(s)",
 		r.LiveGroups, r.LiveEntries, r.TornLogs, r.TornBlackboxSlots)
-	for _, g := range r.SealedUnpersisted {
-		fmt.Fprintf(&b, "\n  sealed but unpersisted: tids [%d,%d]", g.MinTid, g.MaxTid)
-	}
 	for _, g := range r.InFlightFences {
 		fmt.Fprintf(&b, "\n  fence in flight at crash: tids [%d,%d]", g.MinTid, g.MaxTid)
 	}
@@ -108,7 +105,9 @@ func scanPool(dev *pmem.Device, lay layout) ([]redolog.ScanResult, uint64, []red
 }
 
 // buildCrashReport combines the log-scan evidence with the decoded
-// flight-recorder stamps. Only stamps from the current boot epoch are
+// flight-recorder stamps. A fenced log record is its own persist-fence
+// stamp and a torn tail is the in-flight append, so per-group findings
+// come from the scan. Only stamps from the current boot epoch are
 // analyzed: the ring keeps the newest stamps, so everything after the
 // last surviving boot stamp (or everything, when the boot itself was
 // lapped away) belongs to the epoch that crashed — earlier epochs may
@@ -122,6 +121,11 @@ func buildCrashReport(dev *pmem.Device, lay layout, results []redolog.ScanResult
 	for _, res := range results {
 		if res.Torn {
 			rep.TornLogs++
+		}
+		// The frontier guard only matters for garbage that passed the
+		// scanner's sanity check: a genuine torn range was never durable.
+		if res.TornMinTid > frontier {
+			rep.InFlightFences = append(rep.InFlightFences, TidRange{res.TornMinTid, res.TornMaxTid})
 		}
 	}
 	rep.LiveGroups = len(groups)
@@ -148,33 +152,11 @@ func buildCrashReport(dev *pmem.Device, lay layout, results []redolog.ScanResult
 		}
 	}
 
-	// A group range present in a log survived its append, whatever the
-	// stamps say.
-	live := make(map[TidRange]bool, len(groups))
-	for _, g := range groups {
-		live[TidRange{g.MinTid, g.MaxTid}] = true
-	}
-	fenced := make(map[TidRange]bool) // ranges whose persist-fence stamp survived
+	// Retired per-group kinds from an older ring are listed under Events
+	// but not analyzed.
 	for _, rec := range recs {
-		if rec.Kind == blackbox.KindPersistFence {
-			fenced[TidRange{rec.A, rec.B}] = true
-		}
-	}
-	for _, rec := range recs {
-		tr := TidRange{rec.A, rec.B}
-		switch rec.Kind {
-		case blackbox.KindDurable:
-			if rec.A > rep.LastDurableStamp {
-				rep.LastDurableStamp = rec.A
-			}
-		case blackbox.KindGroupSeal:
-			if tr.MinTid > frontier && !live[tr] {
-				rep.SealedUnpersisted = append(rep.SealedUnpersisted, tr)
-			}
-		case blackbox.KindFenceBegin:
-			if tr.MinTid > frontier && !live[tr] && !fenced[tr] {
-				rep.InFlightFences = append(rep.InFlightFences, tr)
-			}
+		if rec.Kind == blackbox.KindDurable && rec.A > rep.LastDurableStamp {
+			rep.LastDurableStamp = rec.A
 		}
 	}
 

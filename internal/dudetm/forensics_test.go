@@ -1,11 +1,14 @@
 package dudetm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"dudetm/internal/obs/blackbox"
 	"dudetm/internal/pmem"
+	"dudetm/internal/redolog"
 )
 
 // crashWithDeepLog drives a system with Reproduce frozen so the crash
@@ -64,7 +67,7 @@ func TestCrashReportMatchesRecoveredImage(t *testing.T) {
 		}
 		// Every lost-work finding must be above the recovered frontier
 		// and absent from the surviving log.
-		for _, g := range append(append([]TidRange{}, rep.SealedUnpersisted...), rep.InFlightFences...) {
+		for _, g := range rep.InFlightFences {
 			if g.MinTid <= rep.LogFrontier {
 				t.Errorf("mode %d: lost-work range [%d,%d] at or below frontier %d",
 					mode, g.MinTid, g.MaxTid, rep.LogFrontier)
@@ -126,6 +129,18 @@ func TestAuditRecovery(t *testing.T) {
 	}
 }
 
+// blackboxRegion returns the recorder's share of the device traffic.
+func blackboxRegion(t *testing.T, s *System) pmem.RegionStats {
+	t.Helper()
+	for _, r := range s.Stats().Regions {
+		if r.Name == "blackbox" {
+			return r
+		}
+	}
+	t.Fatal("no blackbox region in Stats().Regions")
+	return pmem.RegionStats{}
+}
+
 // TestBlackboxFenceBudget pins the steady-state overhead criterion:
 // the recorder's write-backs ride the pipeline's existing barriers, so
 // the blackbox region sees at most the boot Sync's fence no matter how
@@ -142,21 +157,214 @@ func TestBlackboxFenceBudget(t *testing.T) {
 		last, _ = s.Run(0, func(tx *Tx) error { tx.Store(i%32*8, i); return nil })
 	}
 	s.WaitDurable(last)
-	var bb *pmem.RegionStats
-	for _, r := range s.Stats().Regions {
-		if r.Name == "blackbox" {
-			rr := r
-			bb = &rr
-		}
-	}
-	if bb == nil {
-		t.Fatal("no blackbox region in Stats().Regions")
-	}
+	bb := blackboxRegion(t, s)
 	if bb.BytesFlushed == 0 {
 		t.Error("no recorder stamps were written back")
 	}
 	if bb.Fences > 2 {
 		t.Errorf("blackbox region charged %d fences for 200 transactions, want <= 2 (boot only)", bb.Fences)
+	}
+}
+
+// TestBlackboxByteBudget pins the recorder's write traffic on every path
+// that persists a group — the async workers, syncCommit and replica
+// ingest: one 64 B durable-advance line per group plus a recycle line
+// every RecycleEvery-th, the ring header and the boot stamp, and one
+// recycle line per log for each recycle-timer wake and the closing flush. A per-group stamp
+// creeping back in fails here, not in a benchmark.
+func TestBlackboxByteBudget(t *testing.T) {
+	type variant struct {
+		name    string
+		cfg     Config
+		replica bool
+	}
+	var variants []variant
+	for _, pt := range []int{1, 2} {
+		for _, gs := range []int{1, 4} {
+			cfg := testConfig()
+			cfg.PersistThreads, cfg.GroupSize = pt, gs
+			variants = append(variants, variant{name: fmt.Sprintf("async/persist%d/group%d", pt, gs), cfg: cfg})
+		}
+	}
+	syncCfg := testConfig()
+	syncCfg.Mode = ModeSync
+	variants = append(variants,
+		variant{name: "sync", cfg: syncCfg},
+		variant{name: "replica", cfg: testConfig(), replica: true})
+
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			v.cfg.Threads = 1
+			s, err := Create(v.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const groups = 200
+			last := s.Durable()
+			for i := uint64(0); i < uint64(groups*max(v.cfg.GroupSize, 1)); i++ {
+				if v.replica {
+					last++
+					err = s.IngestGroup(last, last, []redolog.Entry{{Addr: i % 32 * 8, Val: i}})
+				} else {
+					last, err = s.Run(0, func(tx *Tx) error { tx.Store(i%32*8, i); return nil })
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.WaitDurable(last); err != nil {
+				t.Fatal(err)
+			}
+			s.Close() // quiesces the last write-back and the closing recycle
+			st := s.Stats()
+			if st.Groups < groups {
+				t.Fatalf("only %d groups persisted, want >= %d", st.Groups, groups)
+			}
+			bb := blackboxRegion(t, s)
+			nlogs := uint64(len(s.writers))
+			lines := st.Groups + st.Groups/uint64(s.cfg.RecycleEvery) + 2 + nlogs*(st.Reproduce.TimerWakes+1)
+			if bb.BytesFlushed == 0 || bb.BytesFlushed > blackbox.SlotBytes*lines {
+				t.Errorf("recorder flushed %d B for %d groups (%.1f B/group), want 0 < bytes <= %d",
+					bb.BytesFlushed, st.Groups, float64(bb.BytesFlushed)/float64(st.Groups), blackbox.SlotBytes*lines)
+			}
+			if bb.Fences > 2 {
+				t.Errorf("blackbox region charged %d fences, want <= 2 (boot only)", bb.Fences)
+			}
+			recs, _, err := blackbox.Decode(s.dev, s.lay.bbOff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range recs {
+				switch rec.Kind {
+				case blackbox.KindBoot, blackbox.KindDurable, blackbox.KindRecycle:
+				default:
+					t.Fatalf("recorder holds a %v stamp: %+v", rec.Kind, rec)
+				}
+			}
+		})
+	}
+}
+
+// TestInFlightFenceFromTornTail is the deterministic crash inside a log
+// append: the last group's record on media only up to an 8-byte
+// boundary, for every boundary. The torn tail is the in-flight
+// signature — forensics names the interrupted group exactly when the
+// header's tid words (3 and 4) made it, never a range at or below the
+// frontier, and nothing for a clean log end; recovery restores the
+// frontier the report states either way.
+func TestInFlightFenceFromTornTail(t *testing.T) {
+	cfg := testConfig()
+	cfg.PersistThreads, cfg.GroupSize = 1, 4
+	cfg.FlushInterval = time.Hour // groups seal full, never on the timer
+	s, err := Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PauseReproduce()
+	// commitGroups runs whole groups to durability and returns the
+	// quiescent persisted image, the log tail and the frontier.
+	commitGroups := func(n int) (img []byte, tail, last uint64) {
+		for i := 0; i < n*cfg.GroupSize; i++ {
+			last, err = s.Run(0, func(tx *Tx) error { tx.Store(uint64(i)*8, last+1); return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.WaitDurable(last); err != nil {
+			t.Fatal(err)
+		}
+		s.PausePersist() // waits out the worker's trailing write-back
+		img, tail = s.dev.PersistedImage(), s.writers[0].Tail()
+		s.ResumePersist()
+		return img, tail, last
+	}
+	before, tail0, frontier := commitGroups(2)
+	after, tail1, last := commitGroups(1)
+	s.ResumeReproduce()
+	s.Close()
+
+	want := TidRange{frontier + 1, last}
+	start := s.lay.logAddr(0) + tail0
+	length := tail1 - tail0
+	if tail1 > s.lay.logSize || length%8 != 0 {
+		t.Fatalf("log wrapped or record unaligned: tail %d -> %d", tail0, tail1)
+	}
+	for k := uint64(0); k <= length/8; k++ {
+		img := append([]byte(nil), before...)
+		copy(img[start:start+8*k], after[start:start+8*k])
+		dev := pmem.New(pmem.Config{Size: uint64(len(img))})
+		dev.Restore(img)
+		rep, err := Forensics(dev)
+		if err != nil {
+			t.Fatalf("%d words persisted: %v", k, err)
+		}
+		wantFrontier, wantTorn, wantFences := frontier, 0, []TidRange(nil)
+		switch {
+		case k == length/8:
+			wantFrontier = last // the whole record: it is its own fence evidence
+		case k > 4:
+			wantTorn, wantFences = 1, []TidRange{want}
+		case k > 2: // the sequence word is on media, the tid words are not
+			wantTorn = 1
+		}
+		if rep.LogFrontier != wantFrontier || rep.TornLogs != wantTorn ||
+			fmt.Sprint(rep.InFlightFences) != fmt.Sprint(wantFences) {
+			t.Fatalf("%d of %d words persisted: frontier %d, %d torn log(s), in flight %v; want %d, %d, %v",
+				k, length/8, rep.LogFrontier, rep.TornLogs, rep.InFlightFences, wantFrontier, wantTorn, wantFences)
+		}
+		if rep.LastDurableStamp != frontier {
+			t.Fatalf("%d words persisted: last durable stamp %d, want %d", k, rep.LastDurableStamp, frontier)
+		}
+		if len(wantFences) > 0 && !strings.Contains(rep.String(), fmt.Sprintf("fence in flight at crash: tids [%d,%d]", want.MinTid, want.MaxTid)) {
+			t.Fatalf("report does not name the in-flight group:\n%s", rep)
+		}
+		s2, err := Recover(dev, cfg)
+		if err != nil {
+			t.Fatalf("%d words persisted: %v", k, err)
+		}
+		if got := s2.Durable(); got != rep.LogFrontier {
+			t.Fatalf("%d words persisted: recovered durable %d != report frontier %d", k, got, rep.LogFrontier)
+		}
+		s2.Close()
+	}
+}
+
+// TestForensicsReadsPreRetirementRing: a ring written before the
+// per-group kinds were retired — seal, fence-begin and persist-fence
+// slots around each durable stamp, here ending in a fence-begin with no
+// persist-fence — still decodes: the report keeps LastDurableStamp and
+// lists the old slots under Events, and derives nothing from them.
+func TestForensicsReadsPreRetirementRing(t *testing.T) {
+	s, err := Create(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last uint64
+	for i := uint64(0); i < 8; i++ {
+		last, _ = s.Run(0, func(tx *Tx) error { tx.Store(i*8, i); return nil })
+	}
+	s.WaitDurable(last)
+	s.Close()
+	for _, k := range []blackbox.Kind{2, 3, 4, blackbox.KindDurable, 2, 3} {
+		s.bb.Stamp(k, last+1, last+1, 0)
+	}
+	s.bb.Sync()
+	rep, err := Forensics(restoreInto(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LastDurableStamp != last+1 {
+		t.Errorf("LastDurableStamp = %d, want %d", rep.LastDurableStamp, last+1)
+	}
+	if len(rep.InFlightFences) != 0 {
+		t.Errorf("retired fence-begin stamp analyzed: in flight %v", rep.InFlightFences)
+	}
+	var kinds []string
+	for _, e := range rep.Events[len(rep.Events)-6:] {
+		kinds = append(kinds, e.Kind)
+	}
+	if got, want := strings.Join(kinds, " "), "retired-2 retired-3 retired-4 durable retired-2 retired-3"; got != want {
+		t.Errorf("event tail kinds = %q, want %q", got, want)
 	}
 }
 

@@ -87,11 +87,6 @@ func (s *System) persistLoop() {
 		// Sealed before the window reservation, so queue dwell includes
 		// time spent blocked on window back-pressure.
 		sealAt := s.obs.GroupSealed(s.srcCoord(), gMin, gMax, gCount, len(*ep))
-		// The seal stamp must be on media before the group can appear in
-		// a log: forensics treats a durable seal with no persisted group
-		// as sealed-but-unpersisted work lost to the crash.
-		s.bbStamp(blackbox.KindGroupSeal, gMin, gMax, uint64(gCount))
-		s.bbFlush()
 		seq, ok := s.window.reserve(&s.halted)
 		if !ok {
 			putEntrySlice(ep)
@@ -196,8 +191,10 @@ func (s *System) persistLoop() {
 // PausePersist wait out an in-flight append.
 //
 // The budget pins the paper's fence economy: one persist barrier per
-// group (AppendGroup's), with the flight-recorder write-backs riding
-// behind it fence-free.
+// group (AppendGroup's), with the durable-advance stamp's write-back
+// riding behind it fence-free. Nothing is stamped between seal and
+// append: the fenced record is its own persist-fence evidence and a torn
+// tail is the in-flight signature (see buildCrashReport).
 //
 //dudelint:fencebudget 1
 func (s *System) persistWorker(wi int) {
@@ -212,15 +209,9 @@ func (s *System) persistWorker(wi int) {
 			continue
 		}
 		s.workerGates[wi].Lock()
-		// Flushed before the append begins, so a crash inside the
-		// append leaves a durable fence-begin with no matching
-		// persist-fence — the forensic signature of an in-flight barrier.
-		s.bbStamp(blackbox.KindFenceBegin, m.g.MinTid, m.g.MaxTid, uint64(wi))
-		s.bbFlush()
 		startAt := s.obs.Now()
 		w.AppendGroup(m.g)
 		endAt := s.obs.Now()
-		s.bbStamp(blackbox.KindPersistFence, m.g.MinTid, m.g.MaxTid, uint64(wi))
 		s.obs.GroupPersisted(s.srcWorker(wi), m.g.MinTid, m.g.MaxTid, m.sealAt, startAt, endAt)
 		s.pm.busy.Add(uint64(endAt - startAt))
 		s.pm.groups.Add(1)
@@ -232,8 +223,8 @@ func (s *System) persistWorker(wi int) {
 		s.pm.dequeue()
 		s.rm.enqueue()
 		s.reproCh <- repoMsg{g: m.g, w: w, wi: wi, ep: m.ep}
-		// One write-back for the fence/durable stamps above; it rides
-		// after the group's own barrier, adding no fence of its own.
+		// One write-back for the durable stamp the window took above; it
+		// rides after the group's own barrier, adding no fence of its own.
 		s.bbFlush()
 		s.workerGates[wi].Unlock()
 	}

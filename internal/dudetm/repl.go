@@ -408,18 +408,14 @@ func (s *System) IngestGroup(minTid, maxTid uint64, entries []redolog.Entry) err
 	g := &redolog.Group{MinTid: minTid, MaxTid: maxTid, Entries: *ep}
 	w := s.writers[0]
 	txns := int(maxTid - minTid + 1)
-	// The same forensic choreography as a locally sealed group: seal
-	// stamp on media before the append, fence stamps around it, durable
-	// stamp behind the group's own barrier — so dudectl forensics reads
-	// a promoted replica's log exactly like a primary's.
+	// The same forensic evidence as a locally sealed group: the fenced
+	// record, then a durable stamp behind the group's own barrier — so
+	// dudectl forensics reads a promoted replica's log exactly like a
+	// primary's.
 	sealAt := s.obs.GroupSealed(s.srcCoord(), minTid, maxTid, txns, len(entries))
-	s.bbStamp(blackbox.KindGroupSeal, minTid, maxTid, uint64(txns))
-	s.bbStamp(blackbox.KindFenceBegin, minTid, maxTid, 0)
-	s.bbFlush()
 	startAt := s.obs.Now()
 	w.AppendGroup(g)
 	endAt := s.obs.Now()
-	s.bbStamp(blackbox.KindPersistFence, minTid, maxTid, 0)
 	s.obs.GroupPersisted(s.srcCoord(), minTid, maxTid, sealAt, startAt, endAt)
 	s.pm.busy.Add(uint64(endAt - startAt))
 	s.pm.groups.Add(1)
@@ -427,8 +423,9 @@ func (s *System) IngestGroup(minTid, maxTid uint64, entries []redolog.Entry) err
 	s.rawEntries.Add(uint64(len(entries)))
 	s.combEntries.Add(uint64(len(entries)))
 	s.groups.Add(1)
-	s.setDurable(maxTid)
+	// Stamped before waiters wake, like markDurable (see setDurable).
 	s.bbStamp(blackbox.KindDurable, maxTid, 0, 0)
+	s.setDurable(maxTid)
 	s.bbFlush()
 	s.rm.enqueue()
 	s.reproCh <- repoMsg{g: g, w: w, wi: 0, ep: ep}

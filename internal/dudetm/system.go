@@ -599,13 +599,9 @@ func (s *System) syncCommit(th *thread, tid uint64) {
 	// The synchronous path seals, appends and fences inline on the
 	// Perform thread, so its lifecycle stamps share the thread's ring.
 	sealAt := s.obs.GroupSealed(th.slot, tid, tid, 1, len(th.entries))
-	s.bbStamp(blackbox.KindGroupSeal, tid, tid, 1)
-	s.bbStamp(blackbox.KindFenceBegin, tid, tid, uint64(th.slot))
-	s.bbFlush()
 	startAt := s.obs.Now()
 	th.writer.AppendGroup(g)
 	endAt := s.obs.Now()
-	s.bbStamp(blackbox.KindPersistFence, tid, tid, uint64(th.slot))
 	s.obs.GroupPersisted(th.slot, tid, tid, sealAt, startAt, endAt)
 	s.pm.busy.Add(uint64(endAt - startAt))
 	s.pm.groups.Add(1)

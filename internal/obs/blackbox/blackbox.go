@@ -1,10 +1,11 @@
 // Package blackbox is a persistent flight recorder: a small append-only
 // ring of fixed-size milestone records stored inside the simulated NVM
 // device, in its own pool region. The live pipeline stamps it at
-// persistence milestones (group seal, persist fence, durable-ID advance,
-// log recycle, watchdog stall); after a crash, the surviving stamps are
-// the only record of what the pipeline was doing when power failed, and
-// the forensics pass decodes them into the CrashReport.
+// persistence milestones the redo log does not already record (boot,
+// durable-ID advance, log recycle, watchdog stall); after a crash, the
+// surviving stamps and the log records are what is left of what the
+// pipeline was doing when power failed, and the forensics pass decodes
+// both into the CrashReport.
 //
 // Durability discipline: each record occupies exactly one cache line, so
 // it persists atomically, and carries a CRC-32C so a line that never made
@@ -75,15 +76,13 @@ const (
 	// the last boot — earlier epochs may reuse transaction IDs that were
 	// discarded by recovery.
 	KindBoot Kind = iota + 1
-	// KindGroupSeal marks a sealed persist group; a/b are MinTid/MaxTid,
-	// c the transaction count.
-	KindGroupSeal
-	// KindFenceBegin marks a persist worker starting a group's log
-	// append (flush+fence); a/b are MinTid/MaxTid, c the worker index.
-	KindFenceBegin
-	// KindPersistFence marks the group's persist barrier completing;
-	// a/b are MinTid/MaxTid, c the worker index.
-	KindPersistFence
+	// Kinds 2-4 (group-seal, fence-begin, persist-fence; a/b were the
+	// group's MinTid/MaxTid) are retired, not renumbered: the fenced log
+	// record carries the same evidence, but rings written before the
+	// retirement still hold them and must keep decoding.
+	_
+	_
+	_
 	// KindDurable marks a durable-frontier advance; a is the frontier.
 	KindDurable
 	// KindRecycle marks a log recycle; a is the log index, b the next
@@ -99,12 +98,8 @@ func (k Kind) String() string {
 	switch k {
 	case KindBoot:
 		return "boot"
-	case KindGroupSeal:
-		return "group-seal"
-	case KindFenceBegin:
-		return "fence-begin"
-	case KindPersistFence:
-		return "persist-fence"
+	case 2, 3, 4:
+		return fmt.Sprintf("retired-%d", uint64(k))
 	case KindDurable:
 		return "durable"
 	case KindRecycle:

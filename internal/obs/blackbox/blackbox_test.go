@@ -20,8 +20,8 @@ func newRing(t *testing.T, entries uint64) (*pmem.Device, *Recorder) {
 
 func TestStampFlushDecode(t *testing.T) {
 	dev, r := newRing(t, 8)
-	r.Stamp(KindGroupSeal, 1, 4, 4)
-	r.Stamp(KindPersistFence, 1, 4, 0)
+	r.Stamp(KindBoot, 0, 1, 0)
+	r.Stamp(KindRecycle, 1, 4, 4)
 	r.Stamp(KindDurable, 4, 0, 0)
 	r.Flush()
 
@@ -41,8 +41,8 @@ func TestStampFlushDecode(t *testing.T) {
 		kind    Kind
 		a, b, c uint64
 	}{
-		{KindGroupSeal, 1, 4, 4},
-		{KindPersistFence, 1, 4, 0},
+		{KindBoot, 0, 1, 0},
+		{KindRecycle, 1, 4, 4},
 		{KindDurable, 4, 0, 0},
 	}
 	for i, w := range want {
@@ -59,16 +59,16 @@ func TestStampFlushDecode(t *testing.T) {
 
 func TestUnflushedStampLostOnCrash(t *testing.T) {
 	dev, r := newRing(t, 8)
-	r.Stamp(KindGroupSeal, 1, 1, 1)
+	r.Stamp(KindRecycle, 1, 1, 1)
 	r.Flush()
-	r.Stamp(KindPersistFence, 1, 1, 0) // never flushed
+	r.Stamp(KindDurable, 1, 0, 0) // never flushed
 	dev.Crash()
 	recs, torn, err := Decode(dev, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Kind != KindGroupSeal {
-		t.Fatalf("decoded %v, want only the flushed seal stamp", recs)
+	if len(recs) != 1 || recs[0].Kind != KindRecycle {
+		t.Fatalf("decoded %v, want only the flushed recycle stamp", recs)
 	}
 	if torn != 0 {
 		t.Errorf("torn = %d, want 0 (lost line reverts to zero, not garbage)", torn)
@@ -137,19 +137,50 @@ func TestTornSlotCounted(t *testing.T) {
 func TestStampPathAllocs(t *testing.T) {
 	_, r := newRing(t, 64)
 	for i := 0; i < 64; i++ {
-		r.Stamp(KindGroupSeal, 0, 0, 0)
+		r.Stamp(KindDurable, 0, 0, 0)
 	}
 	r.Flush()
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Stamp(KindGroupSeal, 1, 2, 3)
+		r.Stamp(KindDurable, 1, 2, 3)
 	}); n != 0 {
 		t.Errorf("Stamp allocates %.1f objects per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Stamp(KindPersistFence, 1, 2, 3)
+		r.Stamp(KindRecycle, 1, 2, 3)
 		r.Flush()
 	}); n != 0 {
 		t.Errorf("Stamp+Flush allocates %.1f objects per call, want 0", n)
+	}
+}
+
+// TestRetiredKindsKeepTheirNumbers pins the on-media compatibility rule:
+// kinds 2-4 (group-seal, fence-begin, persist-fence) are retired, not
+// renumbered, so the surviving kinds keep the values rings written before
+// the retirement used, and a retired stamp still decodes and says what it
+// is.
+func TestRetiredKindsKeepTheirNumbers(t *testing.T) {
+	for k, want := range map[Kind]string{
+		1: "boot", 2: "retired-2", 3: "retired-3", 4: "retired-4",
+		5: "durable", 6: "recycle", 7: "stall", 8: "kind-8",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", uint64(k), got, want)
+		}
+	}
+	if KindBoot != 1 || KindDurable != 5 || KindRecycle != 6 || KindStall != 7 {
+		t.Errorf("live kinds renumbered: boot %d durable %d recycle %d stall %d",
+			KindBoot, KindDurable, KindRecycle, KindStall)
+	}
+	dev, r := newRing(t, 8)
+	r.Stamp(Kind(2), 1, 4, 4) // a pre-retirement group-seal slot, byte for byte
+	r.Stamp(KindDurable, 4, 0, 0)
+	r.Flush()
+	recs, torn, err := Decode(dev, 0)
+	if err != nil || torn != 0 || len(recs) != 2 {
+		t.Fatalf("Decode = %v, %d torn, %v; want both stamps", recs, torn, err)
+	}
+	if recs[0].Kind != 2 || recs[0].A != 1 || recs[0].B != 4 || recs[1].Kind != KindDurable {
+		t.Errorf("decoded %+v, want the retired stamp then the durable one", recs)
 	}
 }
 

@@ -270,7 +270,8 @@ func TestRunLen(t *testing.T) {
 // over header and payload) must hide every partial image: Scan returns
 // exactly the N-1 earlier groups, never a shortened or mis-addressed
 // run, and reports Torn as soon as the record's sequence word is on
-// media.
+// media — and the torn record's claimed tid range exactly when the two
+// tid words behind it are too, never what a stale lap left under them.
 func TestScanTornTailEveryWordBoundary(t *testing.T) {
 	last := func() []Entry {
 		var es []Entry
@@ -289,12 +290,16 @@ func TestScanTornTailEveryWordBoundary(t *testing.T) {
 		for _, wrapped := range []bool{false, true} {
 			dev := newLogDev()
 			w := NewWriter(dev, testMeta, testBase, testSize, compress)
-			tid := uint64(1)
-			appendGroup := func(entries []Entry) (*Group, uint64) {
-				g := &Group{MinTid: tid, MaxTid: tid, Entries: entries}
-				tid++
+			// A pool this far into its life: tids dwarf a record's byte
+			// length, so a stale lap's length words under the tid words
+			// cannot pass for a range above the previous group.
+			tid := uint64(1) << 20
+			appendSpan := func(entries []Entry, txns uint64) (*Group, uint64) {
+				g := &Group{MinTid: tid, MaxTid: tid + txns - 1, Entries: entries}
+				tid += txns
 				return g, w.AppendGroup(g)
 			}
+			appendGroup := func(entries []Entry) (*Group, uint64) { return appendSpan(entries, 1) }
 			rng := rand.New(rand.NewSource(11))
 			if wrapped {
 				// Fill and recycle the log until the tail has wrapped, so
@@ -316,7 +321,7 @@ func TestScanTornTailEveryWordBoundary(t *testing.T) {
 				want = append(want, es)
 			}
 			before := dev.PersistedImage()
-			g, length := appendGroup(last)
+			g, length := appendSpan(last, 3)
 			after := dev.PersistedImage()
 			start := testBase + (g.EndPos-length)%testSize // records never wrap
 			for k := uint64(0); k <= length/8; k++ {
@@ -333,6 +338,14 @@ func TestScanTornTailEveryWordBoundary(t *testing.T) {
 				if len(res.Groups) != wantGroups || res.Torn != wantTorn {
 					t.Fatalf("compress=%v wrapped=%v, %d of %d words persisted: %d groups torn=%v, want %d torn=%v",
 						compress, wrapped, k, length/8, len(res.Groups), res.Torn, wantGroups, wantTorn)
+				}
+				var wantMin, wantMax uint64
+				if wantTorn && k > 4 { // words 3 and 4 are minTid and maxTid
+					wantMin, wantMax = g.MinTid, g.MaxTid
+				}
+				if res.TornMinTid != wantMin || res.TornMaxTid != wantMax {
+					t.Fatalf("compress=%v wrapped=%v, %d of %d words persisted: torn claim [%d,%d], want [%d,%d]",
+						compress, wrapped, k, length/8, res.TornMinTid, res.TornMaxTid, wantMin, wantMax)
 				}
 				for i, es := range want {
 					if !reflect.DeepEqual(res.Groups[i].Entries, es) {

@@ -28,7 +28,19 @@ type ScanResult struct {
 	// (sequence numbers start at 1, so zeroed never-written space can
 	// never match the expected sequence).
 	Torn bool
+	// TornMinTid and TornMaxTid are the tid range the torn record's
+	// header claims — the group whose append the crash interrupted — or
+	// zero when Torn is false or those header words did not reach media
+	// (what sits under them is then zeroes or a stale lap's bytes, which
+	// the sanity check in Scan refuses short of a coincidence). Evidence
+	// for forensics only: the range was never durable, so recovery
+	// ignores it.
+	TornMinTid, TornMaxTid uint64
 }
+
+// maxTornSpan bounds the transactions a torn record may claim; no
+// coordinator seals groups anywhere near this large.
+const maxTornSpan = 1 << 12
 
 // Scan reads the persistent log at dev[base:base+size) with metadata at
 // meta, returning every valid group that has not been recycled. It stops
@@ -49,6 +61,7 @@ func Scan(dev *pmem.Device, meta, base, size uint64) (ScanResult, error) {
 	res := ScanResult{NextPos: headPos, NextSeq: headSeq, ReproTid: reproTid}
 	pos, seq := headPos, headSeq
 	hdr := make([]byte, headerSize)
+	var minTid, maxTid uint64 // of the record the walk is on
 	// The log holds at most size bytes of live records; bound the walk.
 	for scanned := uint64(0); scanned < size; {
 		idx := pos % size
@@ -69,8 +82,8 @@ func Scan(dev *pmem.Device, meta, base, size uint64) (ScanResult, error) {
 		payloadLen := binary.LittleEndian.Uint64(hdr[0:])
 		uncomp := binary.LittleEndian.Uint64(hdr[8:])
 		recSeq := binary.LittleEndian.Uint64(hdr[16:])
-		minTid := binary.LittleEndian.Uint64(hdr[24:])
-		maxTid := binary.LittleEndian.Uint64(hdr[32:])
+		minTid = binary.LittleEndian.Uint64(hdr[24:])
+		maxTid = binary.LittleEndian.Uint64(hdr[32:])
 		flags := binary.LittleEndian.Uint64(hdr[40:])
 		wantCRC := binary.LittleEndian.Uint64(hdr[48:])
 
@@ -123,6 +136,19 @@ func Scan(dev *pmem.Device, meta, base, size uint64) (ScanResult, error) {
 		pos += recSize
 		scanned += recSize
 		seq++
+	}
+	if res.Torn {
+		// The walk stopped on the torn record, so minTid/maxTid are its
+		// header's. A log's records ascend, so a genuine claim starts
+		// above the previous live group (or the log's persisted reproduce
+		// watermark) and spans at most a group.
+		prev := reproTid
+		if n := len(res.Groups); n > 0 {
+			prev = res.Groups[n-1].MaxTid
+		}
+		if minTid > prev && minTid <= maxTid && maxTid-minTid < maxTornSpan {
+			res.TornMinTid, res.TornMaxTid = minTid, maxTid
+		}
 	}
 	res.NextPos = pos
 	res.NextSeq = seq

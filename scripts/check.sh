@@ -139,7 +139,9 @@ echo "== crash forensics gate (netbank drill + dudectl forensics)"
 # forensic decoder to its contract: the report pretty-prints, the -json
 # form parses, and its durable frontier exactly matches what recovery
 # restores from the same image (-verify recovers a scratch copy and
-# compares).
+# compares). The recorder holds only the stamps the log cannot supply
+# (boot / durable / recycle / stall): per-group evidence comes from the
+# log records, so a seal or fence stamp reappearing fails here.
 CRASH_IMG=/tmp/dude.check.crash.img
 rm -f "$CRASH_IMG"
 go run ./examples/netbank -crash-image "$CRASH_IMG" >/dev/null
@@ -157,6 +159,11 @@ if rep["log_frontier"] <= 0:
     sys.exit(f"forensics frontier {rep['log_frontier']} not positive after a loaded drill")
 if rep["last_durable_stamp"] > rep["log_frontier"]:
     sys.exit("durable stamp ahead of the log frontier")
+if "sealed_unpersisted" in rep:
+    sys.exit("forensics -json still carries the deleted sealed_unpersisted field")
+kinds = {e["kind"] for e in rep["events"]}
+if not kinds or kinds - {"boot", "durable", "recycle", "stall"}:
+    sys.exit(f"recorder event kinds {sorted(kinds)}, want a non-empty subset of boot/durable/recycle/stall")
 print(f"forensics gate: frontier {rep['log_frontier']}, "
       f"{len(rep['events'])} recorder events, verified against recovery")
 EOF
