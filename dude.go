@@ -73,6 +73,10 @@ type ReplSink = idudetm.ReplSink
 // Stats().Repl).
 type ReplQuorumStats = idudetm.ReplQuorumStats
 
+// NotifierStats counts the durability notifier's group-commit releases
+// (see Pool.NotifierStats).
+type NotifierStats = idudetm.NotifierStats
+
 // Entry is one redo-log entry (an 8-byte store at a pool address), the
 // unit shipped groups are made of.
 type Entry = redolog.Entry
@@ -331,16 +335,11 @@ func (p *Pool) WaitDurableChan(tid uint64) <-chan error {
 	return p.sys.WaitDurableChan(tid)
 }
 
-// DurableUpdates subscribes to durable-frontier advances. The channel
-// carries the most recent durable transaction ID after every advance
-// (coalesced: a slow consumer observes the latest value, never a
-// backlog) and is closed when the pool crashes or closes or cancel is
-// called. A server's group-commit acknowledgment loop watches this: a
-// single advance — one persist fence — acknowledges every client
-// transaction whose ID it passed.
-func (p *Pool) DurableUpdates() (<-chan uint64, func()) {
-	return p.sys.DurableUpdates()
-}
+// NotifierStats returns the group-commit release counters of the
+// pool's durability notifier — the one every WaitDurable, WaitDurableChan
+// and dudesrv connection parks on: frontier advances that woke waiters,
+// waiters released, and the largest single release. Cheap enough to poll.
+func (p *Pool) NotifierStats() NotifierStats { return p.sys.NotifierStats() }
 
 // Crash simulates a power failure and tears the pool down: the pipeline
 // halts where it is, unpersisted cache lines are discarded, and the

@@ -20,19 +20,15 @@ var (
 	ErrClosed = errors.New("dudetm: closed before transaction became durable")
 )
 
-// durNotifier is the durable-ID subscription table. It serves two kinds
-// of consumers:
-//
-//   - single-ID waiters (WaitDurableChan): a min-heap keyed by
-//     transaction ID, so one frontier advance releases every waiter the
-//     new frontier has passed in a single wake-up — the group-commit
-//     amortization a network server builds its acknowledgment path on;
-//   - broadcast subscribers (SubscribeDurable): coalescing channels
-//     that observe the latest frontier after every advance.
+// durNotifier is the one place anything waits for durability: a min-heap
+// of single-ID waiters (WaitDurableChan) keyed by transaction ID, so one
+// frontier advance releases every waiter the new frontier has passed in
+// a single wake-up — the group-commit amortization a network server
+// builds its acknowledgment path on.
 //
 // When the system crashes or closes, every remaining waiter is failed
-// with the corresponding error and subscriber channels are closed, so
-// no consumer can hang on an ID that will never become durable.
+// with the corresponding error, so no consumer can hang on an ID that
+// will never become durable.
 type durNotifier struct {
 	mu       sync.Mutex
 	frontier uint64
@@ -42,7 +38,20 @@ type durNotifier struct {
 	// failed it clears when the quorum heals and advances keep working.
 	degraded error
 	waiters  waiterHeap
-	subs     map[chan uint64]struct{}
+	stats    NotifierStats
+}
+
+// NotifierStats counts group-commit release activity. Released much
+// larger than Wakeups is the decoupling payoff made visible: many
+// transactions acknowledged per durable-frontier advance.
+type NotifierStats struct {
+	// Wakeups is the number of frontier advances that released at least
+	// one parked waiter.
+	Wakeups uint64
+	// Released is the number of parked waiters those advances released.
+	Released uint64
+	// MaxBatch is the most waiters released by a single advance.
+	MaxBatch uint64
 }
 
 // durWaiter is one WaitDurableChan subscription. Its channel has
@@ -75,8 +84,7 @@ func (n *durNotifier) wait(tid uint64) <-chan error {
 }
 
 // advance publishes a new durable frontier: waiters at or below f are
-// released together, and every subscriber observes the latest value
-// (stale unconsumed updates are replaced, never queued).
+// released together, and that release is counted as one wake-up.
 func (n *durNotifier) advance(f uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -84,25 +92,28 @@ func (n *durNotifier) advance(f uint64) {
 		return
 	}
 	n.frontier = f
+	var batch uint64
 	for n.waiters.Len() > 0 && n.waiters[0].tid <= f {
 		heap.Pop(&n.waiters).(durWaiter).ch <- nil
+		batch++
 	}
-	for ch := range n.subs {
-		select {
-		case <-ch:
-		default:
-		}
-		select {
-		case ch <- f:
-		default:
-		}
+	if batch > 0 {
+		n.stats.Wakeups++
+		n.stats.Released += batch
+		n.stats.MaxBatch = max(n.stats.MaxBatch, batch)
 	}
 }
 
+// snapshot returns the release counters.
+func (n *durNotifier) snapshot() NotifierStats {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.stats
+}
+
 // fail terminates the notifier: every remaining waiter receives err
-// (their IDs are beyond the final frontier) and subscriber channels are
-// closed. Later wait calls observe the failure immediately; later
-// advances are ignored.
+// (their IDs are beyond the final frontier). Later wait calls observe
+// the failure immediately; later advances are ignored.
 func (n *durNotifier) fail(err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -113,18 +124,13 @@ func (n *durNotifier) fail(err error) {
 	for n.waiters.Len() > 0 {
 		heap.Pop(&n.waiters).(durWaiter).ch <- err
 	}
-	for ch := range n.subs {
-		close(ch)
-	}
-	n.subs = nil
 }
 
 // setDegraded raises a soft failure: every parked waiter (all are
 // beyond the frontier by construction) receives err, and later wait
 // calls for IDs beyond the frontier fail immediately with it. Unlike
 // fail, the notifier keeps working — advances still release IDs the
-// frontier passes, subscribers stay subscribed, and clearDegraded
-// restores normal parking.
+// frontier passes, and clearDegraded restores normal parking.
 func (n *durNotifier) setDegraded(err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -142,34 +148,6 @@ func (n *durNotifier) clearDegraded() {
 	n.mu.Lock()
 	n.degraded = nil
 	n.mu.Unlock()
-}
-
-// subscribe registers a broadcast subscriber. The returned channel has
-// capacity 1 and carries the most recent durable frontier; it is closed
-// when the system fails or the cancel function runs.
-func (n *durNotifier) subscribe() (ch chan uint64, cancel func()) {
-	ch = make(chan uint64, 1)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.failed != nil {
-		close(ch)
-		return ch, func() {}
-	}
-	if n.subs == nil {
-		n.subs = make(map[chan uint64]struct{})
-	}
-	n.subs[ch] = struct{}{}
-	if n.frontier > 0 {
-		ch <- n.frontier
-	}
-	return ch, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if _, ok := n.subs[ch]; ok {
-			delete(n.subs, ch)
-			close(ch)
-		}
-	}
 }
 
 // waiterHeap is a min-heap of waiters keyed by transaction ID.

@@ -3,7 +3,6 @@ package dudetm
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,52 +113,74 @@ func TestWaitDurableCrashRace(t *testing.T) {
 	}
 }
 
-// TestDurableUpdatesSubscription checks the broadcast hook: a
-// subscriber observes a monotone sequence of frontier advances ending
-// at the final durable ID, coalescing is lossy only in the middle, and
-// the channel closes on Close.
-func TestDurableUpdatesSubscription(t *testing.T) {
-	s, err := Create(testConfig())
-	if err != nil {
+// TestNotifierUnit exercises a zero-value durNotifier on its own:
+// immediate resolution, batch release with its counters, and failure
+// strand-freedom.
+func TestNotifierUnit(t *testing.T) {
+	var n durNotifier
+
+	// Already-durable waits resolve immediately and are not releases.
+	n.advance(10)
+	if err := <-n.wait(7); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := s.DurableUpdates()
-	defer cancel()
-	var seen atomic.Uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var prev uint64
-		for f := range ch {
-			if f < prev {
-				t.Errorf("frontier went backwards: %d after %d", f, prev)
+	if st := n.snapshot(); st != (NotifierStats{}) {
+		t.Errorf("nobody was parked, yet stats = %+v", st)
+	}
+	// A batch of parked waiters is released by one advance.
+	chans := make([]<-chan error, 20)
+	for i := range chans {
+		chans[i] = n.wait(uint64(11 + i))
+	}
+	n.advance(30)
+	for i, ch := range chans {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("waiter %d: %v", i, err)
 			}
-			prev = f
-			seen.Store(f)
+		default:
+			t.Fatalf("waiter %d (tid %d) still parked at frontier 30", i, 11+i)
 		}
-	}()
-	var last uint64
-	for i := uint64(0); i < 100; i++ {
-		tid, err := s.Run(0, func(tx *Tx) error {
-			tx.Store(0, i)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = tid
 	}
-	if err := s.WaitDurable(last); err != nil {
+	want := NotifierStats{Wakeups: 1, Released: 20, MaxBatch: 20}
+	if st := n.snapshot(); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+	// An advance that releases nobody is not a wakeup; a stale one is
+	// not even an advance.
+	beyond := n.wait(50)
+	n.advance(40)
+	n.advance(35)
+	if st := n.snapshot(); st != want {
+		t.Errorf("stats after advances that released nobody = %+v, want %+v", st, want)
+	}
+	n.advance(50)
+	if err := <-beyond; err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscription channel not closed on Close")
+	want = NotifierStats{Wakeups: 2, Released: 21, MaxBatch: 20}
+	if st := n.snapshot(); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
-	if got := seen.Load(); got < last {
-		t.Errorf("subscriber saw final frontier %d, want >= %d", got, last)
+	// Failure strands no one, before or after, and is not a release.
+	parked := n.wait(1000)
+	n.fail(ErrCrashed)
+	if err := <-parked; !errors.Is(err, ErrCrashed) {
+		t.Errorf("parked waiter across fail: got %v, want ErrCrashed", err)
+	}
+	if err := <-n.wait(999); !errors.Is(err, ErrCrashed) {
+		t.Errorf("post-failure waiter: got %v, want ErrCrashed", err)
+	}
+	if err := <-n.wait(50); err != nil {
+		t.Errorf("covered tid must stay nil after failure: %v", err)
+	}
+	n.advance(2000) // ignored: the frontier is final
+	if err := <-n.wait(1500); !errors.Is(err, ErrCrashed) {
+		t.Errorf("advance after fail moved the frontier: got %v", err)
+	}
+	if st := n.snapshot(); st != want {
+		t.Errorf("stats after fail = %+v, want %+v", st, want)
 	}
 }
 

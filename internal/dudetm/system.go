@@ -80,7 +80,7 @@ type System struct {
 	reproPaused   atomic.Bool
 
 	dense denseTracker // ModeSync durable-frontier tracking
-	notif durNotifier  // durable-ID waiters and subscribers
+	notif durNotifier  // durable-ID waiters
 
 	// Replication (nil / durable-following when not attached): the
 	// quorum gate EnableReplication installs, the published
@@ -437,20 +437,13 @@ func (s *System) WaitDurableChan(tid uint64) <-chan error {
 	return s.notif.wait(tid)
 }
 
-// DurableUpdates subscribes to durable-frontier advances: the returned
-// channel carries the most recent durable ID after every advance
-// (coalesced — a slow consumer observes the latest value, never a
-// backlog) and is closed when the system crashes or closes, or when
-// cancel is called. This is the hook a server's group-commit
-// acknowledgment loop watches: one frontier advance acknowledges every
-// client transaction it passed.
-func (s *System) DurableUpdates() (<-chan uint64, func()) {
-	ch, cancel := s.notif.subscribe()
-	return ch, cancel
-}
+// NotifierStats returns the group-commit release counters: how many
+// frontier advances woke parked durability waiters, and how many
+// waiters they released. It takes one uncontended mutex, nothing else.
+func (s *System) NotifierStats() NotifierStats { return s.notif.snapshot() }
 
-// setDurable publishes a new durable frontier and wakes waiters and
-// subscribers whose IDs the acknowledgment frontier passed. With
+// setDurable publishes a new durable frontier and wakes waiters whose
+// IDs the acknowledgment frontier passed. With
 // replication attached, the local advance routes through the quorum
 // gate and waiters wake only when enough replicas have acked too.
 func (s *System) setDurable(f uint64) {

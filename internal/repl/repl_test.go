@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -305,6 +306,64 @@ func TestReplicationQuorumLossFailsWaiters(t *testing.T) {
 	}
 	if ev := pri.ReplStats().DegradedEvents; ev == 0 {
 		t.Fatal("degraded events not counted")
+	}
+}
+
+// heldPrimary is a Primary that holds every replica ack at the door of
+// the quorum gate until released.
+type heldPrimary struct {
+	*dudetm.System
+	release chan struct{}
+	once    sync.Once
+}
+
+func (h *heldPrimary) open() { h.once.Do(func() { close(h.release) }) }
+
+func (h *heldPrimary) ReplicaAcked(peer string, frontier uint64) {
+	<-h.release
+	h.System.ReplicaAcked(peer, frontier)
+}
+
+// TestWaitConnectedImpliesQuorumGateLive: every caller starts load when
+// WaitConnected returns, and in fail mode a write that finds the gate
+// still degraded errors. So a peer must not count as connected before
+// the gate has seen its handshake ack: with that ack held back,
+// WaitConnected must keep waiting.
+func TestWaitConnectedImpliesQuorumGateLive(t *testing.T) {
+	cfg := testConfig()
+	cfg.ReplFactor, cfg.ReplQuorum = 1, 1
+	r := startReplica(t, cfg)
+	defer r.close()
+	sys, err := dudetm.Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	pri := &heldPrimary{System: sys, release: make(chan struct{})}
+	snd := repl.NewSender(pri, repl.Config{Peers: []string{r.ln.Addr().String()}, Epoch: sys.Durable()})
+	if err := sys.EnableReplication(snd, snd.PeerNames()); err != nil {
+		t.Fatal(err)
+	}
+	snd.Start()
+	defer snd.Close()
+	defer pri.open() // before Close: it joins the peer loop held in ReplicaAcked
+
+	if snd.WaitConnected(1, 300*time.Millisecond) {
+		t.Fatalf("WaitConnected returned true before the quorum gate saw the peer (degraded=%v)", sys.ReplStats().Degraded)
+	}
+	pri.open()
+	if !snd.WaitConnected(1, 10*time.Second) {
+		t.Fatal("replica never connected")
+	}
+	if sys.ReplStats().Degraded {
+		t.Fatal("WaitConnected returned true while the quorum gate is still degraded")
+	}
+	tid, err := sys.Run(0, func(tx *dudetm.Tx) error { tx.Store(0, 1); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WaitDurable(tid); err != nil {
+		t.Fatalf("first write after WaitConnected: %v", err)
 	}
 }
 

@@ -416,11 +416,14 @@ func (p *peer) serveConn(conn net.Conn) bool {
 	p.gen++
 	gen := p.gen
 	p.mu.Unlock()
+	// The quorum gate sees the peer live before anyone can see it
+	// connected: callers start load on WaitConnected, and in fail mode a
+	// write that finds the gate still degraded errors.
+	p.s.pri.ReplicaAcked(p.name, m.Frontier)
 	p.connected.Store(true)
 	// The handshake trim frees space and flips connected: wake both a
 	// backpressured coordinator and the (new-gen) write loop.
 	p.cond.Broadcast()
-	p.s.pri.ReplicaAcked(p.name, m.Frontier)
 
 	done := make(chan struct{})
 	go func() {

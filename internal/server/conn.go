@@ -2,19 +2,22 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"sync"
 	"time"
 
+	"dudetm"
 	"dudetm/internal/wire"
 )
 
 // conn is one client connection: a reader goroutine that decodes and
 // queues requests (pipelining), and a writer goroutine that executes
 // them in order and acknowledges. The writer opportunistically batches:
-// it executes every request already queued, then parks on the
-// group-commit notifier once for the batch's newest transaction ID —
-// the frontier advance that covers it covers the whole batch.
+// it executes every request already queued, then parks on the pool's
+// durability notifier once for the batch's newest transaction ID — the
+// frontier advance that covers it covers the whole batch, and every
+// other connection's batch it passed, in the same wake-up.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -103,8 +106,13 @@ type pendingAck struct {
 
 // writeLoop executes queued requests and writes responses. Relaxed
 // requests are acknowledged as soon as Perform commits (durable=false
-// unless the frontier already passed them); others wait on the
-// group-commit notifier — once per batch, not once per request.
+// unless the frontier already passed them); others wait on the pool's
+// notifier — once per batch, not once per request. The wait is on the
+// acknowledgment frontier, not the local durable one: with replication
+// they differ, and a client ack must mean "durable on a quorum". A wait
+// that fails soft (quorum lost: the pool heals) fails the batch's strict
+// writes and keeps serving; one that fails hard (pool closed or crashed)
+// also ends the connection.
 func (c *conn) writeLoop(pending <-chan wire.Request) {
 	bw := bufio.NewWriter(c.nc)
 	var batch []pendingAck
@@ -141,12 +149,12 @@ func (c *conn) writeLoop(pending <-chan wire.Request) {
 		var ackErr error
 		if waitTid != 0 {
 			select {
-			case ackErr = <-c.srv.notif.wait(waitTid):
+			case ackErr = <-c.srv.pool.WaitDurableChan(waitTid):
 			case <-c.closed:
 				return
 			}
 		}
-		frontier := c.srv.notif.Frontier()
+		frontier := c.srv.pool.AckFrontier()
 		for i := range batch {
 			p := &batch[i]
 			if p.tid != 0 {
@@ -154,6 +162,7 @@ func (c *conn) writeLoop(pending <-chan wire.Request) {
 					p.resp.Status = wire.StatusErr
 					p.resp.Err = ackErr.Error()
 					p.resp.Results = nil
+					c.srv.failedAcks.Add(1)
 				} else {
 					p.resp.Durable = p.tid <= frontier
 					if p.resp.Durable {
@@ -169,7 +178,7 @@ func (c *conn) writeLoop(pending <-chan wire.Request) {
 		if bw.Flush() != nil {
 			return
 		}
-		if ackErr != nil {
+		if ackErr != nil && !errors.Is(ackErr, dudetm.ErrQuorumLost) {
 			return
 		}
 	}

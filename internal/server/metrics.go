@@ -223,10 +223,11 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Counter("dudesrv_connections_total", "Connections accepted.", float64(sv.Conns))
 	p.Counter("dudesrv_requests_total", "Requests executed.", float64(sv.Requests))
 	p.Counter("dudesrv_acked_writes_total", "Write transactions acknowledged durable to clients.", float64(sv.AckedWrites))
+	p.Counter("dudesrv_failed_acks_total", "Strict writes answered with an error because their durability wait failed (quorum lost, or pool closed or crashed).", float64(sv.FailedAcks))
 	p.Counter("dudesrv_offered_requests_total", "Requests decoded off the wire (demand, counted before execution).", float64(sv.Offered))
 	p.Counter("dudesrv_served_responses_total", "Responses written back to clients.", float64(sv.Served))
-	p.Counter("dudesrv_notifier_wakeups_total", "Durable-frontier advances observed by the ack notifier.", float64(sv.Notifier.Wakeups))
-	p.Counter("dudesrv_notifier_released_total", "Waiters released by the ack notifier.", float64(sv.Notifier.Released))
+	p.Counter("dudesrv_notifier_wakeups_total", "Ack-frontier advances that released at least one parked waiter (counted by the pool's durability notifier).", float64(sv.Notifier.Wakeups))
+	p.Counter("dudesrv_notifier_released_total", "Parked waiters released by ack-frontier advances.", float64(sv.Notifier.Released))
 	p.Gauge("dudesrv_notifier_max_batch", "Most waiters released by a single frontier advance.", float64(sv.Notifier.MaxBatch))
 	return p.Err()
 }

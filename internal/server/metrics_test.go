@@ -65,6 +65,7 @@ var requiredSeries = []string{
 	"dudesrv_connections_total",
 	"dudesrv_requests_total",
 	"dudesrv_acked_writes_total",
+	"dudesrv_failed_acks_total",
 	"dudesrv_offered_requests_total",
 	"dudesrv_served_responses_total",
 }

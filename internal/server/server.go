@@ -67,16 +67,23 @@ type ServerStats struct {
 	// Served is the in-server backlog; an open-loop generator's
 	// offered/served rates come from deltas of these two counters.
 	Served uint64
-	// Notifier is the group-commit acknowledgment activity.
+	// FailedAcks is the number of strict (non-relaxed) writes answered
+	// with an error because their durability wait failed: quorum lost,
+	// or the pool closed or crashed first.
+	FailedAcks uint64
+	// Notifier is the group-commit acknowledgment activity, counted by
+	// the pool's durability notifier that connections park on.
 	Notifier NotifierStats
 }
+
+// NotifierStats is the pool notifier's group-commit release counters.
+type NotifierStats = dudetm.NotifierStats
 
 // Server serves the wire protocol over a dudetm.Pool.
 type Server struct {
 	pool    *dudetm.Pool
 	store   *store
 	cfg     Config
-	notif   *notifier
 	replSnd *repl.Sender // nil unless this node replicates outward
 
 	// slots holds the pool's Update/View slot tokens; an executing
@@ -98,11 +105,9 @@ type Server struct {
 	acceptedConns atomic.Uint64
 	requests      atomic.Uint64
 	ackedWrites   atomic.Uint64
+	failedAcks    atomic.Uint64
 	offered       atomic.Uint64
 	served        atomic.Uint64
-	// maxTid is the largest transaction ID handed out to any client;
-	// graceful shutdown waits for the durable frontier to cover it.
-	maxTid atomic.Uint64
 }
 
 // New builds a server over an already-mounted pool, formatting the
@@ -125,11 +130,6 @@ func New(pool *dudetm.Pool, cfg Config) (*Server, error) {
 	for i := 0; i < pool.Threads(); i++ {
 		s.slots <- i
 	}
-	updates, _ := pool.DurableUpdates()
-	// Acks gate on the quorum-acked frontier, not the local durable
-	// frontier: with replication enabled they differ, and a client ack
-	// must mean "durable on a quorum".
-	s.notif = newNotifier(updates, pool.AckFrontier(), dudetm.ErrCrashed)
 	return s, nil
 }
 
@@ -229,21 +229,15 @@ func (s *Server) execute(q *wire.Request) (wire.Response, uint64) {
 	}
 	resp.Results = results
 	resp.Tid = tid
-	if tid != 0 {
-		for {
-			cur := s.maxTid.Load()
-			if cur >= tid || s.maxTid.CompareAndSwap(cur, tid) {
-				break
-			}
-		}
-	}
 	return resp, tid
 }
 
 // Shutdown drains the server gracefully: stop accepting, let every
 // connection finish its in-flight requests, then wait for the durable
-// frontier to cover the last handed-out transaction ID, so that a
-// snapshot taken afterwards contains every acknowledged write. The
+// frontier to cover the commit clock — with every connection gone, no
+// handed-out transaction ID is beyond it — so that a snapshot taken
+// afterwards contains every acknowledged write. A read-only replica
+// hands out no IDs (its clock is the primary's) and skips the wait. The
 // timeout bounds the connection drain; connections still busy after it
 // are closed forcibly.
 func (s *Server) Shutdown(timeout time.Duration) error {
@@ -264,10 +258,11 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		s.closeConns()
 		<-done
 	}
-	if tid := s.maxTid.Load(); tid != 0 {
-		if err := s.pool.WaitDurable(tid); err != nil {
-			return fmt.Errorf("server: draining durability: %w", err)
-		}
+	if s.cfg.ReadOnly {
+		return nil
+	}
+	if err := s.pool.WaitDurable(s.pool.Stats().Clock); err != nil {
+		return fmt.Errorf("server: draining durability: %w", err)
 	}
 	return nil
 }
@@ -310,8 +305,9 @@ func (s *Server) Stats() ServerStats {
 		Conns:       s.acceptedConns.Load(),
 		Requests:    s.requests.Load(),
 		AckedWrites: s.ackedWrites.Load(),
+		FailedAcks:  s.failedAcks.Load(),
 		Offered:     s.offered.Load(),
 		Served:      s.served.Load(),
-		Notifier:    s.notif.Stats(),
+		Notifier:    s.pool.NotifierStats(),
 	}
 }

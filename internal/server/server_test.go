@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -485,45 +486,174 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestNotifierUnit exercises the notifier without a network: ordering,
-// batch release, and failure strand-freedom.
-func TestNotifierUnit(t *testing.T) {
-	updates := make(chan uint64)
-	n := newNotifier(updates, 0, dudetm.ErrCrashed)
+// nullSink discards shipped groups; the tests play the replica by hand
+// through pool.ReplicaLive / pool.ReplicaAcked.
+type nullSink struct{}
 
-	// Already-durable waits resolve immediately.
-	updates <- 10
-	for n.Frontier() != 10 {
-		time.Sleep(time.Millisecond)
-	}
-	if err := <-n.wait(7); err != nil {
+func (nullSink) ShipGroup(minTid, maxTid uint64, entries []dudetm.Entry) {}
+func (nullSink) ShipStats() (rawBytes, wireBytes uint64)                 { return 0, 0 }
+
+// quorumOpts is an R=1/Q=1 fail-mode pool (the dudesrv default mode).
+var quorumOpts = dudetm.Options{DataSize: 16 << 20, ReplFactor: 1, ReplQuorum: 1}
+
+// startQuorumServer is startServer over quorumOpts with the quorum gate
+// attached the way dudesrv does it (server first, then replication),
+// the single peer not yet live.
+func startQuorumServer(t *testing.T, peer string) (*Server, *dudetm.Pool, string) {
+	t.Helper()
+	srv, pool, addr := startServer(t, quorumOpts, Config{})
+	if err := pool.EnableReplication(nullSink{}, []string{peer}); err != nil {
 		t.Fatal(err)
 	}
-	// A batch of parked waiters is released by one advance.
-	chans := make([]<-chan error, 20)
-	for i := range chans {
-		chans[i] = n.wait(uint64(11 + i))
+	return srv, pool, addr
+}
+
+// goParked sends one strict PUT and returns once the server has
+// committed it, i.e. its connection is parked waiting for the ack
+// frontier (which only the test's ReplicaAcked calls can move).
+func goParked(t *testing.T, c *Client, pool *dudetm.Pool, key uint64) *Future {
+	t.Helper()
+	clock := pool.Stats().Clock
+	f, err := c.Go([]wire.Op{{Kind: wire.OpPut, Key: key, Val: []byte{byte(key)}}}, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	updates <- 30
-	for i, ch := range chans {
-		if err := <-ch; err != nil {
-			t.Fatalf("waiter %d: %v", i, err)
+	for pool.Stats().Clock == clock {
+		time.Sleep(time.Millisecond)
+	}
+	return f
+}
+
+// waitWithin is Future.Wait with a deadline: a response that never
+// comes is the bug under test, not a reason to hang the suite.
+func waitWithin(t *testing.T, f *Future, d time.Duration) (*wire.Response, error) {
+	t.Helper()
+	type result struct {
+		resp *wire.Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := f.Wait()
+		done <- result{resp, err}
+	}()
+	select {
+	case r := <-done:
+		return r.resp, r.err
+	case <-time.After(d):
+		t.Fatalf("no response within %v: the client is parked on an ack that cannot arrive", d)
+		return nil, nil
+	}
+}
+
+// TestQuorumLossFailsClientAcks: on a fail-mode primary (the dudesrv
+// default) losing the replication quorum must fail strict writes back to
+// TCP clients with the quorum error instead of parking them, must leave
+// relaxed writes alone, and must not cost the client its connection —
+// the same connection acks durable again once the quorum heals.
+func TestQuorumLossFailsClientAcks(t *testing.T) {
+	const peer = "replica"
+	srv, pool, addr := startQuorumServer(t, peer)
+	defer pool.Close()
+	defer srv.Shutdown(5 * time.Second)
+	// ackAll plays a replica that holds everything committed so far.
+	ackAll := func() { pool.ReplicaAcked(peer, pool.Stats().Clock) }
+
+	c := dial(t, addr)
+	defer c.Close()
+
+	// Live peer: a strict PUT is acked once the replica covers it.
+	pool.ReplicaLive(peer, true)
+	f := goParked(t, c, pool, 1)
+	ackAll()
+	if resp, err := waitWithin(t, f, 5*time.Second); err != nil || !resp.Durable {
+		t.Fatalf("PUT with a live quorum: resp=%+v err=%v", resp, err)
+	}
+
+	// Quorum lost: the next strict PUT comes back as an error naming the
+	// quorum, promptly.
+	pool.ReplicaLive(peer, false)
+	f, err := c.Go([]wire.Op{{Kind: wire.OpPut, Key: 2, Val: []byte{2}}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := waitWithin(t, f, 2*time.Second); err == nil || !strings.Contains(err.Error(), "quorum") {
+		t.Fatalf("strict PUT after quorum loss: err=%v, want the quorum-lost error", err)
+	}
+	// A relaxed PUT in the same window still gets its fast ack.
+	f, err = c.Go([]wire.Op{{Kind: wire.OpPut, Key: 3, Val: []byte{3}}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := waitWithin(t, f, 2*time.Second); err != nil || resp.Durable {
+		t.Fatalf("relaxed PUT while degraded: resp=%+v err=%v, want Durable=false", resp, err)
+	}
+	if st := srv.Stats(); st.FailedAcks != 1 {
+		t.Errorf("FailedAcks = %d, want 1", st.FailedAcks)
+	}
+
+	// Quorum heals: the same connection acks durable again.
+	pool.ReplicaLive(peer, true)
+	f = goParked(t, c, pool, 4)
+	ackAll()
+	if resp, err := waitWithin(t, f, 5*time.Second); err != nil || !resp.Durable {
+		t.Fatalf("PUT on the same connection after the quorum healed: resp=%+v err=%v", resp, err)
+	}
+	// A failed ack is not an undone write: all four are there.
+	for key := uint64(1); key <= 4; key++ {
+		if v, found, err := c.Get(key); err != nil || !found || v[0] != byte(key) {
+			t.Errorf("Get(%d) = %v,%v,%v", key, v, found, err)
 		}
 	}
-	st := n.Stats()
-	if st.MaxBatch != 20 {
-		t.Errorf("MaxBatch = %d, want 20", st.MaxBatch)
-	}
-	// Failure strands no one, before or after.
-	parked := n.wait(1000)
-	close(updates)
-	if err := <-parked; err == nil {
-		t.Error("parked waiter survived pool death")
-	}
-	if err := <-n.wait(999); err == nil {
-		t.Error("post-failure waiter got nil")
-	}
-	if err := <-n.wait(30); err != nil {
-		t.Errorf("covered tid must stay nil after failure: %v", err)
+}
+
+// TestStrandedAckNamesTheCause: a client parked on a transaction the ack
+// frontier will never reach is told why the pool went away — closed by
+// Close, crashed by a power failure. (Server.Kill severs connections
+// before it crashes the pool, so only a pool-level Crash leaves a
+// connected client to tell.)
+func TestStrandedAckNamesTheCause(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		stop       func(*testing.T, *dudetm.Pool)
+	}{
+		{"close", "closed", func(_ *testing.T, p *dudetm.Pool) { p.Close() }},
+		{"crash", "crashed", func(t *testing.T, p *dudetm.Pool) {
+			acked := p.AckFrontier()
+			p2, err := dudetm.OpenSnapshot(p.Crash(), quorumOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p2.Close()
+			// The stranded PUT was promised nothing; what was acked
+			// before it must be in the image.
+			if err := p2.AuditRecovery(acked); err != nil {
+				t.Error(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const peer = "replica"
+			srv, pool, addr := startQuorumServer(t, peer)
+			defer srv.Shutdown(5 * time.Second)
+			c := dial(t, addr)
+			defer c.Close()
+			// A live replica that never acks: the PUT becomes locally
+			// durable and stays parked at the quorum gate.
+			pool.ReplicaLive(peer, true)
+			f := goParked(t, c, pool, 1)
+			tc.stop(t, pool)
+			_, err := waitWithin(t, f, 5*time.Second)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("stranded PUT: err=%v, want it to say %q", err, tc.want)
+			}
+			if st := srv.Stats(); st.FailedAcks != 1 {
+				t.Errorf("FailedAcks = %d, want 1", st.FailedAcks)
+			}
+			// A hard failure ends the connection after the error response.
+			if _, err := c.Do([]wire.Op{{Kind: wire.OpGet, Key: 1}}, false); err == nil {
+				t.Error("connection survived the death of its pool")
+			}
+		})
 	}
 }

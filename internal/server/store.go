@@ -2,10 +2,12 @@
 // service over a dudetm.Pool. Clients speak the internal/wire protocol
 // over TCP; each request is one durable transaction (GET/PUT/DELETE/
 // SCAN, or several ops atomically), executed on the shadow-DRAM B+-tree
-// and acknowledged through a cross-client group-commit notifier — one
-// durable-frontier advance (one persist fence) releases every
-// connection whose transaction it covered, which is how the paper's
-// decoupled Persist step turns into server-side commit batching.
+// and acknowledged through the pool's own durability notifier
+// (Pool.WaitDurableChan) — one ack-frontier advance (one persist fence)
+// releases every connection whose transaction it covered, which is how
+// the paper's decoupled Persist step turns into server-side commit
+// batching, and a wait the pool fails (quorum lost, closed, crashed)
+// reaches the client under the pool's name for it.
 package server
 
 import (

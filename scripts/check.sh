@@ -113,6 +113,20 @@ if undocumented:
 if stale:
     sys.exit(f"in DESIGN.md metrics inventory but not exported: {stale}")
 print(f"metrics/docs consistency: {len(live)} families documented and exported")
+# The group-commit counters are counted by the pool's notifier, not by
+# the server: names alone would pass with a series stuck at zero. After
+# the netbank load acks must have been released, in batches.
+text = open("/tmp/dude.check.metrics.txt").read()
+def sample(name):
+    m = re.search(rf"^{name} (\S+)$", text, re.M)
+    if not m:
+        sys.exit(f"/metrics has no sample for {name}")
+    return float(m.group(1))
+released = sample("dudesrv_notifier_released_total")
+wakeups = sample("dudesrv_notifier_wakeups_total")
+if not 0 < wakeups <= released:
+    sys.exit(f"notifier counters after load: wakeups {wakeups:g}, released {released:g}; want 0 < wakeups <= released")
+print(f"notifier counters: {released:g} waiters released by {wakeups:g} wakeups")
 EOF
 rm -f /tmp/dude.check.metrics.txt
 
