@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	dudebench [-experiment all|fig2|table1|table2|table3|fig3|fig4|fig5|table4|recovery|repl|pipeline|loadcurve|critpath|smoke]
+//	dudebench [-experiment all|fig2|table1|table2|table3|fig3|fig4|fig5|table4|recovery|repl|pipeline|smoke]
 //	          [-threads N] [-maxthreads N] [-quick] [-json] [-list]
-//	          [-loadcurve-out FILE] [-loadcurve-points N] [-critpath-out FILE]
 //
 // With -json, the human-readable tables are suppressed and every
 // measured run is emitted to stdout as one JSON document with stable
@@ -39,7 +38,7 @@ type exp struct {
 // off both. Each paper experiment's description is a verbatim clause of
 // its doc comment in internal/harness/experiments.go (pinned by
 // TestListDescriptionsComeFromDocComments).
-func registry(cfg harness.ExpConfig, maxThreads int, lc harness.LoadCurveOpts, cp harness.CritpathOpts) []exp {
+func registry(cfg harness.ExpConfig, maxThreads int) []exp {
 	return []exp{
 		{"fig2", "throughput of Volatile-STM, DUDETM, DUDETM-Inf and DUDETM-Sync across NVM bandwidths of 1-16 GB/s (paper Fig. 2)", func() error { return harness.Fig2(cfg) }},
 		{"table1", "memory-write statistics of each benchmark under DUDETM (paper Table 1)", func() error { return harness.Table1(cfg) }},
@@ -52,8 +51,6 @@ func registry(cfg harness.ExpConfig, maxThreads int, lc harness.LoadCurveOpts, c
 		{"recovery", "crash-recovery replay throughput and correctness drill", func() error { return harness.Recovery(cfg) }},
 		{"repl", "replicated durability: ship, quorum ack, failover", func() error { return harness.Repl(cfg) }},
 		{"pipeline", "per-stage utilization and backlog under steady load", func() error { return harness.Pipeline(cfg) }},
-		{"loadcurve", "open-loop latency-vs-offered-load sweep with SLO gate (BENCH_loadcurve.json)", func() error { return harness.LoadCurve(cfg, lc) }},
-		{"critpath", "critical-path decomposition at knee-relative loads (BENCH_critpath.json)", func() error { return harness.Critpath(cfg, cp) }},
 		{"smoke", "fast end-to-end sanity pass over the pipeline", func() error { return harness.Smoke(cfg) }},
 	}
 }
@@ -64,9 +61,6 @@ func main() {
 	maxThreads := flag.Int("maxthreads", 4, "largest thread count in the Figure 5 sweep")
 	quick := flag.Bool("quick", false, "divide per-run transaction counts by 10")
 	jsonOut := flag.Bool("json", false, "emit machine-readable results on stdout instead of tables")
-	lcOut := flag.String("loadcurve-out", "", "write the loadcurve experiment's report JSON to this path")
-	lcPoints := flag.Int("loadcurve-points", 0, "offered-load points in the loadcurve sweep (default 5, min 2)")
-	cpOut := flag.String("critpath-out", "", "write the critpath experiment's report JSON to this path")
 	list := flag.Bool("list", false, "list the registered experiments with one-line descriptions and exit")
 	flag.Parse()
 
@@ -78,8 +72,7 @@ func main() {
 		progress = os.Stderr
 	}
 
-	exps := registry(cfg, *maxThreads,
-		harness.LoadCurveOpts{OutPath: *lcOut, Points: *lcPoints}, harness.CritpathOpts{OutPath: *cpOut})
+	exps := registry(cfg, *maxThreads)
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%-10s %s\n", e.name, e.desc)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestListDescriptionsComeFromDocComments(t *testing.T) {
 		"table4": {"Table4", "Table 4", "Table 4"},
 	}
 	seen := 0
-	for _, e := range registry(harness.ExpConfig{}, 0, harness.LoadCurveOpts{}, harness.CritpathOpts{}) {
+	for _, e := range registry(harness.ExpConfig{}, 0) {
 		if e.desc == "" || strings.ContainsAny(e.desc, "\n\t") {
 			t.Errorf("%s: description %q is not one line", e.name, e.desc)
 		}
@@ -61,5 +62,21 @@ func TestListDescriptionsComeFromDocComments(t *testing.T) {
 	}
 	if seen != len(paper) {
 		t.Errorf("registry lists %d of the %d paper experiments", seen, len(paper))
+	}
+}
+
+// TestRegistryNames pins the registered experiments and their order:
+// -experiment all runs them in this order and -list prints it, so a
+// dropped, renamed or reordered experiment fails here rather than in a
+// script that keys off the list.
+func TestRegistryNames(t *testing.T) {
+	want := []string{"fig2", "table1", "table2", "table3", "fig3", "fig4", "fig5", "table4",
+		"recovery", "repl", "pipeline", "smoke"}
+	var got []string
+	for _, e := range registry(harness.ExpConfig{}, 0) {
+		got = append(got, e.name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("registry = %v, want %v", got, want)
 	}
 }

@@ -1,33 +1,25 @@
 // Command dudectl inspects and recovers DudeTM pool images (raw
 // simulated-NVM snapshots written by Pool.SaveImage or the examples),
-// and runs the repository's static-analysis suite.
+// and reads a live dudesrv metrics endpoint.
 //
 // Usage:
 //
 //	dudectl inspect <image>     show pool geometry, log state, frontier
 //	dudectl recover <image>     replay logs, write the recovered image back
 //	dudectl forensics <image>   decode the flight recorder into a crash report (-json, -verify)
-//	dudectl lint [dirs]         run the dudelint analyzers (default: whole module)
 //	dudectl top [flags]         live pipeline view from a dudesrv -metrics endpoint
 //	dudectl critpath [flags]    rank critical-path segments from a dudesrv -metrics endpoint
-//	dudectl loadcurve [flags] <report.json>   render or -check a BENCH_loadcurve.json
 package main
 
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"dudetm/internal/dudetm"
-	"dudetm/internal/lint"
 	"dudetm/internal/pmem"
 )
 
 func main() {
-	if len(os.Args) >= 2 && os.Args[1] == "lint" {
-		runLint(os.Args[2:])
-		return
-	}
 	if len(os.Args) >= 2 && os.Args[1] == "top" {
 		runTop(os.Args[2:])
 		return
@@ -36,16 +28,12 @@ func main() {
 		runCritpath(os.Args[2:])
 		return
 	}
-	if len(os.Args) >= 2 && os.Args[1] == "loadcurve" {
-		runLoadCurve(os.Args[2:])
-		return
-	}
 	if len(os.Args) >= 2 && os.Args[1] == "forensics" {
 		runForensics(os.Args[2:])
 		return
 	}
 	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: dudectl inspect|recover|forensics <image> | dudectl lint [dirs] | dudectl top [flags] | dudectl critpath [flags] | dudectl loadcurve [-check] <report.json>")
+		fmt.Fprintln(os.Stderr, "usage: dudectl inspect|recover|forensics <image> | dudectl top [flags] | dudectl critpath [flags]")
 		os.Exit(2)
 	}
 	cmd, path := os.Args[1], os.Args[2]
@@ -89,43 +77,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "dudectl: unknown command %q\n", cmd)
 		os.Exit(2)
-	}
-}
-
-// runLint shells into the same runner as cmd/dudelint, so the suite is
-// reachable from the operator tool.
-func runLint(args []string) {
-	cwd, err := os.Getwd()
-	if err != nil {
-		fatal(err)
-	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		fatal(err)
-	}
-	var res *lint.Result
-	if len(args) == 0 || (len(args) == 1 && (args[0] == "./..." || args[0] == "...")) {
-		res, err = lint.RunModule(root, nil)
-	} else {
-		dirs := make([]string, 0, len(args))
-		for _, a := range args {
-			d, aerr := filepath.Abs(a)
-			if aerr != nil {
-				fatal(aerr)
-			}
-			dirs = append(dirs, d)
-		}
-		res, err = lint.Run(root, dirs, nil)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	for _, d := range res.Diags {
-		fmt.Println(d)
-	}
-	fmt.Printf("dudelint: %d diagnostic(s), %d suppressed\n", len(res.Diags), res.Suppressed)
-	if len(res.Diags) > 0 {
-		os.Exit(1)
 	}
 }
 

@@ -10,65 +10,8 @@ import (
 	"time"
 
 	"dudetm/internal/obs"
+	"dudetm/internal/server"
 )
-
-// requiredSeries is the -check contract: a healthy dudesrv metrics
-// endpoint exposes every one of these with a finite value. It mirrors
-// the list asserted by the server's own endpoint test.
-var requiredSeries = []string{
-	"dudetm_clock_tid",
-	"dudetm_durable_tid",
-	"dudetm_reproduced_tid",
-	`dudetm_stage_utilization{stage="persist"}`,
-	`dudetm_stage_utilization{stage="reproduce"}`,
-	`dudetm_stage_queue_depth{stage="persist"}`,
-	`dudetm_stage_queue_depth{stage="reproduce"}`,
-	"dudetm_commit_durable_seconds_count",
-	"dudetm_commit_durable_seconds_sum",
-	`dudetm_commit_durable_latency_seconds{quantile="0.5"}`,
-	`dudetm_commit_durable_latency_seconds{quantile="0.99"}`,
-	`dudetm_commit_durable_latency_seconds{quantile="0.999"}`,
-	"dudetm_repro_epochs_total",
-	"dudetm_repro_epoch_entries_in_total",
-	"dudetm_repro_epoch_entries_out_total",
-	"dudetm_repro_epoch_coalesce_ratio",
-	"dudetm_repro_epoch_groups_count",
-	"dudetm_repro_lines_flushed_total",
-	"dudetm_critpath_txns_total",
-	"dudetm_critpath_incomplete_total",
-	"dudetm_critpath_dropped_total",
-	"dudetm_critpath_e2e_seconds_count",
-	"dudetm_critpath_e2e_seconds_sum",
-	`dudetm_critpath_segment_seconds_total{segment="ring_dwell"}`,
-	`dudetm_critpath_segment_seconds_total{segment="seal_wait"}`,
-	`dudetm_critpath_segment_seconds_total{segment="persist_fence"}`,
-	`dudetm_critpath_segment_seconds_total{segment="repl_ship"}`,
-	`dudetm_critpath_segment_seconds_total{segment="quorum_wait"}`,
-	`dudetm_critpath_segment_seconds_total{segment="notify"}`,
-	`dudetm_critpath_segment_share{segment="persist_fence"}`,
-	`dudetm_critpath_segment_p99_seconds{segment="persist_fence"}`,
-	"dudetm_watchdog_stalls_total",
-	"dudetm_recovery_runs_total",
-	"dudetm_recovery_replay_seconds",
-	"dudetm_recovery_bytes_replayed",
-	`dudetm_region_flushed_bytes_total{region="log"}`,
-	`dudetm_region_flushed_bytes_total{region="data"}`,
-	`dudetm_region_fences_total{region="log"}`,
-	"dudetm_repl_peers",
-	"dudetm_repl_quorum_state",
-	"dudetm_repl_acked_tid",
-	"dudetm_repl_frontier_lag",
-	"dudetm_repl_degraded_events_total",
-	"dudetm_repl_wire_bytes_total",
-	`dudetm_repl_ack_latency_seconds{quantile="0.5"}`,
-	`dudetm_repl_ack_latency_seconds{quantile="0.99"}`,
-	`dudetm_repl_ack_latency_seconds{quantile="0.999"}`,
-	"dudesrv_connections_total",
-	"dudesrv_requests_total",
-	"dudesrv_acked_writes_total",
-	"dudesrv_offered_requests_total",
-	"dudesrv_served_responses_total",
-}
 
 // rateSeries are the monotone counters whose scrape-to-scrape rates the
 // live view renders and -check validates. A dudesrv restart between two
@@ -100,6 +43,32 @@ func rate(cur, prev map[string]float64, name string, elapsed time.Duration) floa
 	return delta / elapsed.Seconds()
 }
 
+// checkScrapes is the -check verdict on two scrapes taken elapsed
+// apart: every required series must be present and finite in the
+// first, and every derived rate finite and non-negative across the pair
+// (a restart between the scrapes resets counters; rate clamps that to
+// 0). It returns one line per problem, none when the endpoint is
+// healthy.
+func checkScrapes(first, second map[string]float64, elapsed time.Duration) []string {
+	var problems []string
+	for _, series := range server.RequiredSeries {
+		v, ok := first[series]
+		switch {
+		case !ok:
+			problems = append(problems, "missing series "+series)
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			problems = append(problems, fmt.Sprintf("%s = %v", series, v))
+		}
+	}
+	for _, series := range rateSeries {
+		r := rate(second, first, series, elapsed)
+		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+			problems = append(problems, fmt.Sprintf("rate(%s) = %v", series, r))
+		}
+	}
+	return problems
+}
+
 // runTop polls a dudesrv metrics endpoint and renders a live view of
 // the pipeline: frontier lags, per-stage utilization and backlog, and
 // the durability latency quantiles.
@@ -120,38 +89,22 @@ func runTop(args []string) {
 	}
 
 	if *check {
-		m := scrape(url)
-		bad := 0
-		for _, series := range requiredSeries {
-			v, ok := m[series]
-			switch {
-			case !ok:
-				fmt.Fprintf(os.Stderr, "dudectl top: missing series %s\n", series)
-				bad++
-			case math.IsNaN(v) || math.IsInf(v, 0):
-				fmt.Fprintf(os.Stderr, "dudectl top: %s = %v\n", series, v)
-				bad++
-			}
-		}
-		// Second scrape: the derived rates must be finite and
-		// non-negative even if the server restarted (counters reset to
-		// zero) between the two samples.
+		// Two scrapes: the required series are judged on the first, the
+		// derived rates on the pair.
+		first := scrape(url)
 		start := time.Now()
 		time.Sleep(100 * time.Millisecond)
-		m2 := scrape(url)
-		for _, series := range rateSeries {
-			r := rate(m2, m, series, time.Since(start))
-			if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
-				fmt.Fprintf(os.Stderr, "dudectl top: rate(%s) = %v\n", series, r)
-				bad++
-			}
+		second := scrape(url)
+		problems := checkScrapes(first, second, time.Since(start))
+		for _, p := range problems {
+			fmt.Fprintf(os.Stderr, "dudectl top: %s\n", p)
 		}
-		if bad > 0 {
-			fmt.Fprintf(os.Stderr, "dudectl top: %d of %d required series missing, non-finite, or with bad rates\n", bad, len(requiredSeries))
+		if len(problems) > 0 {
+			fmt.Fprintf(os.Stderr, "dudectl top: %d of %d required series missing, non-finite, or with bad rates\n", len(problems), len(server.RequiredSeries))
 			os.Exit(1)
 		}
 		fmt.Printf("dudectl top: %s healthy (%d required series present and finite, %d rates sane)\n",
-			url, len(requiredSeries), len(rateSeries))
+			url, len(server.RequiredSeries), len(rateSeries))
 		return
 	}
 

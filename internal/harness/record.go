@@ -75,20 +75,9 @@ type Record struct {
 	ReproLinesFlushed  uint64  `json:"repro_lines_flushed"`
 	PersistUtil        float64 `json:"persist_util"`
 	ReproUtil          float64 `json:"repro_util"`
-	// Open-loop load-curve metrics (loadcurve experiment only): the
-	// arrival process, offered vs served rate, the p999 tail the
-	// shared histogram now exposes, intended-vs-actual send skew,
-	// served/offered shortfall, and watchdog stall episodes scraped
-	// from the live /metrics endpoint mid-run.
-	Process    string  `json:"process,omitempty"`
-	OfferedTPS float64 `json:"offered_tps,omitempty"`
-	ServedTPS  float64 `json:"served_tps,omitempty"`
-	P999NS     int64   `json:"p999_ns,omitempty"`
-	SkewP50NS  int64   `json:"skew_p50_ns,omitempty"`
-	SkewP99NS  int64   `json:"skew_p99_ns,omitempty"`
-	Shortfall  float64 `json:"shortfall,omitempty"`
-	Stalls     uint64  `json:"stalls,omitempty"`
-	AtKnee     bool    `json:"at_knee,omitempty"`
+	// p999 of the sampled transaction latency (latency-sampling runs
+	// only; omitted when the run did not sample).
+	P999NS int64 `json:"p999_ns,omitempty"`
 }
 
 // recorder collects the Result of every Measure call while recording is

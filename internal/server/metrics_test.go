@@ -14,62 +14,6 @@ import (
 	"dudetm/internal/obs"
 )
 
-// requiredSeries is the contract the live endpoint must satisfy; the
-// dudectl top -check gate and the check.sh smoke test scrape the same
-// names, so a rename here must propagate there.
-var requiredSeries = []string{
-	"dudetm_clock_tid",
-	"dudetm_durable_tid",
-	"dudetm_reproduced_tid",
-	`dudetm_stage_utilization{stage="persist"}`,
-	`dudetm_stage_utilization{stage="reproduce"}`,
-	`dudetm_stage_queue_depth{stage="persist"}`,
-	`dudetm_stage_queue_depth{stage="reproduce"}`,
-	"dudetm_commit_durable_seconds_count",
-	"dudetm_commit_durable_seconds_sum",
-	`dudetm_commit_durable_latency_seconds{quantile="0.5"}`,
-	`dudetm_commit_durable_latency_seconds{quantile="0.99"}`,
-	`dudetm_commit_durable_latency_seconds{quantile="0.999"}`,
-	"dudetm_repro_epochs_total",
-	"dudetm_repro_epoch_entries_in_total",
-	"dudetm_repro_epoch_entries_out_total",
-	"dudetm_repro_epoch_coalesce_ratio",
-	"dudetm_repro_epoch_groups_count",
-	"dudetm_repro_lines_flushed_total",
-	"dudetm_critpath_txns_total",
-	"dudetm_critpath_incomplete_total",
-	"dudetm_critpath_dropped_total",
-	"dudetm_critpath_e2e_seconds_count",
-	"dudetm_critpath_e2e_seconds_sum",
-	`dudetm_critpath_segment_seconds_total{segment="ring_dwell"}`,
-	`dudetm_critpath_segment_seconds_total{segment="persist_fence"}`,
-	`dudetm_critpath_segment_seconds_total{segment="quorum_wait"}`,
-	`dudetm_critpath_segment_share{segment="persist_fence"}`,
-	`dudetm_critpath_segment_p99_seconds{segment="persist_fence"}`,
-	"dudetm_watchdog_stalls_total",
-	"dudetm_recovery_runs_total",
-	"dudetm_recovery_replay_seconds",
-	"dudetm_recovery_bytes_replayed",
-	`dudetm_region_flushed_bytes_total{region="log"}`,
-	`dudetm_region_flushed_bytes_total{region="data"}`,
-	`dudetm_region_fences_total{region="log"}`,
-	"dudetm_repl_peers",
-	"dudetm_repl_quorum_state",
-	"dudetm_repl_acked_tid",
-	"dudetm_repl_frontier_lag",
-	"dudetm_repl_degraded_events_total",
-	"dudetm_repl_wire_bytes_total",
-	`dudetm_repl_ack_latency_seconds{quantile="0.5"}`,
-	`dudetm_repl_ack_latency_seconds{quantile="0.99"}`,
-	`dudetm_repl_ack_latency_seconds{quantile="0.999"}`,
-	"dudesrv_connections_total",
-	"dudesrv_requests_total",
-	"dudesrv_acked_writes_total",
-	"dudesrv_failed_acks_total",
-	"dudesrv_offered_requests_total",
-	"dudesrv_served_responses_total",
-}
-
 func TestMetricsEndpoint(t *testing.T) {
 	srv, pool, addr := startServer(t,
 		dudetm.Options{TraceSampleEvery: 1, GroupSize: 4, Watchdog: 50 * time.Millisecond},
@@ -99,7 +43,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, series := range requiredSeries {
+	for _, series := range RequiredSeries {
 		v, ok := m[series]
 		if !ok {
 			t.Errorf("missing series %s", series)
