@@ -93,12 +93,12 @@ type Config struct {
 	LogBufBytes uint64
 	// GroupSize is the number of consecutive transactions combined into
 	// one persist group (default 1 = no cross-transaction combination).
+	// It caps a group; a partial group seals as soon as the Persist
+	// step has nothing else to wait for (see persistLoop), never on a
+	// timer.
 	GroupSize int
 	// Compress enables lz4 compression of persisted groups.
 	Compress bool
-	// FlushInterval bounds how long a partially filled group may wait
-	// before being persisted anyway (default 50us).
-	FlushInterval time.Duration
 	// RecycleEvery batches log recycling: the reproducer persists log
 	// head metadata every N groups (default 64; a lazily armed timer
 	// bounds how long a pending recycle can be deferred).
@@ -192,9 +192,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.GroupSize == 0 {
 		c.GroupSize = 1
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 50 * time.Microsecond
 	}
 	if c.RecycleEvery == 0 {
 		c.RecycleEvery = 64

@@ -222,7 +222,7 @@ func TestBlackboxByteBudget(t *testing.T) {
 			}
 			bb := blackboxRegion(t, s)
 			nlogs := uint64(len(s.writers))
-			lines := st.Groups + st.Groups/uint64(s.cfg.RecycleEvery) + 2 + nlogs*(st.Reproduce.TimerWakes+1)
+			lines := st.Groups + st.Groups/uint64(s.cfg.RecycleEvery) + 2 + nlogs*(st.Reproduce.Wakes+1)
 			if bb.BytesFlushed == 0 || bb.BytesFlushed > blackbox.SlotBytes*lines {
 				t.Errorf("recorder flushed %d B for %d groups (%.1f B/group), want 0 < bytes <= %d",
 					bb.BytesFlushed, st.Groups, float64(bb.BytesFlushed)/float64(st.Groups), blackbox.SlotBytes*lines)
@@ -255,21 +255,24 @@ func TestBlackboxByteBudget(t *testing.T) {
 func TestInFlightFenceFromTornTail(t *testing.T) {
 	cfg := testConfig()
 	cfg.PersistThreads, cfg.GroupSize = 1, 4
-	cfg.FlushInterval = time.Hour // groups seal full, never on the timer
 	s, err := Create(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.PauseReproduce()
 	// commitGroups runs whole groups to durability and returns the
-	// quiescent persisted image, the log tail and the frontier.
+	// quiescent persisted image, the log tail and the frontier. The
+	// transactions commit while Persist is paused, so the resumed
+	// coordinator finds them all ready and the groups seal full.
 	commitGroups := func(n int) (img []byte, tail, last uint64) {
+		s.PausePersist()
 		for i := 0; i < n*cfg.GroupSize; i++ {
 			last, err = s.Run(0, func(tx *Tx) error { tx.Store(uint64(i)*8, last+1); return nil })
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
+		s.ResumePersist()
 		if err := s.WaitDurable(last); err != nil {
 			t.Fatal(err)
 		}

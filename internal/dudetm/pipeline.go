@@ -34,16 +34,31 @@ type applyTask struct {
 // persistLoop is the Persist-step coordinator (ModeAsync): it merges the
 // per-thread volatile rings in commit-ID order, groups GroupSize
 // consecutive transactions (combining overlapping writes), and deals
-// each sealed group round-robin to the persist workers (§4.4 runs
-// multiple persist threads for exactly this reason). Each worker owns a
-// disjoint persistent log region and flushes its group with a single
-// persist barrier; the global durable ID advances through the
+// each sealed group to the persist workers (§4.4 runs multiple persist
+// threads for exactly this reason). Each worker owns a disjoint
+// persistent log region and flushes its group with a single persist
+// barrier; the global durable ID advances through the
 // contiguous-completion window, so out-of-order appends never publish a
 // durable frontier with holes behind it.
 //
 // Merging across all rings by ID is what makes cross-transaction
 // combination sound: every group covers a globally contiguous ID range,
 // so replaying groups in order equals replaying transactions in order.
+//
+// The loop is event-driven. Each pass drains every transaction
+// committed before it took persistGate, sealing full groups as they
+// fill (dealt seq % PersistThreads). A partial group seals as soon as
+// no committed ID is pending and no earlier group is still waiting for
+// its log append — group commit: transactions that commit while an
+// append is in flight join the next group instead of waiting for a
+// timer — after one yield of the processor, so committers that are
+// already runnable join it too. Partial groups go to worker 0, so at
+// light load one log head moves and one recycle stamp covers it. With
+// nothing to do the loop parks on coord (see coordWake); the committer
+// publishing an end mark, the worker draining the persist queue, Close
+// and Crash wake it. No timer sits on this path: on an idle processor a
+// Go timer fires at about millisecond granularity, which would be the
+// acknowledgement latency of every light-load commit.
 func (s *System) persistLoop() {
 	defer s.wg.Done()
 	comb := redolog.NewCombiner()
@@ -51,8 +66,7 @@ func (s *System) persistLoop() {
 	var gMin, gMax uint64
 	gCount := 0
 	var ep *[]redolog.Entry
-	lastActivity := time.Now()
-	idle := 0
+	yielded := false // since the last consume
 
 	// finish retires the worker pool: after the dispatch queues close
 	// and the last in-flight append drains, reproCh can close too.
@@ -64,14 +78,16 @@ func (s *System) persistLoop() {
 		close(s.reproCh)
 	}
 
-	// seal hands the accumulated group to a worker. It returns false if
-	// the system halted while waiting for window space (Crash during
+	// seal hands the accumulated group to a worker: a full group to
+	// seq % PersistThreads, a partial one to worker 0. It returns false
+	// if the system halted while waiting for window space (Crash during
 	// back-pressure): the group is discarded, like power failing before
 	// its log append.
 	seal := func() bool {
 		if gCount == 0 {
 			return true
 		}
+		full := gCount >= s.cfg.GroupSize
 		if s.cfg.GroupSize > 1 {
 			ep = getEntrySlice()
 			*ep = append((*ep)[:0], comb.Entries()...)
@@ -95,11 +111,54 @@ func (s *System) persistLoop() {
 			return false
 		}
 		s.pm.enqueue()
+		wi := uint64(0)
+		if full {
+			wi = seq % uint64(len(s.dispatch))
+		}
 		// The queue has window capacity, so this send never blocks.
-		s.dispatch[seq%uint64(len(s.dispatch))] <- persistMsg{seq: seq, g: g, ep: ep, sealAt: sealAt}
+		s.dispatch[wi] <- persistMsg{seq: seq, g: g, ep: ep, sealAt: sealAt}
 		ep = nil
 		gCount = 0
 		return true
+	}
+
+	// consume moves the transaction at the head of th's ring — the
+	// next ID — into the open group.
+	consume := func(th *thread) {
+		if s.cfg.GroupSize == 1 {
+			ep = getEntrySlice()
+			*ep, _ = th.ring.ConsumeTx((*ep)[:0])
+			s.rawEntries.Add(uint64(len(*ep)))
+			s.combEntries.Add(uint64(len(*ep)))
+		} else {
+			th.scratch, _ = th.ring.ConsumeTx(th.scratch[:0])
+			comb.AddAll(th.scratch)
+		}
+		if gCount == 0 {
+			gMin = nextTid
+		}
+		gMax = nextTid
+		gCount++
+		nextTid++
+		yielded = false
+	}
+
+	// ready reports whether some ring's head is the next ID.
+	ready := func() *thread {
+		for _, th := range s.threads {
+			if tid, ok := th.ring.PeekTid(); ok && tid == nextTid {
+				return th
+			}
+		}
+		return nil
+	}
+
+	// wakeReady is park's re-check, run after the parked state is
+	// published: anything a waker may have published before it loaded
+	// that state.
+	wakeReady := func() bool {
+		return s.stopping.Load() || ready() != nil ||
+			(gCount > 0 && s.pm.queue.Load() == 0)
 	}
 
 	for {
@@ -109,77 +168,56 @@ func (s *System) persistLoop() {
 			finish()
 			return
 		}
-		// The gate is held for the whole iteration so PausePersist
-		// blocks until the coordinator is quiescent (crash drills and
-		// snapshots rely on this; the workers have their own gates).
+		// The gate is held for the whole pass so PausePersist blocks
+		// until the coordinator is quiescent (crash drills and snapshots
+		// rely on this; the workers have their own gates). The pass is
+		// bounded by the clock at entry, so a steady commit stream
+		// cannot keep the gate from a pauser.
 		s.persistGate.Lock()
-
-		consumed := false
-		for _, th := range s.threads {
-			tid, ok := th.ring.PeekTid()
-			if !ok || tid != nextTid {
+		for limit := s.engine.Clock(); nextTid <= limit; {
+			th := ready()
+			if th == nil {
+				break
+			}
+			consume(th)
+			if gCount >= s.cfg.GroupSize && !seal() {
+				s.persistGate.Unlock()
+				finish()
+				return
+			}
+		}
+		// An assigned ID whose end mark is still in flight between
+		// commit and AppendTxEnd will join the open group; its committer
+		// wakes the coordinator once it is published.
+		pending := s.engine.Clock() >= nextTid
+		if !pending && gCount > 0 && (s.pm.queue.Load() == 0 || s.stopping.Load()) {
+			if !yielded {
+				// Let committers that are already runnable publish
+				// first and join the group; on an idle processor this
+				// returns at once.
+				s.persistGate.Unlock()
+				yielded = true
+				runtime.Gosched()
 				continue
 			}
-			if s.cfg.GroupSize == 1 {
-				ep = getEntrySlice()
-				*ep, _ = th.ring.ConsumeTx((*ep)[:0])
-				s.rawEntries.Add(uint64(len(*ep)))
-				s.combEntries.Add(uint64(len(*ep)))
-			} else {
-				th.scratch, _ = th.ring.ConsumeTx(th.scratch[:0])
-				comb.AddAll(th.scratch)
-			}
-			if gCount == 0 {
-				gMin = tid
-			}
-			gMax = tid
-			gCount++
-			nextTid++
-			consumed = true
-			lastActivity = time.Now()
-			break
-		}
-		if consumed {
-			idle = 0
-			if gCount >= s.cfg.GroupSize {
-				if !seal() {
-					s.persistGate.Unlock()
-					finish()
-					return
-				}
-			}
-			s.persistGate.Unlock()
-			continue
-		}
-		if s.engine.Clock() >= nextTid {
-			// The ID is assigned; its end mark is in flight between
-			// commit and AppendTxEnd. Spin briefly.
-			s.persistGate.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		// No committed transaction pending.
-		if gCount > 0 && time.Since(lastActivity) > s.cfg.FlushInterval {
 			if !seal() {
 				s.persistGate.Unlock()
 				finish()
 				return
 			}
-			s.persistGate.Unlock()
-			continue
 		}
-		if s.stopping.Load() {
-			seal()
+		if !pending && s.stopping.Load() {
 			s.persistGate.Unlock()
 			finish()
 			return
 		}
 		s.persistGate.Unlock()
-		idle++
-		if idle < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
+		st := coordIdle
+		if gCount > 0 {
+			st = coordHolding
+		}
+		if s.coord.park(st, wakeReady) {
+			s.pm.wakes.Add(1)
 		}
 	}
 }
@@ -220,7 +258,10 @@ func (s *System) persistWorker(wi int) {
 		if tid, ok := s.window.complete(m.seq, m.g.MaxTid); ok {
 			s.setDurable(tid)
 		}
-		s.pm.dequeue()
+		if s.pm.dequeue() == 0 {
+			// A partial group may be held behind this append.
+			s.coord.wakeHeld()
+		}
 		s.rm.enqueue()
 		s.reproCh <- repoMsg{g: m.g, w: w, wi: wi, ep: m.ep}
 		// One write-back for the durable stamp the window took above; it
@@ -559,7 +600,7 @@ func (s *System) reproduceLoop() {
 	// writer blocked on log space always gets freed even when no new
 	// groups arrive (RecycleEvery > 1). It is armed lazily — only while
 	// a recycle is actually pending — so an idle pool takes no timer
-	// wakeups at all (TimerWakes counts the fires).
+	// wakeups at all (Wakes counts the fires).
 	timer := time.NewTimer(recycleInterval)
 	if !timer.Stop() {
 		<-timer.C

@@ -99,9 +99,9 @@ func TestRecycleTimerIdle(t *testing.T) {
 	var stable uint64
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		a := s.ReproduceStats().TimerWakes
+		a := s.ReproduceStats().Wakes
 		time.Sleep(5 * recycleInterval)
-		b := s.ReproduceStats().TimerWakes
+		b := s.ReproduceStats().Wakes
 		if a == b {
 			stable = b
 			break
@@ -111,7 +111,7 @@ func TestRecycleTimerIdle(t *testing.T) {
 		}
 	}
 	time.Sleep(50 * recycleInterval)
-	if got := s.ReproduceStats().TimerWakes; got != stable {
+	if got := s.ReproduceStats().Wakes; got != stable {
 		t.Errorf("recycle timer fired while idle: wakes %d -> %d", stable, got)
 	}
 }

@@ -101,8 +101,64 @@ func (w *seqWindow) depth() uint64 {
 	return w.next.Load() - done
 }
 
+// coordWake is the Persist coordinator's park/wake handshake: a parked
+// coordinator blocks on a 1-slot channel, never on a timer, and the
+// waker that moves state back to coordRunning owns the one token it
+// sends. The ordering is Dekker's: the coordinator stores its parked
+// state and then re-checks for work; a waker publishes its work (a
+// ring end mark, a drained persist queue, stopping/halted) and then
+// loads the state. Go's atomics are sequentially consistent, so one of
+// the two always sees the other and no wakeup is lost.
+type coordWake struct {
+	state atomic.Int32
+	ch    chan struct{}
+}
+
+const (
+	// coordRunning: the coordinator is scanning or sealing; a wake
+	// costs the waker one atomic load.
+	coordRunning int32 = iota
+	// coordIdle: parked with no group open, waiting for a commit.
+	coordIdle
+	// coordHolding: parked with a partial group held behind an
+	// in-flight log append, waiting for a commit or for the persist
+	// queue to drain.
+	coordHolding
+)
+
+// wake unparks the coordinator if it is parked (committers, Close,
+// Crash).
+func (w *coordWake) wake() {
+	if st := w.state.Load(); st != coordRunning && w.state.CompareAndSwap(st, coordRunning) {
+		w.ch <- struct{}{}
+	}
+}
+
+// wakeHeld unparks the coordinator only if it holds a partial group:
+// the persist worker that drains the queue calls it, and an idle
+// coordinator has nothing to seal.
+func (w *coordWake) wakeHeld() {
+	if w.state.Load() == coordHolding && w.state.CompareAndSwap(coordHolding, coordRunning) {
+		w.ch <- struct{}{}
+	}
+}
+
+// park blocks the coordinator in state st unless ready reports work
+// after the state is published. It reports whether it actually slept.
+func (w *coordWake) park(st int32, ready func() bool) bool {
+	w.state.Store(st)
+	if ready() {
+		if w.state.Swap(coordRunning) == coordRunning {
+			<-w.ch // a waker won the race: take its token
+		}
+		return false
+	}
+	<-w.ch
+	return true
+}
+
 // stageMetrics is the per-stage utilization instrumentation shared by
-// Persist and Reproduce: busy time, work counts, queue depth, and timer
+// Persist and Reproduce: busy time, work counts, queue depth, and
 // wakeups, all updated with atomics on the hot path.
 type stageMetrics struct {
 	busy     atomic.Uint64 // nanoseconds spent doing stage work
@@ -110,7 +166,7 @@ type stageMetrics struct {
 	fences   atomic.Uint64 // persist barriers issued
 	queue    atomic.Int64  // groups enqueued and not yet processed
 	maxQueue atomic.Int64  // high-water mark of queue
-	wakes    atomic.Uint64 // recycle-timer wakeups (Reproduce only)
+	wakes    atomic.Uint64 // coordinator wakes (Persist), recycle-timer fires (Reproduce)
 	start    atomic.Int64  // stage start, ns since an arbitrary epoch
 
 	// Replay-epoch instrumentation (Reproduce only): coalesced epochs,
@@ -134,7 +190,8 @@ func (m *stageMetrics) enqueue() {
 	}
 }
 
-func (m *stageMetrics) dequeue() { m.queue.Add(-1) }
+// dequeue retires one queued group and returns the remaining depth.
+func (m *stageMetrics) dequeue() int64 { return m.queue.Add(-1) }
 
 // snapshot renders the counters as a StageStats with the given worker
 // count and busy-time divisor (1 for a stage whose busy time is wall
@@ -148,7 +205,7 @@ func (m *stageMetrics) snapshot(workers, busyDiv int) StageStats {
 		BusyNanos:     m.busy.Load(),
 		QueueDepth:    max(m.queue.Load(), 0),
 		MaxQueueDepth: m.maxQueue.Load(),
-		TimerWakes:    m.wakes.Load(),
+		Wakes:         m.wakes.Load(),
 		Epochs:        m.epochs.Load(),
 		CoalesceIn:    m.coalesceIn.Load(),
 		CoalesceOut:   m.coalesceOut.Load(),
@@ -186,10 +243,12 @@ type StageStats struct {
 	QueueDepth int64
 	// MaxQueueDepth is the backlog high-water mark.
 	MaxQueueDepth int64
-	// TimerWakes counts recycle-timer wakeups (Reproduce only); it
-	// stays flat while the pool is idle because the timer is armed only
-	// when a recycle is pending.
-	TimerWakes uint64
+	// Wakes counts the stage loop's returns from an idle park: for
+	// Persist, the coordinator woken by a commit, a drained persist
+	// queue, Close or Crash; for Reproduce, recycle-timer fires. Both
+	// stay flat while the pool is idle — neither loop polls, and the
+	// recycle timer is armed only when a recycle is pending.
+	Wakes uint64
 	// WindowDepth is the Persist stage's reserved-but-unretired
 	// dispatch-sequence count (ModeAsync only; 0 elsewhere). It differs
 	// from QueueDepth near the completion scan: a group leaves the

@@ -42,6 +42,7 @@ type System struct {
 	window    seqWindow
 	dispatch  []chan persistMsg
 	persistWG sync.WaitGroup
+	coord     coordWake // the coordinator's park/wake handshake
 
 	// Reproduce-stage parallelism: the ordering loop fans each large
 	// group out to ReproThreads appliers over applyCh, sharded by
@@ -237,6 +238,7 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 		for i := range s.dispatch {
 			s.dispatch[i] = make(chan persistMsg, persistWindow)
 		}
+		s.coord.ch = make(chan struct{}, 1)
 		s.workerGates = make([]sync.Mutex, cfg.PersistThreads)
 	}
 	s.applyCh = make(chan applyTask, cfg.ReproThreads)
@@ -513,6 +515,7 @@ func (s *System) Run(slot int, fn func(*Tx) error) (tid uint64, err error) {
 		th.pages = th.pages[:0]
 	}
 	th.ring.AppendTxEnd(tid)
+	s.coord.wake()
 	// A Perform thread this far ahead of the Persist coordinator may be
 	// holding the processor the coordinator is waiting for: with fewer
 	// processors than stages, a thread that never blocks is descheduled
@@ -558,6 +561,7 @@ func (s *System) onNoopCommit(slot int, tid uint64) {
 	}
 	th.ring.PopToLastTx()
 	th.ring.AppendTxEnd(tid)
+	s.coord.wake()
 }
 
 // flushBurned persists empty groups for no-op commit IDs (ModeSync; in
@@ -634,6 +638,7 @@ func (s *System) Close() {
 	}
 	// ModeAsync: the persist loop observes stopping, drains the rings,
 	// seals the last group and closes reproCh itself.
+	s.coord.wake()
 	s.wg.Wait()
 	// The pipeline's stamp sources are quiet: drain the critical-path
 	// collector so Stats() reflects every completed sampled transaction.
@@ -661,6 +666,7 @@ func (s *System) Crash() []byte {
 	if s.cfg.Mode == ModeSync {
 		close(s.reproCh)
 	}
+	s.coord.wake()
 	s.wg.Wait()
 	s.obs.Close()
 	s.dev.Crash()
@@ -779,10 +785,11 @@ func (s *System) ReproduceStats() StageStats {
 
 // PausePersist freezes the Persist step: transactions keep committing
 // but stop becoming durable. It returns only once the step is quiescent
-// (the coordinator parked and no worker in-flight on a log append), so
-// a Device snapshot taken afterwards is coherent. ResumePersist
-// releases it; the step must be resumed before Close. Lock order is
-// coordinator gate first, then worker gates in index order.
+// (the coordinator between passes and no worker in-flight on a log
+// append), so a Device snapshot taken afterwards is coherent.
+// ResumePersist releases it; the step must be resumed before Close.
+// Lock order is coordinator gate first, then worker gates in index
+// order.
 func (s *System) PausePersist() {
 	// The flag is raised before the gates so the watchdog never sees a
 	// frozen frontier without the pause that explains it.

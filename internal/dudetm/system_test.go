@@ -411,20 +411,23 @@ func TestCrashMidPipelineBankInvariant(t *testing.T) {
 func TestGroupCombination(t *testing.T) {
 	cfg := testConfig()
 	cfg.GroupSize = 50
-	cfg.FlushInterval = time.Millisecond
 	s, err := Create(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 200 transactions all hammering the same 4 words: combination
-	// should collapse most entries.
+	// should collapse most entries. They commit while Persist is paused,
+	// so the resumed coordinator finds them all ready and seals four
+	// full groups.
 	var last uint64
+	s.PausePersist()
 	for i := uint64(0); i < 200; i++ {
 		last, _ = s.Run(0, func(tx *Tx) error {
 			tx.Store((i%4)*8, i)
 			return nil
 		})
 	}
+	s.ResumePersist()
 	s.WaitDurable(last)
 	s.Close()
 	st := s.Stats()
@@ -457,18 +460,20 @@ func TestCompressionEndToEnd(t *testing.T) {
 	cfg := testConfig()
 	cfg.GroupSize = 100
 	cfg.Compress = true
-	cfg.FlushInterval = time.Millisecond
 	s, err := Create(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Committed under PausePersist, so the groups seal full.
 	var last uint64
+	s.PausePersist()
 	for i := uint64(0); i < 500; i++ {
 		last, _ = s.Run(0, func(tx *Tx) error {
 			tx.Store((i%64)*8, 7) // compressible payload
 			return nil
 		})
 	}
+	s.ResumePersist()
 	s.WaitDurable(last)
 	s.Close()
 	dev := restoreInto(s)

@@ -17,17 +17,20 @@ var ErrClientClosed = errors.New("server: client closed")
 // Client is a pipelined wire-protocol client. All methods are safe for
 // concurrent use; concurrent calls share one connection and are
 // answered by request ID, so many transactions ride the same
-// group-commit window on the server side.
+// group-commit window on the server side. A call encodes its request
+// into the connection's out queue and returns; one writer goroutine
+// writes whatever has queued with one socket write, so no caller ever
+// blocks on the socket.
 type Client struct {
 	nc net.Conn
-
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
 
 	mu      sync.Mutex
 	pending map[uint64]pendingCall
 	nextID  uint64
-	err     error // set once the connection dies
+	err     error         // set once the connection dies
+	out     []byte        // framed requests queued for writeLoop
+	scratch []byte        // request payload being encoded
+	kick    chan struct{} // 1-slot: out went non-empty; closed by fail
 }
 
 // pendingCall is one in-flight request: either a Future's response
@@ -45,11 +48,33 @@ func Dial(addr string) (*Client, error) {
 	}
 	c := &Client{
 		nc:      nc,
-		bw:      bufio.NewWriter(nc),
 		pending: make(map[uint64]pendingCall),
+		kick:    make(chan struct{}, 1),
 	}
 	go c.readLoop()
+	go c.writeLoop()
 	return c, nil
+}
+
+// writeLoop writes the out queue: each kick takes everything queued
+// since the last write (swapping buffers, so neither side allocates in
+// steady state) and writes it with one socket write. A write error
+// fails the client, which delivers the connection error to every call
+// still pending — the queued ones included — exactly once.
+func (c *Client) writeLoop() {
+	var buf []byte
+	for range c.kick {
+		c.mu.Lock()
+		buf, c.out = c.out, buf[:0]
+		c.mu.Unlock()
+		if len(buf) == 0 {
+			continue
+		}
+		if _, err := c.nc.Write(buf); err != nil {
+			c.fail(fmt.Errorf("server: connection lost: %w", err))
+			return
+		}
+	}
 }
 
 // Close tears the connection down; in-flight calls fail with
@@ -105,6 +130,9 @@ func (c *Client) fail(err error) {
 	c.err = err
 	victims := c.pending
 	c.pending = nil
+	c.out = nil
+	// Under mu, so no send can kick after the close.
+	close(c.kick)
 	c.mu.Unlock()
 	c.nc.Close()
 	for _, call := range victims {
@@ -154,11 +182,14 @@ func (c *Client) Go(ops []wire.Op, relaxed bool) (*Future, error) {
 
 // GoFn sends one request and invokes fn exactly once when the response
 // arrives (on the connection's read goroutine) or when the connection
-// dies (fn receives the connection error). A send failure is returned
-// directly and fn is never called. Open-loop load generation uses this
-// form: completion timestamps are taken at response arrival with no
-// per-request goroutine, so tens of thousands of requests can be in
-// flight. fn must not block.
+// dies (fn receives the connection error). GoFn returns once the
+// request is encoded and queued; a write failure after that reaches fn
+// as the connection error, exactly once. An error returned by GoFn
+// itself (a dead client, an unencodable request) means fn is never
+// called. Open-loop load generation uses this form: completion
+// timestamps are taken at response arrival with no per-request
+// goroutine, so tens of thousands of requests can be in flight. fn
+// must not block.
 func (c *Client) GoFn(ops []wire.Op, relaxed bool, fn func(*wire.Response, error)) error {
 	if fn == nil {
 		return errors.New("server: GoFn requires a callback")
@@ -166,41 +197,31 @@ func (c *Client) GoFn(ops []wire.Op, relaxed bool, fn func(*wire.Response, error
 	return c.send(ops, relaxed, pendingCall{fn: fn})
 }
 
-// send registers the pending call and writes one request frame.
+// send encodes one request frame onto the out queue and registers its
+// pending call, kicking the writer when the queue was empty.
 func (c *Client) send(ops []wire.Op, relaxed bool, call pendingCall) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+		return c.err
+	}
+	payload, err := wire.AppendRequest(c.scratch[:0], &wire.Request{ID: c.nextID + 1, Relaxed: relaxed, Ops: ops})
+	c.scratch = payload
+	if err != nil {
 		return err
+	}
+	if len(payload) > wire.MaxPayload {
+		return wire.ErrFrameTooBig
 	}
 	c.nextID++
-	id := c.nextID
-	c.pending[id] = call
-	c.mu.Unlock()
-
-	payload, err := wire.AppendRequest(nil, &wire.Request{ID: id, Relaxed: relaxed, Ops: ops})
-	if err == nil {
-		c.wmu.Lock()
-		err = wire.WriteFrame(c.bw, payload)
-		if err == nil {
-			err = c.bw.Flush()
+	c.pending[c.nextID] = call
+	if len(c.out) == 0 {
+		select {
+		case c.kick <- struct{}{}:
+		default: // a kick is already pending
 		}
-		c.wmu.Unlock()
 	}
-	if err != nil {
-		c.mu.Lock()
-		_, present := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if !present && call.fn != nil {
-			// fail() raced the write error and already delivered the
-			// connection error to the callback; reporting the send
-			// failure too would double-count the request.
-			return nil
-		}
-		return err
-	}
+	c.out = wire.AppendFrame(c.out, payload)
 	return nil
 }
 

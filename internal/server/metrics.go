@@ -25,6 +25,7 @@ var RequiredSeries = []string{
 	`dudetm_stage_utilization{stage="reproduce"}`,
 	`dudetm_stage_queue_depth{stage="persist"}`,
 	`dudetm_stage_queue_depth{stage="reproduce"}`,
+	"dudetm_persist_wakes_total",
 	"dudetm_commit_durable_seconds_count",
 	"dudetm_commit_durable_seconds_sum",
 	`dudetm_commit_durable_latency_seconds{quantile="0.5"}`,
@@ -129,6 +130,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		p.Sample("dudetm_stage_utilization", r.labels, r.ss.Utilization)
 	}
 	p.Gauge("dudetm_persist_window_depth", "Reserved-but-unretired persist dispatch sequences.", float64(st.Persist.WindowDepth))
+	p.Counter("dudetm_persist_wakes_total", "Persist coordinator wakes from an idle park (a commit, a drained persist queue, Close or Crash).", float64(st.Persist.Wakes))
 
 	// Replay-epoch coalescing (Reproduce stage). The counters exist (at
 	// zero) while Reproduce keeps up — epochs only form under backlog —

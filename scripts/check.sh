@@ -53,6 +53,12 @@ echo "== go test -race (stm, redolog, dudetm, server, obs, repl; 4 stage threads
 # its sender/receiver goroutines race real TCP reconnects.
 DUDETM_STAGE_THREADS=4 DUDETM_TRACE_SAMPLE=4 go test -race -count=1 ./internal/stm ./internal/redolog ./internal/dudetm ./internal/server ./internal/obs ./internal/repl
 
+echo "== Persist coordinator park/wake (GOMAXPROCS=1, -race)"
+# One processor: a coordinator that spins instead of parking starves
+# its committers, and a lost wakeup hangs a WaitDurable (each is bounded
+# at 5 s inside the tests).
+GOMAXPROCS=1 go test -race -count=3 -run 'TestIdleCoordinatorNoWakes|TestNoLostWakeup|TestStopWhileParked|TestHeldAppendJoinsOneGroup' ./internal/dudetm
+
 echo "== dudebench -list (experiment registry)"
 # The registry is scriptable surface: stable order, one line per
 # experiment (the full list and order are pinned by TestRegistryNames).
