@@ -141,8 +141,10 @@ func (p pmSource) ReadPage(page uint64, dst []byte) {
 	p.s.dev.Load(p.s.lay.dataOff+page*p.s.lay.pageSize, dst)
 }
 
-// Reproduced implements shadow.Source.
-func (p pmSource) Reproduced() uint64 { return p.s.reproduced.Load() }
+// WaitReproduced implements shadow.Source.
+func (p pmSource) WaitReproduced(tid uint64) bool {
+	return p.s.reproduced.Load() < tid && p.s.reproduced.Wait(tid, nil)
+}
 
 // repoMsg carries one persisted group to the Reproduce step, along with
 // the writer whose log space it occupies.

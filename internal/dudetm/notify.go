@@ -29,6 +29,10 @@ var (
 // When the system crashes or closes, every remaining waiter is failed
 // with the corresponding error, so no consumer can hang on an ID that
 // will never become durable.
+//
+// It is not a park.Frontier: it hands each waiter its own channel,
+// which the server selects on beside its socket, and it delivers an
+// error, not only a release.
 type durNotifier struct {
 	mu       sync.Mutex
 	frontier uint64

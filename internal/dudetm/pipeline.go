@@ -239,16 +239,17 @@ func (s *System) persistWorker(wi int) {
 	defer s.persistWG.Done()
 	w := s.writers[wi]
 	for m := range s.dispatch[wi] {
-		if s.halted.Load() {
-			// Crash: drop the group on the floor — power failed before
+		s.workerGates[wi].Lock()
+		startAt := s.obs.Now()
+		if w.AppendGroup(m.g) == 0 {
+			// Crash halted the writer, possibly while it waited for log
+			// space: drop the group on the floor — power failed before
 			// its append. Later sequences can no longer complete the
 			// prefix, so the durable frontier stays behind this group.
+			s.workerGates[wi].Unlock()
 			s.pm.dequeue()
 			continue
 		}
-		s.workerGates[wi].Lock()
-		startAt := s.obs.Now()
-		w.AppendGroup(m.g)
 		endAt := s.obs.Now()
 		s.obs.GroupPersisted(s.srcWorker(wi), m.g.MinTid, m.g.MaxTid, m.sealAt, startAt, endAt)
 		s.pm.busy.Add(uint64(endAt - startAt))
@@ -499,6 +500,7 @@ func (s *System) reproduceLoop() {
 			}
 		}
 		s.bbFlush()
+		s.recycled.Store(s.reproduced.Load())
 	}
 
 	// retire publishes one applied group's frontier and recycle
@@ -523,6 +525,9 @@ func (s *System) reproduceLoop() {
 			s.bbFlush()
 			pendingRecycles -= p.count
 			p.count = 0
+			if pendingRecycles == 0 {
+				s.recycled.Store(m.g.MaxTid)
+			}
 		}
 	}
 

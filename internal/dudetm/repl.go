@@ -414,7 +414,10 @@ func (s *System) IngestGroup(minTid, maxTid uint64, entries []redolog.Entry) err
 	// primary's.
 	sealAt := s.obs.GroupSealed(s.srcCoord(), minTid, maxTid, txns, len(entries))
 	startAt := s.obs.Now()
-	w.AppendGroup(g)
+	if w.AppendGroup(g) == 0 {
+		putEntrySlice(ep)
+		return ErrCrashed // halted while waiting for log space
+	}
 	endAt := s.obs.Now()
 	s.obs.GroupPersisted(s.srcCoord(), minTid, maxTid, sealAt, startAt, endAt)
 	s.pm.busy.Add(uint64(endAt - startAt))

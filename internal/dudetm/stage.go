@@ -1,10 +1,11 @@
 package dudetm
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dudetm/internal/park"
 )
 
 // persistWindow bounds how many sealed groups may be in flight across
@@ -25,7 +26,7 @@ const persistWindow = 1024
 type seqWindow struct {
 	mu   sync.Mutex
 	next atomic.Uint64 // next sequence to reserve
-	done atomic.Uint64 // frontier: every sequence < done has completed
+	done park.Frontier // frontier: every sequence < done has completed
 	bits [persistWindow / 64]uint64
 	tids [persistWindow]uint64 // MaxTid per slot, read when the frontier passes it
 	// onAdvance, when set, runs under mu each time complete advances
@@ -41,24 +42,16 @@ type seqWindow struct {
 
 // reserve hands out the next sequence number, blocking while the window
 // is full. It returns false if the system halts (Crash) while waiting.
+// Only the coordinator reserves.
 func (w *seqWindow) reserve(halted *atomic.Bool) (uint64, bool) {
-	for spins := 0; ; spins++ {
-		w.mu.Lock()
-		if seq := w.next.Load(); seq-w.done.Load() < persistWindow {
-			w.next.Store(seq + 1)
-			w.mu.Unlock()
-			return seq, true
-		}
-		w.mu.Unlock()
-		if halted.Load() {
-			return 0, false
-		}
-		if spins < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(5 * time.Microsecond)
-		}
+	seq := w.next.Load()
+	if seq >= persistWindow && !w.done.Wait(seq-persistWindow+1, halted) {
+		return 0, false
 	}
+	w.mu.Lock()
+	w.next.Store(seq + 1)
+	w.mu.Unlock()
+	return seq, true
 }
 
 // complete marks seq done with the given group MaxTid. When seq extends
@@ -109,6 +102,10 @@ func (w *seqWindow) depth() uint64 {
 // ring end mark, a drained persist queue, stopping/halted) and then
 // loads the state. Go's atomics are sequentially consistent, so one of
 // the two always sees the other and no wakeup is lost.
+//
+// It is not a park.Frontier: the coordinator waits on N rings at once,
+// and folding them into one shared counter would cost every commit an
+// atomic add on a contended line.
 type coordWake struct {
 	state atomic.Int32
 	ch    chan struct{}

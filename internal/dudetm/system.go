@@ -5,10 +5,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dudetm/internal/obs"
 	"dudetm/internal/obs/blackbox"
+	"dudetm/internal/park"
 	"dudetm/internal/pmem"
 	"dudetm/internal/redolog"
 	"dudetm/internal/shadow"
@@ -29,7 +29,8 @@ type System struct {
 
 	reproCh    chan repoMsg
 	durable    atomic.Uint64
-	reproduced atomic.Uint64
+	reproduced park.Frontier // paged swap-in waits on it
+	recycled   park.Frontier // reproduced ID whose log space is all recycled; Drain waits on it
 	startTid   uint64
 
 	// Persist-stage parallelism (ModeAsync): the coordinator reserves a
@@ -250,6 +251,7 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 	s.durable.Store(startTid)
 	s.acked.Store(startTid)
 	s.reproduced.Store(startTid)
+	s.recycled.Store(startTid)
 	s.dense = denseTracker{next: startTid + 1, pend: make(map[uint64]struct{})}
 	if lay.bbEntries > 0 {
 		bb, err := blackbox.Open(dev, lay.bbOff)
@@ -425,7 +427,7 @@ func (s *System) WaitDurable(tid uint64) error {
 		if s.acked.Load() >= tid {
 			return nil
 		}
-		runtime.Gosched()
+		runtime.Gosched() // a notifier subscription costs more than most waits
 	}
 	return <-s.notif.wait(tid)
 }
@@ -631,18 +633,7 @@ func (s *System) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
-	s.stopping.Store(true)
-	s.stopWatchdog()
-	if s.cfg.Mode == ModeSync {
-		close(s.reproCh)
-	}
-	// ModeAsync: the persist loop observes stopping, drains the rings,
-	// seals the last group and closes reproCh itself.
-	s.coord.wake()
-	s.wg.Wait()
-	// The pipeline's stamp sources are quiet: drain the critical-path
-	// collector so Stats() reflects every completed sampled transaction.
-	s.obs.Close()
+	s.stop()
 	// Every committed transaction is durable now; any waiter still
 	// subscribed is waiting for an ID the pipeline will never assign.
 	s.notif.fail(ErrClosed)
@@ -661,18 +652,34 @@ func (s *System) Crash() []byte {
 		panic("dudetm: Crash on closed system")
 	}
 	s.halted.Store(true)
+	// A coordinator waiting for window space, or a worker waiting for
+	// log space Reproduce will no longer recycle, gives up.
+	s.window.done.Wake()
+	for _, w := range s.writers {
+		w.Halt()
+	}
+	s.stop()
+	s.dev.Crash()
+	img := s.dev.PersistedImage()
+	s.notif.fail(ErrCrashed)
+	return img
+}
+
+// stop joins the pipeline goroutines for Close and Crash: they drain
+// the pipeline, or stop where they are once halted is set.
+func (s *System) stop() {
 	s.stopping.Store(true)
 	s.stopWatchdog()
 	if s.cfg.Mode == ModeSync {
 		close(s.reproCh)
 	}
+	// ModeAsync: the persist loop observes stopping, drains the rings,
+	// seals the last group and closes reproCh itself.
 	s.coord.wake()
 	s.wg.Wait()
+	// The pipeline's stamp sources are quiet: drain the critical-path
+	// collector so Stats() reflects every completed sampled transaction.
 	s.obs.Close()
-	s.dev.Crash()
-	img := s.dev.PersistedImage()
-	s.notif.fail(ErrCrashed)
-	return img
 }
 
 // Stats is a snapshot of system activity.
@@ -868,14 +875,11 @@ func putEntrySlice(ep *[]redolog.Entry) {
 	}
 }
 
-// Drain blocks until every committed transaction has been persisted and
-// reproduced. Callers must have stopped issuing transactions.
+// Drain blocks until every committed transaction has been persisted,
+// reproduced and its log space recycled: the pipeline is idle, with no
+// recycle left for the Reproduce timer. Callers must have stopped
+// issuing transactions; nothing stops the wait, so the pool must not
+// crash or close under it.
 func (s *System) Drain() {
-	for {
-		c := s.engine.Clock()
-		if s.durable.Load() >= c && s.reproduced.Load() >= c {
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
+	s.recycled.Wait(s.engine.Clock(), nil)
 }

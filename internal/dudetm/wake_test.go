@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dudetm/internal/pmem"
 )
 
 // The Persist coordinator's park/wake tests. They run in scripts/check.sh
@@ -242,4 +244,111 @@ func TestHeldAppendJoinsOneGroup(t *testing.T) {
 	if got := s.Stats().Groups; got != 2 {
 		t.Errorf("%d groups for 1 + 5 commits around one held append, want 2", got)
 	}
+}
+
+// crashWhileParked starts s.Crash and waits until it has halted the
+// pipeline, so the caller can release the gate its pipeline is parked
+// behind; done then delivers the crash image.
+func crashWhileParked(t *testing.T, s *System) (done <-chan []byte) {
+	t.Helper()
+	img := make(chan []byte, 1)
+	go func() { img <- s.Crash() }()
+	waitUntil(t, "Crash to halt the pipeline", s.halted.Load)
+	return img
+}
+
+// recoverAudited waits out the crash image and recovers it, auditing
+// every tid the crashed s acknowledged.
+func recoverAudited(t *testing.T, s *System, cfg Config, done <-chan []byte) *System {
+	t.Helper()
+	var image []byte
+	within(t, "Crash", func() { image = <-done })
+	dev := pmem.New(pmem.Config{Size: s.Device().Size()})
+	dev.Restore(image)
+	s2, err := Recover(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.AuditRecovery(s.Durable()); err != nil {
+		t.Fatal(err)
+	}
+	return s2
+}
+
+// TestCrashWithFullWindow crashes the pool while the coordinator is
+// parked on a full persist window behind a blocked append: Crash must
+// wake it, since nothing completes a sequence once the pool halts.
+func TestCrashWithFullWindow(t *testing.T) {
+	cfg := testConfig()
+	cfg.PersistThreads, cfg.GroupSize = 1, 1
+	s, err := Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.workerGates[0].Lock()
+	for i := uint64(0); i <= persistWindow; i++ {
+		store(t, s, 0, i)
+	}
+	waitUntil(t, "the coordinator to park on the full window", func() bool { return s.window.done.Parked() > 0 })
+	done := crashWhileParked(t, s)
+	s.workerGates[0].Unlock()
+	s2 := recoverAudited(t, s, cfg, done)
+	within(t, "Close", s2.Close)
+}
+
+// TestCrashWithFullLog crashes the pool while a persist worker is
+// parked waiting for log space that Reproduce can no longer recycle:
+// worker 1 holds tid 2, so Reproduce stops at tid 1 and worker 0's log
+// (odd tids, GroupSize 1) fills up behind it. Crash must halt the
+// parked append instead of waiting for it forever, and the image must
+// recover every acknowledged transaction.
+func TestCrashWithFullLog(t *testing.T) {
+	cfg := testConfig()
+	cfg.PersistThreads, cfg.ReproThreads, cfg.GroupSize = 2, 1, 1
+	cfg.VLogEntries = 1 << 16
+	s, err := Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.workerGates[1].Lock()
+	words := func(n int, base, val uint64) {
+		t.Helper()
+		if _, err := s.Run(0, func(tx *Tx) error {
+			for i := uint64(0); i < uint64(n); i++ {
+				tx.Store((base+i)*8, val)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	words(1, 0, 1)
+	words(1, 1, 2)
+	for i := uint64(0); i < 44; i++ {
+		words(256, 2+256*i, 3+i)
+	}
+	// 22 records of 256 words leave under 20 KiB of worker 0's 64 KiB
+	// log; this ~32 KiB record must wrap and wait for recycles.
+	words(4000, 2+256*44, 47)
+	waitUntil(t, "worker 0 to park on log space", s.writers[0].Waiting)
+	done := crashWhileParked(t, s)
+	s.workerGates[1].Unlock()
+	s2 := recoverAudited(t, s, cfg, done)
+	defer within(t, "Close", s2.Close)
+	acked := s.Durable()
+	if acked < 1 || acked >= 47 {
+		t.Fatalf("durable %d at crash, want the frontier stopped in [1, 47)", acked)
+	}
+	s2.Run(0, func(tx *Tx) error {
+		for tid := uint64(1); tid <= acked; tid++ {
+			addr := tid - 1 // tids 1 and 2 wrote one word each
+			if tid > 2 {
+				addr = 2 + 256*(tid-3)
+			}
+			if got := tx.Load(addr * 8); got != tid {
+				t.Errorf("acked tid %d: word %d = %d after recovery", tid, addr, got)
+			}
+		}
+		return nil
+	})
 }

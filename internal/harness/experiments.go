@@ -506,8 +506,11 @@ func Recovery(c ExpConfig) error {
 		sys.Close()
 		return fmt.Errorf("recovery drill: %w", err)
 	}
-	time.Sleep(20 * time.Millisecond) // let the persist stage go idle
+	// The gates wait out the in-flight append and the durable stamp's
+	// write-back behind it.
+	ds.PausePersist()
 	img := ds.Device().PersistedImage()
+	ds.ResumePersist()
 	ds.ResumeReproduce()
 	sys.Close()
 

@@ -3,9 +3,11 @@ package redolog
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dudetm/internal/pmem"
 )
@@ -393,6 +395,76 @@ func TestWrapWithLiveRecords(t *testing.T) {
 	}
 	if res.Groups[0].MinTid != 13 || res.Groups[12].MinTid != 25 {
 		t.Fatalf("live range %d..%d", res.Groups[0].MinTid, res.Groups[12].MinTid)
+	}
+}
+
+// TestAppendParksOnFullLog fills the log so the next record must wrap
+// and wait for space, then releases the parked append with a Recycle
+// or with Halt. A halted append writes nothing, not even the wrap
+// marker, so the log scans exactly as it stood.
+func TestAppendParksOnFullLog(t *testing.T) {
+	for _, release := range []string{"recycle", "halt"} {
+		t.Run(release, func(t *testing.T) {
+			dev := newLogDev()
+			w := NewWriter(dev, testMeta, testBase, testSize, false)
+			entries := make([]Entry, 20)
+			for i := range entries {
+				entries[i] = Entry{Addr: uint64(i * 8), Val: uint64(i)}
+			}
+			var groups []*Group
+			var rec uint64
+			for tid := uint64(1); rec == 0 || w.tail+rec-w.head.Load() <= w.size; tid++ {
+				g := &Group{MinTid: tid, MaxTid: tid, Entries: entries}
+				rec = w.AppendGroup(g)
+				groups = append(groups, g)
+			}
+			if w.size-w.tail%w.size >= rec {
+				t.Fatalf("record of %d bytes fits before the end (tail %d): the test no longer wraps", rec, w.tail)
+			}
+			n := uint64(len(groups))
+			next := &Group{MinTid: n + 1, MaxTid: n + 1, Entries: entries}
+			done := make(chan uint64)
+			go func() { done <- w.AppendGroup(next) }()
+			deadline := time.Now().Add(5 * time.Second)
+			for !w.Waiting() {
+				if time.Now().After(deadline) {
+					t.Fatal("append on a full log never parked")
+				}
+				runtime.Gosched()
+			}
+			select {
+			case got := <-done:
+				t.Fatalf("append on a full log returned %d before any release", got)
+			default:
+			}
+			want := n // halt: the full log, unchanged
+			if release == "recycle" {
+				w.Recycle(groups[1].EndPos, groups[1].Seq+1, 2)
+				want = n - 1 // two recycled, one appended
+			} else {
+				w.Halt()
+			}
+			select {
+			case got := <-done:
+				if (got == 0) != (release == "halt") {
+					t.Fatalf("append released by %s returned %d", release, got)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s did not release the parked append", release)
+			}
+			dev.Crash()
+			res := scanAll(t, dev)
+			if uint64(len(res.Groups)) != want || res.Torn {
+				t.Fatalf("scan after %s: %d groups (torn %v), want %d", release, len(res.Groups), res.Torn, want)
+			}
+			wantLast := n
+			if release == "recycle" {
+				wantLast = n + 1
+			}
+			if last := res.Groups[len(res.Groups)-1].MaxTid; last != wantLast {
+				t.Fatalf("scan after %s ends at tid %d, want %d", release, last, wantLast)
+			}
+		})
 	}
 }
 

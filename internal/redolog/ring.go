@@ -1,9 +1,9 @@
 package redolog
 
 import (
-	"runtime"
 	"sync/atomic"
-	"time"
+
+	"dudetm/internal/park"
 )
 
 // Ring is the fixed-length circular volatile redo-log buffer of one
@@ -19,7 +19,7 @@ type Ring struct {
 	buf  []Entry
 	mask uint64
 
-	head atomic.Uint64 // consumer position (monotonic)
+	head park.Frontier // consumer position (monotonic)
 
 	// Producer-private state.
 	tail    uint64
@@ -63,15 +63,11 @@ func (r *Ring) Cap() int { return len(r.buf) }
 // ones); approximate under concurrency.
 func (r *Ring) Len() int { return int(r.tail - r.head.Load()) }
 
+// waitSpace blocks until the consumer frees a slot. Nothing stops the
+// wait: Close and Crash require every Run to have returned.
 func (r *Ring) waitSpace() {
-	spins := 0
-	for r.tail-r.head.Load() >= uint64(len(r.buf)) {
-		spins++
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(10 * time.Microsecond)
-		}
+	if n := uint64(len(r.buf)); r.tail-r.head.Load() >= n {
+		r.head.Wait(r.tail-n+1, nil)
 	}
 }
 

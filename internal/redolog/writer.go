@@ -4,11 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"runtime"
 	"sync/atomic"
-	"time"
 
 	"dudetm/internal/lz4"
+	"dudetm/internal/park"
 	"dudetm/internal/pmem"
 )
 
@@ -61,7 +60,9 @@ type Writer struct {
 
 	tail uint64        // next write position (monotonic)
 	seq  uint64        // next record sequence number
-	head atomic.Uint64 // oldest live byte (monotonic), advanced by Recycle
+	head park.Frontier // oldest live byte (monotonic), advanced by Recycle
+
+	halted atomic.Bool // set by Halt
 
 	compress bool
 	scratch  []byte
@@ -121,10 +122,14 @@ func (w *Writer) Tail() uint64 { return w.tail }
 // AppendGroup serializes, optionally compresses, and persists a group
 // with a single fence. It sets g.Seq and g.EndPos, blocks until the
 // buffer has space (i.e., until Recycle catches up), and returns the
-// serialized record size in bytes.
+// serialized record size in bytes. Once the writer is halted, even
+// while it waits for space, it returns 0 and writes nothing.
 //
 //dudelint:fencebudget 1
 func (w *Writer) AppendGroup(g *Group) uint64 {
+	if w.halted.Load() {
+		return 0
+	}
 	w.scratch = AppendEntries(w.scratch[:0], g.Entries)
 	payload := w.scratch
 	uncomp := uint64(len(payload))
@@ -143,16 +148,22 @@ func (w *Writer) AppendGroup(g *Group) uint64 {
 	}
 
 	// If the record would cross the end of the buffer, emit a wrap
-	// marker and continue at the start.
+	// marker and continue at the start. The marker's slack and the
+	// record wait for space together, so a halted wait leaves no marker.
+	rem := w.size - w.tail%w.size
+	if rem >= recSize {
+		rem = 0
+	}
+	if !w.waitSpace(rem + recSize) {
+		return 0
+	}
 	batch := w.dev.NewBatch()
-	if rem := w.size - w.tail%w.size; rem < recSize {
-		w.waitSpace(rem)
+	if rem > 0 {
 		markerAddr := w.base + w.tail%w.size
 		w.dev.Store8(markerAddr, wrapMarker)
 		batch.Flush(markerAddr, 8)
 		w.tail += rem
 	}
-	w.waitSpace(recSize)
 
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint64(hdr[0:], payloadLen)
@@ -181,18 +192,22 @@ func (w *Writer) AppendGroup(g *Group) uint64 {
 	return recSize
 }
 
-// waitSpace blocks until n bytes are free past tail.
-func (w *Writer) waitSpace(n uint64) {
-	spins := 0
-	for w.tail+n-w.head.Load() > w.size {
-		spins++
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(10 * time.Microsecond)
-		}
-	}
+// waitSpace blocks until n bytes are free past tail; it reports false
+// if the writer is halted first.
+func (w *Writer) waitSpace(n uint64) bool {
+	return w.tail+n-w.head.Load() <= w.size || w.head.Wait(w.tail+n-w.size, &w.halted)
 }
+
+// Halt makes every later AppendGroup, and one waiting for log space,
+// return without writing: power failed before the append. Crash calls
+// it, since Reproduce stops recycling.
+func (w *Writer) Halt() {
+	w.halted.Store(true)
+	w.head.Wake()
+}
+
+// Waiting reports whether an AppendGroup is parked waiting for log space.
+func (w *Writer) Waiting() bool { return w.head.Parked() > 0 }
 
 // Recycle frees the log up to pos (a Group.EndPos) whose records have all
 // been replayed to persistent data, and persists the new head so recovery

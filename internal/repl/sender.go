@@ -102,6 +102,7 @@ type Sender struct {
 	peers   []*peer
 	closed  atomic.Bool
 	closeCh chan struct{}
+	connCh  atomic.Pointer[chan struct{}] // closed and replaced on each handshake
 	wg      sync.WaitGroup
 
 	groupsShipped atomic.Uint64
@@ -130,6 +131,8 @@ type shipped struct {
 func NewSender(pri Primary, cfg Config) *Sender {
 	cfg.applyDefaults()
 	s := &Sender{cfg: cfg, pri: pri, closeCh: make(chan struct{})}
+	connCh := make(chan struct{})
+	s.connCh.Store(&connCh)
 	s.tracer, _ = pri.(PrimaryTracer)
 	for i, addr := range cfg.Peers {
 		p := &peer{name: addr, idx: i, s: s}
@@ -234,18 +237,23 @@ func (s *Sender) Stats() SenderStats {
 }
 
 // WaitConnected blocks until at least n peers hold a handshaken
-// connection, or the timeout elapses; it reports whether the quorum of
-// connections was reached.
+// connection, or the timeout elapses or the sender closes; it reports
+// whether the quorum of connections was reached.
 func (s *Sender) WaitConnected(n int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
+		connected := *s.connCh.Load()
 		if s.Stats().Connected >= n {
 			return true
 		}
-		if time.Now().After(deadline) || s.closed.Load() {
+		select {
+		case <-connected:
+		case <-deadline.C:
+			return s.Stats().Connected >= n
+		case <-s.closeCh:
 			return false
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -421,6 +429,8 @@ func (p *peer) serveConn(conn net.Conn) bool {
 	// write that finds the gate still degraded errors.
 	p.s.pri.ReplicaAcked(p.name, m.Frontier)
 	p.connected.Store(true)
+	connCh := make(chan struct{})
+	close(*p.s.connCh.Swap(&connCh)) // wake WaitConnected
 	// The handshake trim frees space and flips connected: wake both a
 	// backpressured coordinator and the (new-gen) write loop.
 	p.cond.Broadcast()

@@ -66,9 +66,10 @@ type Space interface {
 type Source interface {
 	// ReadPage copies the persistent contents of page into dst.
 	ReadPage(page uint64, dst []byte)
-	// Reproduced returns the largest transaction ID whose updates have
-	// been replayed to persistent data.
-	Reproduced() uint64
+	// WaitReproduced blocks until every transaction up to tid has been
+	// replayed to persistent data, parking until the Reproduce step
+	// wakes it, and reports whether it had to wait.
+	WaitReproduced(tid uint64) bool
 }
 
 // Stats counts paging activity.
@@ -251,7 +252,7 @@ func (p *PagedSpace) acquire(page uint64) uint64 {
 		s := slot.Load()
 		if f := slotFrame(s); f != 0 {
 			if slotRefs(s) == refMask {
-				runtime.Gosched() // pathological pin pile-up
+				runtime.Gosched() // pathological pin pile-up: full until a holder releases
 				continue
 			}
 			if slot.CompareAndSwap(s, s+1) {
@@ -346,17 +347,8 @@ func (p *PagedSpace) fault(page uint64) {
 	}
 	frame := p.allocFrame()
 
-	if touch := p.touch[page].Load(); p.src.Reproduced() < touch {
+	if p.src.WaitReproduced(p.touch[page].Load()) {
 		p.waits.Add(1)
-		spins := 0
-		for p.src.Reproduced() < touch {
-			spins++
-			if spins < 64 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(5 * time.Microsecond)
-			}
-		}
 	}
 	p.src.ReadPage(page, p.frames[frame])
 	p.faults.Add(1)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dudetm/internal/park"
 	"dudetm/internal/word"
 )
 
@@ -15,7 +16,7 @@ type fakeSource struct {
 	mu         sync.Mutex
 	data       []byte
 	pageSize   uint64
-	reproduced atomic.Uint64
+	reproduced park.Frontier
 }
 
 func newFakeSource(size, pageSize uint64) *fakeSource {
@@ -28,19 +29,18 @@ func (s *fakeSource) ReadPage(page uint64, dst []byte) {
 	s.mu.Unlock()
 }
 
-func (s *fakeSource) Reproduced() uint64 { return s.reproduced.Load() }
+func (s *fakeSource) WaitReproduced(tid uint64) bool {
+	return s.reproduced.Load() < tid && s.reproduced.Wait(tid, nil)
+}
 
 // apply emulates the Reproduce step: write the value into the persistent
 // copy, then advance the watermark.
 func (s *fakeSource) apply(addr, val, tid uint64) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	word.Store(s.data, addr, val)
-	s.mu.Unlock()
-	for {
-		cur := s.reproduced.Load()
-		if cur >= tid || s.reproduced.CompareAndSwap(cur, tid) {
-			return
-		}
+	if tid > s.reproduced.Load() {
+		s.reproduced.Store(tid)
 	}
 }
 

@@ -53,11 +53,23 @@ echo "== go test -race (stm, redolog, dudetm, server, obs, repl; 4 stage threads
 # its sender/receiver goroutines race real TCP reconnects.
 DUDETM_STAGE_THREADS=4 DUDETM_TRACE_SAMPLE=4 go test -race -count=1 ./internal/stm ./internal/redolog ./internal/dudetm ./internal/server ./internal/obs ./internal/repl
 
-echo "== Persist coordinator park/wake (GOMAXPROCS=1, -race)"
+echo "== park/wake: coordinator, park.Frontier, Crash on a full log or window (GOMAXPROCS=1, -race)"
 # One processor: a coordinator that spins instead of parking starves
-# its committers, and a lost wakeup hangs a WaitDurable (each is bounded
-# at 5 s inside the tests).
-GOMAXPROCS=1 go test -race -count=3 -run 'TestIdleCoordinatorNoWakes|TestNoLostWakeup|TestStopWhileParked|TestHeldAppendJoinsOneGroup' ./internal/dudetm
+# its committers, and a lost wakeup hangs a WaitDurable or a
+# park.Frontier handoff; a persist worker parked on log space, or the
+# coordinator parked on the persist window, must not hang Crash (each
+# wait is bounded at 5 s inside the tests).
+GOMAXPROCS=1 go test -race -count=3 -run 'TestIdleCoordinatorNoWakes|TestNoLostWakeup|TestStopWhileParked|TestHeldAppendJoinsOneGroup|TestCrashWithFullLog|TestCrashWithFullWindow' ./internal/dudetm
+GOMAXPROCS=1 go test -race -count=3 ./internal/park
+
+echo "== no sleep-polling in the pipeline packages"
+# Every wait in these packages parks on the state it waits for
+# (park.Frontier, coordWake, durNotifier, channels); a time.Sleep in
+# non-test code is a polling loop coming back.
+if grep -rn 'time\.Sleep' --include=*.go internal/dudetm internal/redolog internal/repl internal/shadow internal/harness internal/park | grep -v '_test\.go:'; then
+    echo "time.Sleep in non-test pipeline code (park on the awaited state instead)"
+    exit 1
+fi
 
 echo "== dudebench -list (experiment registry)"
 # The registry is scriptable surface: stable order, one line per
