@@ -9,7 +9,6 @@ package dudetm_test
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -310,170 +309,6 @@ func BenchmarkAblationLatencyModel(b *testing.B) {
 				Latency: lat,
 			})
 		})
-	}
-}
-
-// BenchmarkPipeline measures the parallel background pipeline on the
-// hot-set zipfian KV-update workload (harness.PipelineBench /
-// harness.PipelineOptions — the same configuration dudebench's pipeline
-// experiment runs), sweeping the replay-epoch group cap (epoch=1 is
-// per-group replay, the pre-epoch behavior) plus one Compress=true row
-// exercising the lz4 group path. Each iteration is a fixed-size
-// fully-drained run, so ns/op compares end-to-end pipeline completion
-// across epoch settings; every run is also recorded to
-// BENCH_pipeline.json (same schema as dudebench -json) with the stage
-// busy/fence counters, the epoch coalescing counters and the per-stage
-// utilizations. The final iteration of each row asserts the epoch
-// economy itself: at the largest epoch the replay fences must drop
-// roughly by the epoch factor, Reproduce busy time must at least halve
-// against the epoch=1 baseline, and Reproduce utilization must fall
-// below Persist's. On a single-core host the busy comparison is
-// wall-clock noisy, but the deterministic write-back stalls of the
-// constrained-bandwidth timing model anchor it.
-func BenchmarkPipeline(b *testing.B) {
-	harness.StartRecording()
-	harness.SetExperiment("pipeline")
-	var base harness.Result // epoch=1 row, the amortization baseline
-	run := func(b *testing.B, epoch int, compress bool) harness.Result {
-		var res harness.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = harness.Run(harness.DudeSTM, harness.PipelineBench(),
-				harness.PipelineOptions(2, epoch, compress),
-				harness.MeasureOpts{TotalOps: 30000, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.TPS, "tps")
-			if res.Stats.PersistBusyNS == 0 || res.Stats.ReproBusyNS == 0 {
-				b.Fatalf("stage utilization counters idle: %+v", res.Stats)
-			}
-			if epoch > 1 && res.Stats.ReproEpochs == 0 {
-				b.Fatalf("epoch=%d but no replay epochs formed: %+v", epoch, res.Stats)
-			}
-		}
-		return res
-	}
-	for _, epoch := range []int{1, 4, 64} {
-		b.Run(fmt.Sprintf("epoch=%d", epoch), func(b *testing.B) {
-			res := run(b, epoch, false)
-			switch epoch {
-			case 1:
-				base = res
-			case 64:
-				if base.Stats.ReproFences > 0 && res.Stats.ReproFences > base.Stats.ReproFences/16 {
-					b.Errorf("repro fences %d not amortized vs epoch=1 baseline %d",
-						res.Stats.ReproFences, base.Stats.ReproFences)
-				}
-				if base.Stats.ReproBusyNS > 0 && res.Stats.ReproBusyNS > base.Stats.ReproBusyNS/2 {
-					b.Errorf("repro busy %v not halved vs epoch=1 baseline %v",
-						time.Duration(res.Stats.ReproBusyNS), time.Duration(base.Stats.ReproBusyNS))
-				}
-				if res.Stats.ReproUtil >= res.Stats.PersistUtil {
-					b.Errorf("repro utilization %.2f not below persist %.2f",
-						res.Stats.ReproUtil, res.Stats.PersistUtil)
-				}
-			}
-		})
-	}
-	b.Run("epoch=64/lz4", func(b *testing.B) { run(b, 64, true) })
-	f, err := os.Create("BENCH_pipeline.json")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	if err := harness.WriteJSON(f); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkObs sweeps the observability layer's sampling period on the
-// pipeline workload: tracing off, 1-in-64, and every transaction. The
-// tps metric across the three rows is the tracing overhead signal (off
-// vs. 1-in-64 should be within noise; the obs package's alloc tests pin
-// the disabled hot path at zero allocations). Runs are recorded to
-// BENCH_obs.json with the dur_p50/p99/p999 latency quantiles filled.
-func BenchmarkObs(b *testing.B) {
-	harness.StartRecording()
-	harness.SetExperiment("obs")
-	for _, sample := range []int{-1, 64, 1} {
-		name := fmt.Sprintf("sample=%d", sample)
-		if sample < 0 {
-			name = "sample=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := harness.Run(harness.DudeSTM, harness.NewHashBench(), harness.Options{
-					Threads:          2,
-					GroupSize:        64,
-					PersistThreads:   2,
-					ReproThreads:     2,
-					TraceSampleEvery: sample,
-				}, harness.MeasureOpts{TotalOps: 30000, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.TPS, "tps")
-				ob := res.Stats.Obs
-				if sample > 0 && (ob.SampledCommits == 0 || ob.CommitDurable.Count == 0) {
-					b.Fatalf("sampling 1-in-%d recorded nothing: %+v", sample, ob)
-				}
-				if sample < 0 && ob.SampledCommits != 0 {
-					b.Fatalf("tracing off but %d commits sampled", ob.SampledCommits)
-				}
-			}
-		})
-	}
-	f, err := os.Create("BENCH_obs.json")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	if err := harness.WriteJSON(f); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkBlackbox sweeps the persistent flight recorder on the
-// pipeline workload: recorder disabled vs. the default ring. The tps
-// metric across the two rows is the steady-state recording overhead
-// signal — stamps ride the pipeline's existing persist barriers
-// (TestBlackboxFenceBudget pins the fence budget, TestBlackboxByteBudget
-// the one line per group, and the blackbox package's alloc test pins the
-// stamp path at zero allocations), so on vs. off should be within noise.
-// Runs are recorded to BENCH_blackbox.json (same schema as dudebench
-// -json); the off row comes first.
-func BenchmarkBlackbox(b *testing.B) {
-	harness.StartRecording()
-	harness.SetExperiment("blackbox")
-	for _, entries := range []int{-1, 0} {
-		name := "ring=1024"
-		if entries < 0 {
-			name = "ring=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := harness.Run(harness.DudeSTM, harness.NewHashBench(), harness.Options{
-					Threads:         2,
-					GroupSize:       64,
-					PersistThreads:  2,
-					ReproThreads:    2,
-					BlackboxEntries: entries,
-				}, harness.MeasureOpts{TotalOps: 30000, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.TPS, "tps")
-			}
-		})
-	}
-	f, err := os.Create("BENCH_blackbox.json")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	if err := harness.WriteJSON(f); err != nil {
-		b.Fatal(err)
 	}
 }
 

@@ -3,13 +3,8 @@
 //
 // Usage:
 //
-//	dudebench [-experiment all|fig2|table1|table2|table3|fig3|fig4|fig5|table4|recovery|repl|pipeline|smoke]
-//	          [-threads N] [-maxthreads N] [-quick] [-json] [-list]
-//
-// With -json, the human-readable tables are suppressed and every
-// measured run is emitted to stdout as one JSON document with stable
-// key order ({"records": [...]}), for scripted comparison across
-// commits; progress messages move to stderr.
+//	dudebench [-experiment all|fig2|table1|table2|table3|fig3|fig4|fig5|table4|recovery|smoke]
+//	          [-threads N] [-maxthreads N] [-quick] [-list]
 //
 // Absolute numbers depend on the host; the shapes (which system wins,
 // by roughly what factor, where crossovers fall) are the reproduction
@@ -19,7 +14,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"time"
@@ -49,8 +43,6 @@ func registry(cfg harness.ExpConfig, maxThreads int) []exp {
 		{"fig5", "scalability of TPC-C (B+-tree) with thread count (paper Fig. 5)", func() error { return harness.Fig5(cfg, maxThreads) }},
 		{"table4", "STM- vs HTM-based DudeTM (and their volatile upper bounds) with the durability slowdown (paper Table 4)", func() error { return harness.Table4(cfg) }},
 		{"recovery", "crash-recovery replay throughput and correctness drill", func() error { return harness.Recovery(cfg) }},
-		{"repl", "replicated durability: ship, quorum ack, failover", func() error { return harness.Repl(cfg) }},
-		{"pipeline", "per-stage utilization and backlog under steady load", func() error { return harness.Pipeline(cfg) }},
 		{"smoke", "fast end-to-end sanity pass over the pipeline", func() error { return harness.Smoke(cfg) }},
 	}
 }
@@ -60,17 +52,10 @@ func main() {
 	threads := flag.Int("threads", 2, "Perform threads (the paper uses 4 on a 12-core host)")
 	maxThreads := flag.Int("maxthreads", 4, "largest thread count in the Figure 5 sweep")
 	quick := flag.Bool("quick", false, "divide per-run transaction counts by 10")
-	jsonOut := flag.Bool("json", false, "emit machine-readable results on stdout instead of tables")
 	list := flag.Bool("list", false, "list the registered experiments with one-line descriptions and exit")
 	flag.Parse()
 
-	progress := io.Writer(os.Stdout)
 	cfg := harness.ExpConfig{Threads: *threads, Quick: *quick, Out: os.Stdout}
-	if *jsonOut {
-		harness.StartRecording()
-		cfg.Out = io.Discard
-		progress = os.Stderr
-	}
 
 	exps := registry(cfg, *maxThreads)
 	if *list {
@@ -79,7 +64,7 @@ func main() {
 		}
 		return
 	}
-	fmt.Fprintf(progress, "dudebench: %d threads on %d CPUs, quick=%v\n\n",
+	fmt.Printf("dudebench: %d threads on %d CPUs, quick=%v\n\n",
 		*threads, runtime.NumCPU(), *quick)
 	ran := false
 	for _, e := range exps {
@@ -87,22 +72,15 @@ func main() {
 			continue
 		}
 		ran = true
-		harness.SetExperiment(e.name)
 		start := time.Now()
 		if err := e.run(); err != nil {
 			fmt.Fprintf(os.Stderr, "dudebench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(progress, "[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Second))
+		fmt.Printf("[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Second))
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "dudebench: unknown experiment %q\n", *experiment)
 		os.Exit(2)
-	}
-	if *jsonOut {
-		if err := harness.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "dudebench: writing JSON: %v\n", err)
-			os.Exit(1)
-		}
 	}
 }

@@ -99,10 +99,6 @@ type Config struct {
 	GroupSize int
 	// Compress enables lz4 compression of persisted groups.
 	Compress bool
-	// RecycleEvery batches log recycling: the reproducer persists log
-	// head metadata every N groups (default 64; a lazily armed timer
-	// bounds how long a pending recycle can be deferred).
-	RecycleEvery int
 	// PersistThreads is the number of Persist-step log writers in
 	// ModeAsync (§4.4): a coordinator merges the volatile rings in
 	// commit-ID order and deals sealed groups round-robin to workers,
@@ -124,10 +120,6 @@ type Config struct {
 	// coalescing; default 16. Epochs form only under backlog, so light
 	// load always takes the per-group fast path.
 	ReplayEpochGroups int
-	// ReplayEpochEntries bounds the combined (pre-coalesce) entry count
-	// of one replay epoch, so huge groups don't pile into unbounded
-	// epoch buffers (default 1<<16).
-	ReplayEpochEntries int
 	// TraceSampleEvery enables lifecycle tracing for every N-th
 	// transaction ID: sampled transactions are stamped at commit,
 	// group-seal, persist-fence and reproduce-apply (TraceOf
@@ -137,9 +129,6 @@ type Config struct {
 	// overridable with DUDETM_TRACE_SAMPLE). Per-group metrics (fence
 	// duration, group size, queue dwell) are always recorded.
 	TraceSampleEvery int
-	// TraceRingEntries is the per-source trace-ring capacity
-	// (default 4096).
-	TraceRingEntries int
 	// Watchdog enables the stall watchdog: when > 0, a background
 	// goroutine samples the pipeline every Watchdog interval and calls
 	// OnStall when a frontier with work queued behind it fails to
@@ -170,8 +159,6 @@ type Config struct {
 	// durability (flagged in metrics, never silent); false fails
 	// waiters with ErrQuorumLost until the quorum heals.
 	ReplDegradeLocal bool
-	// OrecCount overrides the STM ownership-record table size.
-	OrecCount uint64
 	// Pmem carries the NVM timing model (latency, bandwidth,
 	// DelayEnabled); its Size field is computed from the layout.
 	Pmem pmem.Config
@@ -193,9 +180,6 @@ func (c *Config) applyDefaults() {
 	if c.GroupSize == 0 {
 		c.GroupSize = 1
 	}
-	if c.RecycleEvery == 0 {
-		c.RecycleEvery = 64
-	}
 	if c.PersistThreads == 0 {
 		c.PersistThreads = defaultStageThreads()
 	}
@@ -204,9 +188,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.ReplayEpochGroups == 0 {
 		c.ReplayEpochGroups = 16
-	}
-	if c.ReplayEpochEntries == 0 {
-		c.ReplayEpochEntries = 1 << 16
 	}
 	if c.TraceSampleEvery == 0 {
 		c.TraceSampleEvery = defaultTraceSample()

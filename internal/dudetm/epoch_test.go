@@ -60,8 +60,19 @@ func TestEpochCoalesceLastWriterWins(t *testing.T) {
 				t.Errorf("epochs=%d: coalescing removed nothing: in=%d out=%d",
 					epochs, st.Reproduce.CoalesceIn, st.Reproduce.CoalesceOut)
 			}
-		} else if st.Reproduce.Epochs != 0 {
-			t.Errorf("epochs=1: replay epochs formed with coalescing disabled: %d", st.Reproduce.Epochs)
+			// The epoch economy: one replay fence per epoch, not per
+			// group.
+			if st.Reproduce.Fences > txs/16 {
+				t.Errorf("epochs=%d: %d replay fences for %d groups, want at most %d",
+					epochs, st.Reproduce.Fences, txs, txs/16)
+			}
+		} else {
+			if st.Reproduce.Epochs != 0 {
+				t.Errorf("epochs=1: replay epochs formed with coalescing disabled: %d", st.Reproduce.Epochs)
+			}
+			if st.Reproduce.Fences != txs {
+				t.Errorf("epochs=1: %d replay fences for %d groups, want one per group", st.Reproduce.Fences, txs)
+			}
 		}
 
 		// The persistent data region must hold exactly the last writes.

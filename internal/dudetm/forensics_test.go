@@ -169,7 +169,7 @@ func TestBlackboxFenceBudget(t *testing.T) {
 // TestBlackboxByteBudget pins the recorder's write traffic on every path
 // that persists a group — the async workers, syncCommit and replica
 // ingest: one 64 B durable-advance line per group plus a recycle line
-// every RecycleEvery-th, the ring header and the boot stamp, and one
+// every recycleEvery-th, the ring header and the boot stamp, and one
 // recycle line per log for each recycle-timer wake and the closing flush. A per-group stamp
 // creeping back in fails here, not in a benchmark.
 func TestBlackboxByteBudget(t *testing.T) {
@@ -222,7 +222,7 @@ func TestBlackboxByteBudget(t *testing.T) {
 			}
 			bb := blackboxRegion(t, s)
 			nlogs := uint64(len(s.writers))
-			lines := st.Groups + st.Groups/uint64(s.cfg.RecycleEvery) + 2 + nlogs*(st.Reproduce.Wakes+1)
+			lines := st.Groups + st.Groups/recycleEvery + 2 + nlogs*(st.Reproduce.Wakes+1)
 			if bb.BytesFlushed == 0 || bb.BytesFlushed > blackbox.SlotBytes*lines {
 				t.Errorf("recorder flushed %d B for %d groups (%.1f B/group), want 0 < bytes <= %d",
 					bb.BytesFlushed, st.Groups, float64(bb.BytesFlushed)/float64(st.Groups), blackbox.SlotBytes*lines)

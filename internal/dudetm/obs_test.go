@@ -67,7 +67,7 @@ func TestTraceLifecycleTimeline(t *testing.T) {
 // TestObsStatsHistograms checks that the latency histograms in
 // Stats().Obs account for every committed transaction once the
 // pipeline drains: with SampleEvery=1, one commit→durable and one
-// commit→reproduced observation per commit.
+// commit→reproduced observation per commit; with tracing off, none.
 func TestObsStatsHistograms(t *testing.T) {
 	cfg := testConfig()
 	cfg.GroupSize = 4
@@ -101,6 +101,28 @@ func TestObsStatsHistograms(t *testing.T) {
 	}
 	if p50 := st.Obs.CommitDurable.Quantile(0.5); p50 == 0 {
 		t.Error("commit→durable p50 = 0, want a positive latency")
+	}
+
+	// Tracing off (forced, whatever DUDETM_TRACE_SAMPLE says): no
+	// transaction is sampled, but the per-group histograms still fill.
+	cfg.TraceSampleEvery = -1
+	s, err = Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		if _, err := s.Run(0, func(tx *Tx) error { tx.Store(i*8, i+1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	st = s.Stats()
+	if st.Obs.SampledCommits != 0 || st.Obs.CommitDurable.Count != 0 {
+		t.Errorf("tracing off: %d commits sampled, %d commit→durable observations, want 0",
+			st.Obs.SampledCommits, st.Obs.CommitDurable.Count)
+	}
+	if st.Obs.GroupTxns.Sum != n {
+		t.Errorf("tracing off: group-size histogram sums to %d transactions, want %d", st.Obs.GroupTxns.Sum, n)
 	}
 }
 
@@ -173,6 +195,10 @@ func TestCritpathFenceBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Commit under a frozen Reproduce, so the whole run queues as a
+		// dense backlog and replay coalesces it into epochs every time,
+		// however the scheduler interleaves the stages.
+		s.PauseReproduce()
 		var last uint64
 		for i := uint64(0); i < n; i++ {
 			tid, err := s.Run(0, func(tx *Tx) error { tx.Store(i*8, i+1); return nil })
@@ -184,6 +210,7 @@ func TestCritpathFenceBudget(t *testing.T) {
 		if err := s.WaitDurable(last); err != nil {
 			t.Fatal(err)
 		}
+		s.ResumeReproduce()
 		s.Drain()
 		if sample > 0 {
 			// Wait for every sampled transaction to flow through the
@@ -229,9 +256,9 @@ func TestCritpathFenceBudget(t *testing.T) {
 		}
 	}
 	// Batched maintenance (meta recycles on a deferral timer, data
-	// replay epochs under backlog) may split a batch differently when
-	// the tracer shifts timing by microseconds — but it must stay
-	// batched, nowhere near one fence per transaction.
+	// replay epochs over the paused backlog) may split a batch
+	// differently when the tracer shifts timing by microseconds — but it
+	// must stay batched, nowhere near one fence per transaction.
 	for _, region := range []string{"meta", "data"} {
 		if rOn[region] > n/4 || rOff[region] > n/4 {
 			t.Errorf("%s-region fences = %d/%d for %d txns — maintenance no longer batched",

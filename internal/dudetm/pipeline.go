@@ -332,6 +332,16 @@ const minShardEntries = 64
 // once one is pending.
 const recycleInterval = 500 * time.Microsecond
 
+// recycleEvery batches log recycling: Reproduce persists a writer's
+// log-head metadata once per this many applied groups (recycleInterval
+// bounds the deferral).
+const recycleEvery = 64
+
+// replayEpochEntries bounds the combined (pre-coalesce) entry count of
+// one replay epoch, so huge groups don't pile into unbounded epoch
+// buffers.
+const replayEpochEntries = 1 << 16
+
 // reproState owns the Reproduce loop's pooled replay buffers: the
 // loop-lifetime flush batch (Fence resets it for reuse), the epoch
 // combiner and the counting-partition backing arrays. Everything here
@@ -519,7 +529,7 @@ func (s *System) reproduceLoop() {
 		p.pos, p.seq = m.g.EndPos, m.g.Seq+1
 		p.count++
 		pendingRecycles++
-		if p.count >= s.cfg.RecycleEvery {
+		if p.count >= recycleEvery {
 			s.writers[m.wi].Recycle(p.pos, p.seq, m.g.MaxTid)
 			s.bbStamp(blackbox.KindRecycle, uint64(m.wi), p.seq, m.g.MaxTid)
 			s.bbFlush()
@@ -581,7 +591,7 @@ func (s *System) reproduceLoop() {
 				budget := len(m.g.Entries)
 				for len(rs.epoch) < s.cfg.ReplayEpochGroups && h.Len() > 0 &&
 					h[0].g.MinTid == rs.epoch[len(rs.epoch)-1].g.MaxTid+1 &&
-					budget+len(h[0].g.Entries) <= s.cfg.ReplayEpochEntries {
+					budget+len(h[0].g.Entries) <= replayEpochEntries {
 					mm := heap.Pop(&h).(repoMsg)
 					budget += len(mm.g.Entries)
 					rs.epoch = append(rs.epoch, mm)
@@ -603,7 +613,7 @@ func (s *System) reproduceLoop() {
 
 	// The timer bounds how long a batched recycle can be deferred, so a
 	// writer blocked on log space always gets freed even when no new
-	// groups arrive (RecycleEvery > 1). It is armed lazily — only while
+	// groups arrive (recycleEvery > 1). It is armed lazily — only while
 	// a recycle is actually pending — so an idle pool takes no timer
 	// wakeups at all (Wakes counts the fires).
 	timer := time.NewTimer(recycleInterval)

@@ -246,7 +246,6 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 	s.obs = obs.New(obs.Config{
 		SampleEvery: cfg.TraceSampleEvery,
 		Sources:     cfg.Threads + 1 + cfg.PersistThreads + 3,
-		RingEntries: cfg.TraceRingEntries,
 	})
 	s.durable.Store(startTid)
 	s.acked.Store(startTid)
@@ -288,7 +287,6 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 	switch cfg.Engine {
 	case EngineSTM:
 		e := stm.New(s.space, stm.Config{
-			OrecCount:    cfg.OrecCount,
 			MaxSlots:     cfg.Threads,
 			OnNoopCommit: s.onNoopCommit,
 		})

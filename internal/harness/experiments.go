@@ -461,8 +461,7 @@ func Table4(c ExpConfig) error {
 // the durable frontier must cover every acknowledged transaction, the
 // standalone forensic report (computed from the image alone) must agree
 // with what recovery restored, and the recovery pass must account for
-// its replay work. The remounted system then serves a measured run, so
-// -json records carry the recovery phase timings and replay volume.
+// its replay work. The remounted system then serves a measured run.
 func Recovery(c ExpConfig) error {
 	c.applyDefaults()
 	ops := 20000
@@ -545,8 +544,7 @@ func Recovery(c ExpConfig) error {
 		return fmt.Errorf("recovery: paused-Reproduce image replayed nothing: %+v", rec)
 	}
 
-	// Phase 4: the recovered system serves a measured run; its Record
-	// carries the recovery stats.
+	// Phase 4: the recovered system serves a measured run.
 	res, err := Measure(rsys, bench, c.Threads, MeasureOpts{TotalOps: ops})
 	if err != nil {
 		return fmt.Errorf("recovery measured run: %w", err)
@@ -605,85 +603,4 @@ func Smoke(c ExpConfig) error {
 		time.Duration(ob.CommitDurable.Quantile(0.5)), time.Duration(ob.CommitDurable.Quantile(0.99)),
 		ob.SampledCommits)
 	return nil
-}
-
-// PipelineBench is the workload the pipeline sweep replays: zipfian KV
-// updates (the paper's §5.5 swap-overhead workload) on a hot 1024-record
-// working set, so repeated updates give epoch coalescing and
-// line-granular write-back real duplication to remove. Shared with
-// BenchmarkPipeline so the recorded JSON and the experiment table come
-// from the same configuration.
-func PipelineBench() Bench {
-	return &KVUpdateBench{Records: 1024, Theta: 0.99, ValueWords: 8}
-}
-
-// PipelineOptions is one row of the pipeline sweep: the timing model is
-// on (NVM write latency + bandwidth), so flushed-line savings show up
-// as stage time, not just counter deltas.
-func PipelineOptions(threads, epochs int, compress bool) Options {
-	return Options{
-		Threads:  threads,
-		DelaysOn: true,
-		// Constrained write bandwidth (the paper's limited-bandwidth NVM
-		// point): stage busy time is dominated by write-back volume, so
-		// the distinct-line economy of epoch coalescing shows up as
-		// Reproduce time while Persist — which writes the full log
-		// regardless — is unaffected.
-		Bandwidth: pmem.GB / 32,
-		GroupSize: 64,
-		// One Persist worker: utilization is normalized per worker, and
-		// on the small host extra workers only dilute the comparison
-		// against the single-ordering-loop Reproduce stage.
-		PersistThreads:    1,
-		ReproThreads:      2,
-		ReplayEpochGroups: epochs,
-		Compress:          compress,
-	}
-}
-
-// Pipeline sweeps the Reproduce replay-epoch group cap on the zipfian
-// KV-update workload (1 = per-group replay, the pre-epoch behavior)
-// plus one Compress=true row exercising the lz4 group path under the
-// same load. Each row records the epoch coalescing counters (epochs
-// formed, entries in/out of last-writer-wins coalescing, cache lines
-// written back) and the per-stage utilizations — the signal that epoch
-// coalescing turns the Reproduce backlog into spare capacity.
-func Pipeline(c ExpConfig) error {
-	c.applyDefaults()
-	ops := 30000
-	if c.Quick {
-		ops /= 10
-	}
-	type row struct {
-		name     string
-		epochs   int
-		compress bool
-	}
-	rows := []row{
-		{"epoch=1", 1, false},
-		{"epoch=4", 4, false},
-		{"epoch=64", 64, false},
-		{"epoch=64+lz4", 64, true},
-	}
-	tw := tabwriter.NewWriter(c.Out, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "config\ttps\trepro busy\trepro fences\tepochs\tcoalesce\tlines\tutil P/R")
-	for _, r := range rows {
-		res, err := Run(DudeSTM, PipelineBench(),
-			PipelineOptions(c.Threads, r.epochs, r.compress),
-			MeasureOpts{TotalOps: ops, Seed: 1})
-		if err != nil {
-			return fmt.Errorf("pipeline %s: %w", r.name, err)
-		}
-		if res.Stats.PersistBusyNS == 0 || res.Stats.ReproBusyNS == 0 {
-			return fmt.Errorf("pipeline %s: stage utilization counters idle", r.name)
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%v\t%d\t%d\t%.2fx\t%d\t%.2f/%.2f\n",
-			r.name, fmtTPS(res.TPS),
-			time.Duration(res.Stats.ReproBusyNS), res.Stats.ReproFences,
-			res.Stats.ReproEpochs,
-			coalesceRatio(res.Stats.ReproCoalesceIn, res.Stats.ReproCoalesceOut),
-			res.Stats.ReproLines,
-			res.Stats.PersistUtil, res.Stats.ReproUtil)
-	}
-	return tw.Flush()
 }

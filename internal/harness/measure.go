@@ -26,9 +26,6 @@ type MeasureOpts struct {
 
 // Result is one measured benchmark run.
 type Result struct {
-	Sys     SysKind
-	Bench   string
-	Threads int
 	Ops     uint64
 	Elapsed time.Duration
 
@@ -37,9 +34,7 @@ type Result struct {
 
 	// Durable-ack latency quantiles (valid when sampled), from the
 	// same mergeable power-of-two-bucket histogram all drivers share.
-	P50, P90, P99, P999 time.Duration
-	// Latency is the full histogram behind the quantiles.
-	Latency obs.HistSnapshot
+	P50, P90, P99 time.Duration
 
 	// System counters over the measured interval.
 	Stats SysStats
@@ -146,15 +141,11 @@ func Measure(sys System, bench Bench, threads int, m MeasureOpts) (Result, error
 	after := sys.Stats()
 
 	res := Result{
-		Sys:     sys.Kind(),
-		Bench:   bench.Name(),
-		Threads: threads,
 		Ops:     uint64(perThread * threads),
 		Elapsed: elapsed,
 		TPS:     float64(perThread*threads) / elapsed.Seconds(),
 		Stats: SysStats{
 			Commits:       after.Commits - before.Commits,
-			Aborts:        after.Aborts - before.Aborts,
 			Writes:        after.Writes - before.Writes,
 			NVMBytes:      after.NVMBytes - before.NVMBytes,
 			LogBytes:      after.LogBytes - before.LogBytes,
@@ -164,29 +155,15 @@ func Measure(sys System, bench Bench, threads int, m MeasureOpts) (Result, error
 			ReproBusyNS:   after.ReproBusyNS - before.ReproBusyNS,
 			PersistFences: after.PersistFences - before.PersistFences,
 			ReproFences:   after.ReproFences - before.ReproFences,
-			// Utilization is absolute (since pool start); every measured
-			// run builds a fresh pool, so it describes the run.
-			PersistUtil:      after.PersistUtil,
-			ReproUtil:        after.ReproUtil,
-			ReproEpochs:      after.ReproEpochs - before.ReproEpochs,
-			ReproCoalesceIn:  after.ReproCoalesceIn - before.ReproCoalesceIn,
-			ReproCoalesceOut: after.ReproCoalesceOut - before.ReproCoalesceOut,
-			ReproLines:       after.ReproLines - before.ReproLines,
-			Obs:              after.Obs.Sub(before.Obs),
-			// Recovery happened (if at all) at mount, before the run;
-			// carry it absolute rather than as an interval delta.
-			Recovery: after.Recovery,
+			Obs:           after.Obs.Sub(before.Obs),
 		},
 	}
 	if m.SampleLat {
-		res.Latency = latHist.Snapshot()
-		if res.Latency.Count > 0 {
-			res.P50 = time.Duration(res.Latency.Quantile(0.50))
-			res.P90 = time.Duration(res.Latency.Quantile(0.90))
-			res.P99 = time.Duration(res.Latency.Quantile(0.99))
-			res.P999 = time.Duration(res.Latency.Quantile(0.999))
+		if lat := latHist.Snapshot(); lat.Count > 0 {
+			res.P50 = time.Duration(lat.Quantile(0.50))
+			res.P90 = time.Duration(lat.Quantile(0.90))
+			res.P99 = time.Duration(lat.Quantile(0.99))
 		}
 	}
-	record(res)
 	return res, nil
 }

@@ -90,15 +90,6 @@ type Options struct {
 	// TraceSampleEvery enables lifecycle tracing for every N-th
 	// transaction (DudeTM only; 0 = default / DUDETM_TRACE_SAMPLE).
 	TraceSampleEvery int
-	// BlackboxEntries sizes the persistent flight-recorder ring (DudeTM
-	// only; 0 = dudetm default, negative disables the recorder).
-	BlackboxEntries int
-	// ReplayEpochGroups caps Reproduce epoch coalescing (DudeTM only;
-	// 0 = dudetm default, 1 disables coalescing).
-	ReplayEpochGroups int
-	// ReplayEpochEntries bounds the combined entry count of one replay
-	// epoch (DudeTM only; 0 = dudetm default).
-	ReplayEpochEntries int
 }
 
 func (o *Options) applyDefaults() {
@@ -121,7 +112,6 @@ func (o *Options) applyDefaults() {
 // snapshots.
 type SysStats struct {
 	Commits     uint64
-	Aborts      uint64
 	Writes      uint64 // transactional writes (dtmWrite count; DudeTM only)
 	NVMBytes    uint64 // bytes written back to NVM
 	LogBytes    uint64 // serialized log bytes (after combine/compress)
@@ -133,32 +123,17 @@ type SysStats struct {
 	ReproBusyNS   uint64
 	PersistFences uint64
 	ReproFences   uint64
-	// PersistUtil and ReproUtil are absolute per-worker utilizations
-	// since pool start (DudeTM only) — not interval deltas, but the
-	// harness builds a fresh pool per measured run, so they describe
-	// the run.
-	PersistUtil float64
-	ReproUtil   float64
-	// Replay-epoch coalescing counters (DudeTM only): coalesced
-	// epochs, entries entering / surviving last-writer-wins
-	// coalescing, and cache lines written back by replay.
-	ReproEpochs      uint64
-	ReproCoalesceIn  uint64
-	ReproCoalesceOut uint64
-	ReproLines       uint64
 	// Obs carries the lifecycle-latency histograms (DudeTM only;
 	// mergeable snapshots, interval activity via Obs.Sub).
 	Obs obs.Snapshot
 	// Recovery describes the mount-time recovery pass (DudeTM only).
 	// Unlike the counters above it is not an interval delta: recovery
-	// happens once, before any measurement, so snapshots carry it
-	// absolute.
+	// happens once, at mount, so only System.Stats carries it.
 	Recovery dudetm.RecoveryStats
 }
 
 // System is the harness view of a system under test.
 type System interface {
-	Kind() SysKind
 	// Run executes one transaction; tid is meaningful for durability
 	// waiting on DudeTM systems.
 	Run(slot int, fn func(memdb.Ctx) error) (uint64, error)
@@ -187,10 +162,10 @@ func NewSystem(kind SysKind, o Options) (System, error) {
 	switch kind {
 	case VolatileSTM:
 		sp := shadow.NewFlat(o.DataSize, nil, 4096)
-		return &volatileSys{kind: kind, tm: stm.New(sp, stm.Config{MaxSlots: o.Threads})}, nil
+		return &volatileSys{tm: stm.New(sp, stm.Config{MaxSlots: o.Threads})}, nil
 	case VolatileHTM:
 		sp := shadow.NewFlat(o.DataSize, nil, 4096)
-		return &volatileSys{kind: kind, tm: stm.NewHTM(sp, stm.HTMConfig{MaxSlots: o.Threads})}, nil
+		return &volatileSys{tm: stm.NewHTM(sp, stm.HTMConfig{MaxSlots: o.Threads})}, nil
 	case DudeSTM, DudeInf, DudeSync, DudeHTM:
 		s, err := dudetm.Create(dudeConfig(kind, o, pc))
 		if err != nil {
@@ -225,20 +200,17 @@ func NewSystem(kind SysKind, o Options) (System, error) {
 // DudeTM variant.
 func dudeConfig(kind SysKind, o Options, pc pmem.Config) dudetm.Config {
 	cfg := dudetm.Config{
-		DataSize:           o.DataSize,
-		Threads:            o.Threads,
-		GroupSize:          o.GroupSize,
-		Compress:           o.Compress,
-		VLogEntries:        o.VLogEntries,
-		Shadow:             o.Shadow,
-		ShadowBytes:        o.ShadowBytes,
-		PersistThreads:     o.PersistThreads,
-		ReproThreads:       o.ReproThreads,
-		ReplayEpochGroups:  o.ReplayEpochGroups,
-		ReplayEpochEntries: o.ReplayEpochEntries,
-		TraceSampleEvery:   o.TraceSampleEvery,
-		BlackboxEntries:    o.BlackboxEntries,
-		Pmem:               pc,
+		DataSize:         o.DataSize,
+		Threads:          o.Threads,
+		GroupSize:        o.GroupSize,
+		Compress:         o.Compress,
+		VLogEntries:      o.VLogEntries,
+		Shadow:           o.Shadow,
+		ShadowBytes:      o.ShadowBytes,
+		PersistThreads:   o.PersistThreads,
+		ReproThreads:     o.ReproThreads,
+		TraceSampleEvery: o.TraceSampleEvery,
+		Pmem:             pc,
 	}
 	switch kind {
 	case DudeInf:
@@ -282,11 +254,8 @@ func RecoverSystem(kind SysKind, img []byte, o Options) (System, error) {
 // --- volatile TM adapter ---
 
 type volatileSys struct {
-	kind SysKind
-	tm   stm.TM
+	tm stm.TM
 }
-
-func (v *volatileSys) Kind() SysKind { return v.kind }
 
 func (v *volatileSys) Run(slot int, fn func(memdb.Ctx) error) (uint64, error) {
 	return v.tm.Run(slot, func(tx stm.Tx) error { return fn(tx) })
@@ -299,7 +268,7 @@ func (v *volatileSys) Close()                {}
 
 func (v *volatileSys) Stats() SysStats {
 	st := v.tm.Stats()
-	return SysStats{Commits: st.Commits, Aborts: st.Aborts}
+	return SysStats{Commits: st.Commits}
 }
 
 // --- DudeTM adapter ---
@@ -308,8 +277,6 @@ type dudeSys struct {
 	kind SysKind
 	s    *dudetm.System
 }
-
-func (d *dudeSys) Kind() SysKind { return d.kind }
 
 // Sys exposes the underlying system (for paging stats and experiments).
 func (d *dudeSys) Sys() *dudetm.System { return d.s }
@@ -330,25 +297,18 @@ func (d *dudeSys) Close() { d.s.Close() }
 func (d *dudeSys) Stats() SysStats {
 	st := d.s.Stats()
 	return SysStats{
-		Commits:          st.TM.Commits,
-		Aborts:           st.TM.Aborts,
-		Writes:           st.Writes,
-		NVMBytes:         st.Device.BytesFlushed,
-		LogBytes:         st.LogBytes,
-		RawEntries:       st.RawEntries,
-		CombEntries:      st.CombEntries,
-		PersistBusyNS:    st.Persist.BusyNanos,
-		ReproBusyNS:      st.Reproduce.BusyNanos,
-		PersistFences:    st.Persist.Fences,
-		ReproFences:      st.Reproduce.Fences,
-		PersistUtil:      st.Persist.Utilization,
-		ReproUtil:        st.Reproduce.Utilization,
-		ReproEpochs:      st.Reproduce.Epochs,
-		ReproCoalesceIn:  st.Reproduce.CoalesceIn,
-		ReproCoalesceOut: st.Reproduce.CoalesceOut,
-		ReproLines:       st.Reproduce.LinesFlushed,
-		Obs:              st.Obs,
-		Recovery:         st.Recovery,
+		Commits:       st.TM.Commits,
+		Writes:        st.Writes,
+		NVMBytes:      st.Device.BytesFlushed,
+		LogBytes:      st.LogBytes,
+		RawEntries:    st.RawEntries,
+		CombEntries:   st.CombEntries,
+		PersistBusyNS: st.Persist.BusyNanos,
+		ReproBusyNS:   st.Reproduce.BusyNanos,
+		PersistFences: st.Persist.Fences,
+		ReproFences:   st.Reproduce.Fences,
+		Obs:           st.Obs,
+		Recovery:      st.Recovery,
 	}
 }
 
@@ -357,8 +317,6 @@ func (d *dudeSys) Stats() SysStats {
 type mnemoSys struct {
 	s *mnemosyne.System
 }
-
-func (m *mnemoSys) Kind() SysKind { return Mnemosyne }
 
 func (m *mnemoSys) Run(slot int, fn func(memdb.Ctx) error) (uint64, error) {
 	return m.s.Run(slot, func(tx *mnemosyne.Tx) error { return fn(tx) })
@@ -370,8 +328,8 @@ func (m *mnemoSys) AsyncDurability() bool { return false }
 func (m *mnemoSys) Close()                {}
 
 func (m *mnemoSys) Stats() SysStats {
-	c, a := m.s.Stats()
-	return SysStats{Commits: c, Aborts: a, NVMBytes: m.s.Device().Stats().BytesFlushed}
+	c, _ := m.s.Stats()
+	return SysStats{Commits: c, NVMBytes: m.s.Device().Stats().BytesFlushed}
 }
 
 // --- NVML adapter ---
@@ -383,9 +341,6 @@ type NVMLSys struct {
 	s       *nvml.System
 	commits atomic.Uint64
 }
-
-// Kind implements System.
-func (n *NVMLSys) Kind() SysKind { return NVML }
 
 // S exposes the underlying system for the static drivers.
 func (n *NVMLSys) S() *nvml.System { return n.s }

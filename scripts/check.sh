@@ -53,13 +53,15 @@ echo "== go test -race (stm, redolog, dudetm, server, obs, repl; 4 stage threads
 # its sender/receiver goroutines race real TCP reconnects.
 DUDETM_STAGE_THREADS=4 DUDETM_TRACE_SAMPLE=4 go test -race -count=1 ./internal/stm ./internal/redolog ./internal/dudetm ./internal/server ./internal/obs ./internal/repl
 
-echo "== park/wake: coordinator, park.Frontier, Crash on a full log or window (GOMAXPROCS=1, -race)"
+echo "== park/wake: coordinator, park.Frontier, Crash on a full log or window, fence budget (GOMAXPROCS=1, -race)"
 # One processor: a coordinator that spins instead of parking starves
 # its committers, and a lost wakeup hangs a WaitDurable or a
 # park.Frontier handoff; a persist worker parked on log space, or the
 # coordinator parked on the persist window, must not hang Crash (each
-# wait is bounded at 5 s inside the tests).
-GOMAXPROCS=1 go test -race -count=3 -run 'TestIdleCoordinatorNoWakes|TestNoLostWakeup|TestStopWhileParked|TestHeldAppendJoinsOneGroup|TestCrashWithFullLog|TestCrashWithFullWindow' ./internal/dudetm
+# wait is bounded at 5 s inside the tests). TestCritpathFenceBudget's
+# replay-fence bound must hold however one processor interleaves the
+# stages.
+GOMAXPROCS=1 go test -race -count=3 -run 'TestIdleCoordinatorNoWakes|TestNoLostWakeup|TestStopWhileParked|TestHeldAppendJoinsOneGroup|TestCrashWithFullLog|TestCrashWithFullWindow|TestCritpathFenceBudget' ./internal/dudetm
 GOMAXPROCS=1 go test -race -count=3 ./internal/park
 
 echo "== no sleep-polling in the pipeline packages"
