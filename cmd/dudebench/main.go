@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dudebench [-experiment all|fig2|table1|table2|table3|fig3|fig4|fig5|table4|recovery|smoke]
+//	dudebench [-experiment all|fig2|table1|table2|table3|fig3|fig4|fig5|table4|recovery]
 //	          [-threads N] [-maxthreads N] [-quick] [-list]
 //
 // Absolute numbers depend on the host; the shapes (which system wins,
@@ -43,7 +43,6 @@ func registry(cfg harness.ExpConfig, maxThreads int) []exp {
 		{"fig5", "scalability of TPC-C (B+-tree) with thread count (paper Fig. 5)", func() error { return harness.Fig5(cfg, maxThreads) }},
 		{"table4", "STM- vs HTM-based DudeTM (and their volatile upper bounds) with the durability slowdown (paper Table 4)", func() error { return harness.Table4(cfg) }},
 		{"recovery", "crash-recovery replay throughput and correctness drill", func() error { return harness.Recovery(cfg) }},
-		{"smoke", "fast end-to-end sanity pass over the pipeline", func() error { return harness.Smoke(cfg) }},
 	}
 }
 

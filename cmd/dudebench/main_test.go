@@ -71,7 +71,7 @@ func TestListDescriptionsComeFromDocComments(t *testing.T) {
 // script that keys off the list.
 func TestRegistryNames(t *testing.T) {
 	want := []string{"fig2", "table1", "table2", "table3", "fig3", "fig4", "fig5", "table4",
-		"recovery", "smoke"}
+		"recovery"}
 	var got []string
 	for _, e := range registry(harness.ExpConfig{}, 0) {
 		got = append(got, e.name)

@@ -6,13 +6,9 @@ import (
 	"sort"
 	"strings"
 	"time"
-)
 
-// critpathSegments mirrors obs.CritSegment.String() in pipeline order;
-// the rendered table re-ranks them by attributed time.
-var critpathSegments = []string{
-	"ring_dwell", "seal_wait", "persist_fence", "repl_ship", "quorum_wait", "notify",
-}
+	"dudetm/internal/obs"
+)
 
 // runCritpath scrapes a dudesrv metrics endpoint twice and renders
 // where the commit→acked window of the interval's sampled transactions
@@ -83,9 +79,11 @@ func renderCritpath(url, window string, m map[string]float64) {
 		name  string
 		total float64
 	}
-	rows := make([]row, 0, len(critpathSegments))
-	for _, seg := range critpathSegments {
-		rows = append(rows, row{seg, m[`dudetm_critpath_segment_seconds_total{segment="`+seg+`"}`]})
+	// Segments start in pipeline order; the table re-ranks them by
+	// attributed time.
+	rows := make([]row, 0, obs.NumCritSegments)
+	for seg := obs.CritSegment(0); seg < obs.NumCritSegments; seg++ {
+		rows = append(rows, row{seg.String(), m[`dudetm_critpath_segment_seconds_total{segment="`+seg.String()+`"}`]})
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].total > rows[j].total })
 	fmt.Printf("  %-4s %-14s %12s %8s\n", "rank", "segment", "per txn", "share")

@@ -94,13 +94,9 @@ type Options struct {
 	// Sync makes every transaction flush its own log and wait for
 	// durability before returning (the DUDETM-Sync configuration).
 	Sync bool
-	// HTM runs Perform on the simulated hardware TM instead of the STM.
-	HTM bool
 	// GroupSize combines this many consecutive transactions into one
 	// persist group (cross-transaction write combination).
 	GroupSize int
-	// Compress lz4-compresses persisted groups.
-	Compress bool
 	// PersistThreads is the Persist-stage worker count: sealed groups
 	// are dealt round-robin to this many log writers (0 = default,
 	// min(2, GOMAXPROCS) or DUDETM_STAGE_THREADS).
@@ -109,31 +105,22 @@ type Options struct {
 	// are split by address shard and applied concurrently under one
 	// persist barrier (0 = same default).
 	ReproThreads int
-	// ShadowBytes, when non-zero, uses a demand-paged shadow memory of
-	// this size instead of a full mirror.
-	ShadowBytes uint64
-	// HWPaging selects simulated hardware paging for the paged shadow.
-	HWPaging bool
 	// TraceSampleEvery enables lifecycle tracing for every N-th
 	// transaction: sampled transactions are stamped at commit,
 	// group-seal, persist-fence and reproduce-apply (TraceOf
 	// reconstructs the timeline) and feed the commit→durable /
 	// commit→reproduced latency histograms in Stats().Obs. 1 traces
-	// everything, 0 (default) disables per-transaction tracing;
-	// per-group metrics are always recorded.
+	// everything; 0 (default) traces every N-th when the
+	// DUDETM_TRACE_SAMPLE environment variable sets N and nothing
+	// otherwise; a negative value disables per-transaction tracing
+	// whatever the environment says. Per-group metrics are always
+	// recorded.
 	TraceSampleEvery int
 	// Watchdog, when non-zero, runs a stall watchdog sampling the
 	// pipeline at this interval: a frontier with work queued behind it
 	// that stops advancing (outside PausePersist/PauseReproduce) is
-	// reported via OnStall, or to the standard logger when nil.
+	// logged, counted in Stats().Stalls and kept as LastStall.
 	Watchdog time.Duration
-	// OnStall receives watchdog stall reports.
-	OnStall func(StallReport)
-	// BlackboxEntries sizes the persistent flight-recorder ring stamped
-	// at pipeline milestones and decoded into the post-crash
-	// CrashReport. 0 selects the default (1024 slots); negative
-	// disables the recorder.
-	BlackboxEntries int
 	// ReplFactor is the number of peer replicas sealed persist groups
 	// are shipped to (0 = replication off). The pool only gates on
 	// acknowledgments; attach the transport with EnableReplication.
@@ -159,13 +146,10 @@ func (o Options) config() idudetm.Config {
 		DataSize:         o.DataSize,
 		Threads:          o.Threads,
 		GroupSize:        o.GroupSize,
-		Compress:         o.Compress,
 		PersistThreads:   o.PersistThreads,
 		ReproThreads:     o.ReproThreads,
 		TraceSampleEvery: o.TraceSampleEvery,
 		Watchdog:         o.Watchdog,
-		OnStall:          o.OnStall,
-		BlackboxEntries:  o.BlackboxEntries,
 		ReplFactor:       o.ReplFactor,
 		ReplQuorum:       o.ReplQuorum,
 		ReplDegradeLocal: o.ReplDegradeLocal,
@@ -175,16 +159,6 @@ func (o Options) config() idudetm.Config {
 	}
 	if o.Sync {
 		cfg.Mode = idudetm.ModeSync
-	}
-	if o.HTM {
-		cfg.Engine = idudetm.EngineHTM
-	}
-	if o.ShadowBytes != 0 {
-		cfg.Shadow = idudetm.ShadowSW
-		if o.HWPaging {
-			cfg.Shadow = idudetm.ShadowHW
-		}
-		cfg.ShadowBytes = o.ShadowBytes
 	}
 	cfg.Pmem = pmem.Config{
 		WriteLatency: o.Latency,

@@ -66,6 +66,18 @@ const (
 	ShadowHW
 )
 
+const (
+	// pageSize is the paging granularity of pools this build creates.
+	// Recover takes an existing pool's page size from its header.
+	pageSize = 4096
+	// blackboxEntries is the slot count of the persistent flight
+	// recorder (one 64-byte slot per entry, in its own pool region):
+	// the pipeline stamps it at persistence milestones and the
+	// post-crash forensics pass decodes the survivors into the
+	// CrashReport.
+	blackboxEntries = 1024
+)
+
 // Config describes a DudeTM system.
 type Config struct {
 	// DataSize is the persistent data region size in bytes (page
@@ -82,8 +94,6 @@ type Config struct {
 	Shadow ShadowKind
 	// ShadowBytes is the shadow DRAM budget for paged configurations.
 	ShadowBytes uint64
-	// PageSize is the paging granularity (default 4096).
-	PageSize uint64
 	// VLogEntries is the per-thread volatile redo-log capacity in
 	// entries (default 1<<20, the paper's one million; use a large
 	// value for the DUDETM-Inf configuration).
@@ -130,20 +140,12 @@ type Config struct {
 	// duration, group size, queue dwell) are always recorded.
 	TraceSampleEvery int
 	// Watchdog enables the stall watchdog: when > 0, a background
-	// goroutine samples the pipeline every Watchdog interval and calls
-	// OnStall when a frontier with work queued behind it fails to
+	// goroutine samples the pipeline every Watchdog interval and
+	// reports a stall (logged, counted in Stats().Stalls, kept as
+	// LastStall) when a frontier with work queued behind it fails to
 	// advance across two consecutive samples (pauses via PausePersist /
 	// PauseReproduce are suppressed). 0 disables it.
 	Watchdog time.Duration
-	// OnStall receives stall reports from the watchdog; nil logs the
-	// report to the standard logger.
-	OnStall func(StallReport)
-	// BlackboxEntries sizes the persistent flight-recorder ring (one
-	// 64-byte slot per entry, in its own pool region): the pipeline
-	// stamps it at persistence milestones and the post-crash forensics
-	// pass decodes the survivors into the CrashReport. 0 selects the
-	// default (1024 slots); a negative value disables the recorder.
-	BlackboxEntries int
 	// ReplFactor is the number of peer replicas the attached
 	// replication sender ships sealed groups to (R; 0 = replication
 	// off). The pool itself only gates on acks — the sender attached
@@ -167,9 +169,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.Threads == 0 {
 		c.Threads = 1
-	}
-	if c.PageSize == 0 {
-		c.PageSize = 4096
 	}
 	if c.VLogEntries == 0 {
 		c.VLogEntries = 1 << 20
@@ -195,25 +194,13 @@ func (c *Config) applyDefaults() {
 	if c.TraceSampleEvery < 0 {
 		c.TraceSampleEvery = 0
 	}
-	if c.BlackboxEntries == 0 {
-		c.BlackboxEntries = 1024
-	}
 	if c.DataSize == 0 {
 		c.DataSize = 64 << 20
 	}
 	if c.ReplFactor > 0 && c.ReplQuorum == 0 {
 		c.ReplQuorum = c.ReplFactor
 	}
-	c.DataSize = (c.DataSize + c.PageSize - 1) &^ (c.PageSize - 1)
-}
-
-// bbEntries resolves BlackboxEntries to a ring slot count (0 when the
-// recorder is disabled).
-func (c *Config) bbEntries() uint64 {
-	if c.BlackboxEntries <= 0 {
-		return 0
-	}
-	return uint64(c.BlackboxEntries)
+	c.DataSize = (c.DataSize + pageSize - 1) &^ (pageSize - 1)
 }
 
 // defaultStageThreads resolves the default worker count for the two

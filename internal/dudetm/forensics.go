@@ -132,9 +132,6 @@ func buildCrashReport(dev *pmem.Device, lay layout, results []redolog.ScanResult
 	for _, g := range groups {
 		rep.LiveEntries += len(g.Entries)
 	}
-	if lay.bbEntries == 0 {
-		return rep
-	}
 	recs, torn, err := blackbox.Decode(dev, lay.bbOff)
 	if err != nil {
 		// A destroyed ring is itself a finding, not a fatal condition:

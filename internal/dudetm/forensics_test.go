@@ -371,35 +371,26 @@ func TestForensicsReadsPreRetirementRing(t *testing.T) {
 	}
 }
 
-// TestBlackboxDisabled checks the opt-out: a negative BlackboxEntries
-// yields a pool with no recorder region that still crashes and
-// recovers, producing a log-only report.
-func TestBlackboxDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.BlackboxEntries = -1
-	dev, last := crashWithDeepLog(t, cfg)
-	rep, err := Forensics(dev)
+// TestZeroRecorderSlotsRefused: the flight recorder is always on, so a
+// pool header declaring 0 recorder slots — even one with a valid CRC —
+// describes an image this build has no recorder region for. Recover and
+// Forensics both refuse it, naming the cause.
+func TestZeroRecorderSlotsRefused(t *testing.T) {
+	s, err := Create(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Events) != 0 || rep.LastDurableStamp != 0 {
-		t.Errorf("recorder disabled but report has stamps: %+v", rep)
+	s.Close()
+	dev := restoreInto(s)
+	lay := s.lay
+	lay.bbEntries = 0
+	writeHeader(dev, lay)
+	const want = "no flight-recorder slots"
+	if _, err := Recover(dev, testConfig()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Recover error = %v, want one containing %q", err, want)
 	}
-	if rep.LogFrontier < last {
-		t.Errorf("log-only frontier %d < acked %d", rep.LogFrontier, last)
-	}
-	s2, err := Recover(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	for _, r := range s2.Stats().Regions {
-		if r.Name == "blackbox" {
-			t.Error("disabled recorder still has a region")
-		}
-	}
-	if err := s2.AuditRecovery(last); err != nil {
-		t.Error(err)
+	if _, err := Forensics(dev); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Forensics error = %v, want one containing %q", err, want)
 	}
 }
 

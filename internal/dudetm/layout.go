@@ -18,7 +18,7 @@ import (
 //	                        used, line-aligned so each persists
 //	                        atomically)
 //	[bbOff, logsOff)        flight-recorder ring (blackbox.Size(bbEntries)
-//	                        bytes; absent when bbEntries is 0)
+//	                        bytes)
 //	[logsOff, ...)          nlogs persistent log buffers
 //	[dataOff, +dataSize)    persistent data region (page aligned)
 const (
@@ -38,7 +38,7 @@ type layout struct {
 	logSize   uint64
 	dataSize  uint64
 	pageSize  uint64
-	bbEntries uint64 // flight-recorder ring slots; 0 = no ring
+	bbEntries uint64 // flight-recorder ring slots
 
 	metaOff uint64
 	bbOff   uint64
@@ -52,10 +52,7 @@ func computeLayout(nlogs, logSize, dataSize, pageSize, bbEntries uint64) layout 
 		pageSize: pageSize, bbEntries: bbEntries}
 	l.metaOff = headerBytes
 	l.bbOff = l.metaOff + nlogs*metaSlotBytes
-	l.logsOff = l.bbOff
-	if bbEntries > 0 {
-		l.logsOff += blackbox.Size(bbEntries)
-	}
+	l.logsOff = l.bbOff + blackbox.Size(bbEntries)
 	l.dataOff = (l.logsOff + nlogs*logSize + pageSize - 1) &^ (pageSize - 1)
 	l.total = l.dataOff + dataSize
 	return l
@@ -67,17 +64,13 @@ func (l layout) logAddr(i int) uint64  { return l.logsOff + uint64(i)*l.logSize 
 // regions names the layout's sub-ranges for the device's per-region
 // flush/fence/byte accounting.
 func (l layout) regions() []pmem.Region {
-	rs := []pmem.Region{
+	return []pmem.Region{
 		{Name: "header", Addr: 0, Size: headerBytes},
 		{Name: "meta", Addr: l.metaOff, Size: l.nlogs * metaSlotBytes},
+		{Name: "blackbox", Addr: l.bbOff, Size: l.logsOff - l.bbOff},
+		{Name: "log", Addr: l.logsOff, Size: l.nlogs * l.logSize},
+		{Name: "data", Addr: l.dataOff, Size: l.dataSize},
 	}
-	if l.bbEntries > 0 {
-		rs = append(rs, pmem.Region{Name: "blackbox", Addr: l.bbOff, Size: l.logsOff - l.bbOff})
-	}
-	return append(rs,
-		pmem.Region{Name: "log", Addr: l.logsOff, Size: l.nlogs * l.logSize},
-		pmem.Region{Name: "data", Addr: l.dataOff, Size: l.dataSize},
-	)
 }
 
 // writeHeader persists the pool header.
@@ -110,12 +103,16 @@ func readHeader(dev *pmem.Device) (layout, error) {
 	if uint64(crc32.Checksum(b[:48], headerCRCTable)) != crc {
 		return layout{}, fmt.Errorf("dudetm: corrupt pool header")
 	}
+	bbEntries := binary.LittleEndian.Uint64(b[40:])
+	if bbEntries == 0 {
+		return layout{}, fmt.Errorf("dudetm: pool header declares no flight-recorder slots (this build always keeps a recorder)")
+	}
 	l := computeLayout(
 		binary.LittleEndian.Uint64(b[8:]),
 		binary.LittleEndian.Uint64(b[16:]),
 		binary.LittleEndian.Uint64(b[24:]),
 		binary.LittleEndian.Uint64(b[32:]),
-		binary.LittleEndian.Uint64(b[40:]),
+		bbEntries,
 	)
 	if l.total > dev.Size() {
 		return layout{}, fmt.Errorf("dudetm: pool layout (%d bytes) exceeds device (%d bytes)", l.total, dev.Size())

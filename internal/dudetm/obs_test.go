@@ -1,7 +1,6 @@
 package dudetm
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,9 +232,12 @@ func TestCritpathFenceBudget(t *testing.T) {
 		}
 		st := s.Stats()
 		s.Close()
+		if sample < 0 && st.Obs.SampledCommits != 0 {
+			t.Fatalf("tracing off: %d of %d commits sampled", st.Obs.SampledCommits, n)
+		}
 		return regionFences(t, st), st.Persist.Fences, st.Persist.Groups
 	}
-	rOff, fOff, gOff := run(0)
+	rOff, fOff, gOff := run(-1) // -1: off even under DUDETM_TRACE_SAMPLE
 	rOn, fOn, gOn := run(1)
 	if gOff != n || gOn != n {
 		t.Fatalf("groups = %d/%d, want %d each (GroupSize 1)", gOff, gOn, n)
@@ -282,7 +284,6 @@ func regionFences(t *testing.T, st Stats) map[string]uint64 {
 // behind it — the exact shape of a stall — and the watchdog must not
 // fire, because the pause flags explain the freeze.
 func TestWatchdogQuietDuringPauseDrills(t *testing.T) {
-	var fired atomic.Int64
 	cfg := testConfig()
 	cfg.Threads = 1
 	// Wide enough that two consecutive ticks never both land inside one
@@ -291,7 +292,6 @@ func TestWatchdogQuietDuringPauseDrills(t *testing.T) {
 	// watchdog does sample the frozen-frontier shape it must stay quiet
 	// about.
 	cfg.Watchdog = 25 * time.Millisecond
-	cfg.OnStall = func(StallReport) { fired.Add(1) }
 	s, err := Create(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -323,11 +323,8 @@ func TestWatchdogQuietDuringPauseDrills(t *testing.T) {
 
 	s.Drain()
 	s.Close()
-	if n := fired.Load(); n != 0 {
-		t.Fatalf("watchdog fired %d times during pause drills", n)
-	}
 	if st := s.Stats(); st.Stalls != 0 {
-		t.Fatalf("Stats().Stalls = %d during pause drills", st.Stalls)
+		t.Fatalf("watchdog fired %d times during pause drills", st.Stalls)
 	}
 }
 
@@ -336,17 +333,10 @@ func TestWatchdogQuietDuringPauseDrills(t *testing.T) {
 // shape of a real deadlock — and checks the watchdog fires with a
 // usable report.
 func TestWatchdogFiresOnGenuineStall(t *testing.T) {
-	reports := make(chan StallReport, 16)
 	cfg := testConfig()
 	cfg.Threads = 1
 	cfg.TraceSampleEvery = 1
 	cfg.Watchdog = 2 * time.Millisecond
-	cfg.OnStall = func(r StallReport) {
-		select {
-		case reports <- r:
-		default:
-		}
-	}
 	s, err := Create(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -364,13 +354,15 @@ func TestWatchdogFiresOnGenuineStall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var rep StallReport
-	select {
-	case rep = <-reports:
-	case <-time.After(2 * time.Second):
-		s.persistGate.Unlock()
-		t.Fatal("watchdog never fired on a wedged persist coordinator")
+	deadline := time.Now().Add(2 * time.Second)
+	for s.LastStall() == nil {
+		if time.Now().After(deadline) {
+			s.persistGate.Unlock()
+			t.Fatal("watchdog never fired on a wedged persist coordinator")
+		}
+		time.Sleep(time.Millisecond)
 	}
+	rep := *s.LastStall()
 	s.persistGate.Unlock()
 
 	if rep.Stage != "persist" {
@@ -390,9 +382,6 @@ func TestWatchdogFiresOnGenuineStall(t *testing.T) {
 	s.Close()
 	if s.Stats().Stalls == 0 {
 		t.Error("Stats().Stalls = 0 after a detected stall")
-	}
-	if s.LastStall() == nil {
-		t.Error("LastStall() = nil after a detected stall")
 	}
 }
 

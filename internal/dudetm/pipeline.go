@@ -267,7 +267,7 @@ func (s *System) persistWorker(wi int) {
 		s.reproCh <- repoMsg{g: m.g, w: w, wi: wi, ep: m.ep}
 		// One write-back for the durable stamp the window took above; it
 		// rides after the group's own barrier, adding no fence of its own.
-		s.bbFlush()
+		s.bb.Flush()
 		s.workerGates[wi].Unlock()
 	}
 }
@@ -504,12 +504,12 @@ func (s *System) reproduceLoop() {
 			if pend[i].count > 0 {
 				repro := s.reproduced.Load()
 				s.writers[i].Recycle(pend[i].pos, pend[i].seq, repro)
-				s.bbStamp(blackbox.KindRecycle, uint64(i), pend[i].seq, repro)
+				s.bb.Stamp(blackbox.KindRecycle, uint64(i), pend[i].seq, repro)
 				pendingRecycles -= pend[i].count
 				pend[i].count = 0
 			}
 		}
-		s.bbFlush()
+		s.bb.Flush()
 		s.recycled.Store(s.reproduced.Load())
 	}
 
@@ -531,8 +531,8 @@ func (s *System) reproduceLoop() {
 		pendingRecycles++
 		if p.count >= recycleEvery {
 			s.writers[m.wi].Recycle(p.pos, p.seq, m.g.MaxTid)
-			s.bbStamp(blackbox.KindRecycle, uint64(m.wi), p.seq, m.g.MaxTid)
-			s.bbFlush()
+			s.bb.Stamp(blackbox.KindRecycle, uint64(m.wi), p.seq, m.g.MaxTid)
+			s.bb.Flush()
 			pendingRecycles -= p.count
 			p.count = 0
 			if pendingRecycles == 0 {

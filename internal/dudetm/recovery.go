@@ -53,13 +53,7 @@ func Recover(dev *pmem.Device, cfg Config) (*System, error) {
 		return nil, err
 	}
 	cfg.DataSize = lay.dataSize
-	cfg.PageSize = lay.pageSize
 	cfg.LogBufBytes = lay.logSize
-	if lay.bbEntries > 0 {
-		cfg.BlackboxEntries = int(lay.bbEntries)
-	} else {
-		cfg.BlackboxEntries = -1
-	}
 	if uint64(cfg.Threads) > lay.nlogs {
 		// The pool was created with fewer Perform threads than the
 		// mount configuration asks for; the persistent geometry wins.

@@ -427,9 +427,9 @@ func (s *System) IngestGroup(minTid, maxTid uint64, entries []redolog.Entry) err
 	s.combEntries.Add(uint64(len(entries)))
 	s.groups.Add(1)
 	// Stamped before waiters wake, like markDurable (see setDurable).
-	s.bbStamp(blackbox.KindDurable, maxTid, 0, 0)
+	s.bb.Stamp(blackbox.KindDurable, maxTid, 0, 0)
 	s.setDurable(maxTid)
-	s.bbFlush()
+	s.bb.Flush()
 	s.rm.enqueue()
 	s.reproCh <- repoMsg{g: g, w: w, wi: 0, ep: ep}
 	return nil

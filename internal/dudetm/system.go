@@ -63,8 +63,10 @@ type System struct {
 	// acked-frontier stamps).
 	obs *obs.Observer
 
-	// Persistent flight recorder (nil when BlackboxEntries < 0): stamped
-	// at pipeline milestones, decoded by forensics after a crash.
+	// Persistent flight recorder: stamped at pipeline milestones,
+	// decoded by forensics after a crash. Stamps are batched — Flush
+	// rides the pipeline's existing barriers — and Sync fences
+	// immediately (boot, stall).
 	bb *blackbox.Recorder
 
 	// Recovery instrumentation from the Recover that produced this mount
@@ -186,15 +188,13 @@ func Create(cfg Config) (*System, error) {
 	if cfg.PersistThreads > nlogs {
 		nlogs = cfg.PersistThreads
 	}
-	lay := computeLayout(uint64(nlogs), cfg.LogBufBytes, cfg.DataSize, cfg.PageSize, cfg.bbEntries())
+	lay := computeLayout(uint64(nlogs), cfg.LogBufBytes, cfg.DataSize, pageSize, blackboxEntries)
 	pc := cfg.Pmem
 	pc.Size = lay.total
 	dev := pmem.New(pc)
 	dev.SetRegions(lay.regions())
 	writeHeader(dev, lay)
-	if lay.bbEntries > 0 {
-		blackbox.Format(dev, lay.bbOff, lay.bbEntries)
-	}
+	blackbox.Format(dev, lay.bbOff, lay.bbEntries)
 
 	s, err := build(cfg, dev, lay, 0)
 	if err != nil {
@@ -252,27 +252,25 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 	s.reproduced.Store(startTid)
 	s.recycled.Store(startTid)
 	s.dense = denseTracker{next: startTid + 1, pend: make(map[uint64]struct{})}
-	if lay.bbEntries > 0 {
-		bb, err := blackbox.Open(dev, lay.bbOff)
-		if err != nil {
-			return nil, err
-		}
-		s.bb = bb
-		// Async durable-advance stamps ride the completion window's
-		// mutex (see seqWindow.onAdvance for why); the write-back still
-		// batches with the worker's next bbFlush.
-		s.window.onAdvance = func(tid uint64) {
-			bb.Stamp(blackbox.KindDurable, tid, 0, 0)
-		}
+	bb, err := blackbox.Open(dev, lay.bbOff)
+	if err != nil {
+		return nil, err
+	}
+	s.bb = bb
+	// Async durable-advance stamps ride the completion window's mutex
+	// (see seqWindow.onAdvance for why); the write-back still batches
+	// with the worker's next bb.Flush.
+	s.window.onAdvance = func(tid uint64) {
+		bb.Stamp(blackbox.KindDurable, tid, 0, 0)
 	}
 
 	switch cfg.Shadow {
 	case ShadowFlat:
 		s.space = shadow.NewFlat(lay.dataSize, pmSource{s}, lay.pageSize)
 	case ShadowSW, ShadowHW:
-		mode := shadow.SWPaging
+		mode := shadow.SoftwarePaging
 		if cfg.Shadow == ShadowHW {
-			mode = shadow.HWPaging
+			mode = shadow.HardwarePaging
 		}
 		s.space = shadow.NewPaged(shadow.PagedConfig{
 			Size:        lay.dataSize,
@@ -325,34 +323,12 @@ func (s *System) bindWriters() {
 	}
 }
 
-// Flight-recorder helpers: nil-safe so a disabled recorder costs one
-// branch per milestone. Stamps are batched — bbFlush rides the
-// pipeline's existing barriers — and bbSync fences immediately (boot,
-// stall).
-func (s *System) bbStamp(kind blackbox.Kind, a, b, c uint64) {
-	if s.bb != nil {
-		s.bb.Stamp(kind, a, b, c)
-	}
-}
-
-func (s *System) bbFlush() {
-	if s.bb != nil {
-		s.bb.Flush()
-	}
-}
-
-func (s *System) bbSync() {
-	if s.bb != nil {
-		s.bb.Sync()
-	}
-}
-
 func (s *System) start() {
 	// The boot stamp opens a new forensic epoch: recovery discards
 	// uncommitted IDs, so stamps from earlier epochs may reference
 	// transaction IDs this mount will reassign.
-	s.bbStamp(blackbox.KindBoot, s.startTid, uint64(s.cfg.Mode), 0)
-	s.bbSync()
+	s.bb.Stamp(blackbox.KindBoot, s.startTid, uint64(s.cfg.Mode), 0)
+	s.bb.Sync()
 	s.pm.markStart()
 	s.rm.markStart()
 	s.wg.Add(1)
@@ -607,7 +583,7 @@ func (s *System) syncCommit(th *thread, tid uint64) {
 	s.combEntries.Add(uint64(len(th.entries)))
 	s.groups.Add(1)
 	s.markDurable(tid)
-	s.bbFlush()
+	s.bb.Flush()
 	s.rm.enqueue()
 	s.reproCh <- repoMsg{g: g, w: th.writer, wi: th.slot, ep: ep}
 	th.entries = th.entries[:0]
@@ -618,9 +594,9 @@ func (s *System) syncCommit(th *thread, tid uint64) {
 // to the largest prefix-complete ID.
 func (s *System) markDurable(tid uint64) {
 	f := s.dense.mark(tid)
-	// Batched: the caller's bbFlush writes it back. Stamped on the
+	// Batched: the caller's bb.Flush writes it back. Stamped on the
 	// committing thread itself, so it is sequenced before Run returns.
-	s.bbStamp(blackbox.KindDurable, f, 0, 0)
+	s.bb.Stamp(blackbox.KindDurable, f, 0, 0)
 	s.setDurable(f)
 }
 

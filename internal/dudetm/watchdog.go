@@ -89,7 +89,7 @@ func stallVerdict(prev, cur watchSample) (persist, repro bool) {
 	return persist, repro
 }
 
-// watchdogLoop samples the pipeline every interval and fires OnStall
+// watchdogLoop samples the pipeline every interval and reports a stall
 // once per stall episode (the report repeats only after the frontier
 // moves and sticks again, not on every tick of one long stall).
 func (s *System) watchdogLoop(interval time.Duration) {
@@ -165,11 +165,7 @@ func (s *System) fireStall(stage string, interval time.Duration, cur watchSample
 	if stage == "reproduce" {
 		stageCode = 2
 	}
-	s.bbStamp(blackbox.KindStall, stageCode, cur.durable, cur.reproduced)
-	s.bbSync()
-	if s.cfg.OnStall != nil {
-		s.cfg.OnStall(rep)
-		return
-	}
+	s.bb.Stamp(blackbox.KindStall, stageCode, cur.durable, cur.reproduced)
+	s.bb.Sync()
 	log.Printf("dudetm: %s", rep.String())
 }

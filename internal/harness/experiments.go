@@ -556,51 +556,3 @@ func Recovery(c ExpConfig) error {
 		time.Duration(rec.RecycleNanos), fmtTPS(res.TPS))
 	return nil
 }
-
-// Smoke is the CI health check for the parallel pipeline: a short
-// DUDETM run with both background stages forced multi-worker and
-// lifecycle tracing sampled. It fails if either stage's utilization
-// counters stay zero — the symptom of a regression that silently routes
-// work around the worker pools (or stops counting it) — or if the
-// observability layer loses the sampled lifecycle latencies.
-func Smoke(c ExpConfig) error {
-	c.applyDefaults()
-	ops := 20000
-	if c.Quick {
-		ops /= 10
-	}
-	res, err := Run(DudeSTM, NewHashBench(), Options{
-		Threads:          c.Threads,
-		GroupSize:        16,
-		PersistThreads:   2,
-		ReproThreads:     4,
-		TraceSampleEvery: 8,
-	}, MeasureOpts{TotalOps: ops})
-	if err != nil {
-		return err
-	}
-	if res.Stats.PersistBusyNS == 0 || res.Stats.PersistFences == 0 {
-		return fmt.Errorf("smoke: persist stage idle over %d txs (busy=%dns fences=%d)",
-			res.Ops, res.Stats.PersistBusyNS, res.Stats.PersistFences)
-	}
-	if res.Stats.ReproBusyNS == 0 || res.Stats.ReproFences == 0 {
-		return fmt.Errorf("smoke: reproduce stage idle over %d txs (busy=%dns fences=%d)",
-			res.Ops, res.Stats.ReproBusyNS, res.Stats.ReproFences)
-	}
-	ob := res.Stats.Obs
-	if ob.SampledCommits == 0 || ob.CommitDurable.Count == 0 || ob.CommitDurable.Quantile(0.5) == 0 {
-		return fmt.Errorf("smoke: tracing sampled %d commits but recorded %d commit→durable latencies (p50=%dns)",
-			ob.SampledCommits, ob.CommitDurable.Count, ob.CommitDurable.Quantile(0.5))
-	}
-	if ob.Fence.Count == 0 || ob.GroupTxns.Count == 0 {
-		return fmt.Errorf("smoke: per-group histograms idle (fences=%d groups=%d)",
-			ob.Fence.Count, ob.GroupTxns.Count)
-	}
-	fmt.Fprintf(c.Out, "smoke: %s · persist busy %v / %d fences · reproduce busy %v / %d fences · dur p50 %v p99 %v (%d sampled)\n",
-		fmtTPS(res.TPS),
-		time.Duration(res.Stats.PersistBusyNS), res.Stats.PersistFences,
-		time.Duration(res.Stats.ReproBusyNS), res.Stats.ReproFences,
-		time.Duration(ob.CommitDurable.Quantile(0.5)), time.Duration(ob.CommitDurable.Quantile(0.99)),
-		ob.SampledCommits)
-	return nil
-}

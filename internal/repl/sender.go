@@ -66,30 +66,22 @@ type Config struct {
 	Epoch uint64
 	// Compress enables lz4 block compression of shipped groups.
 	Compress bool
-	// DialTimeout bounds one connection attempt (default 1s).
-	DialTimeout time.Duration
-	// MaxBackoff caps the reconnect backoff (default 1s, starting at
-	// 25ms and doubling).
-	MaxBackoff time.Duration
-	// QueueGroups is the per-peer unacked-group queue capacity (default
-	// 4096). A full queue backpressures the Persist coordinator while
-	// the peer is connected; while it is down, overflow marks the peer
-	// dead — too far behind to ever catch up from the stream (the
-	// primary recycles shipped log space), it needs a rebuild.
-	QueueGroups int
 }
 
-func (c *Config) applyDefaults() {
-	if c.DialTimeout == 0 {
-		c.DialTimeout = time.Second
-	}
-	if c.MaxBackoff == 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.QueueGroups == 0 {
-		c.QueueGroups = 4096
-	}
-}
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = time.Second
+	// minBackoff and maxBackoff bound the reconnect backoff, which
+	// starts at minBackoff and doubles.
+	minBackoff = 25 * time.Millisecond
+	maxBackoff = time.Second
+	// queueGroups is the per-peer unacked-group queue capacity. A full
+	// queue backpressures the Persist coordinator while the peer is
+	// connected; while it is down, overflow marks the peer dead — too
+	// far behind to ever catch up from the stream (the primary recycles
+	// shipped log space), it needs a rebuild.
+	queueGroups = 4096
+)
 
 // Sender ships sealed persist groups to every configured peer. It
 // implements dudetm.ReplSink: ShipGroup runs on the Persist
@@ -129,7 +121,6 @@ type shipped struct {
 // call Start after attaching it to the pool (EnableReplication), so no
 // ack can arrive before the quorum gate exists.
 func NewSender(pri Primary, cfg Config) *Sender {
-	cfg.applyDefaults()
 	s := &Sender{cfg: cfg, pri: pri, closeCh: make(chan struct{})}
 	connCh := make(chan struct{})
 	s.connCh.Store(&connCh)
@@ -310,14 +301,14 @@ type peer struct {
 // history (shipped log space gets recycled) and needs a rebuild.
 func (p *peer) enqueue(g shipped) {
 	p.mu.Lock()
-	for len(p.queue) >= p.s.cfg.QueueGroups && !p.dead && p.connected.Load() && !p.s.closed.Load() {
+	for len(p.queue) >= queueGroups && !p.dead && p.connected.Load() && !p.s.closed.Load() {
 		p.cond.Wait()
 	}
 	if p.dead || p.s.closed.Load() {
 		p.mu.Unlock()
 		return
 	}
-	if len(p.queue) >= p.s.cfg.QueueGroups {
+	if len(p.queue) >= queueGroups {
 		p.deadLocked()
 		p.mu.Unlock()
 		p.cond.Broadcast()
@@ -356,7 +347,7 @@ func (p *peer) deadLocked() {
 // not-live, repeat until the sender closes or the peer dies.
 func (p *peer) run() {
 	defer p.s.wg.Done()
-	backoff := 25 * time.Millisecond
+	backoff := minBackoff
 	for {
 		p.mu.Lock()
 		dead := p.dead
@@ -364,14 +355,14 @@ func (p *peer) run() {
 		if dead || p.s.closed.Load() {
 			return
 		}
-		conn, err := net.DialTimeout("tcp", p.name, p.s.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", p.name, dialTimeout)
 		if err != nil {
 			select {
 			case <-p.s.closeCh:
 				return
 			case <-time.After(backoff):
 			}
-			backoff = min(backoff*2, p.s.cfg.MaxBackoff)
+			backoff = min(backoff*2, maxBackoff)
 			continue
 		}
 		handshook := p.serveConn(conn)
@@ -381,7 +372,7 @@ func (p *peer) run() {
 			p.s.pri.ReplicaLive(p.name, false)
 		}
 		if handshook {
-			backoff = 25 * time.Millisecond
+			backoff = minBackoff
 			continue
 		}
 		// The replica accepted the dial but refused or dropped the
@@ -391,7 +382,7 @@ func (p *peer) run() {
 			return
 		case <-time.After(backoff):
 		}
-		backoff = min(backoff*2, p.s.cfg.MaxBackoff)
+		backoff = min(backoff*2, maxBackoff)
 	}
 }
 

@@ -57,7 +57,7 @@ func (c *conn) drain() {
 
 func (c *conn) serve() {
 	defer c.close()
-	pending := make(chan wire.Request, c.srv.cfg.MaxPipeline)
+	pending := make(chan wire.Request, maxPipeline)
 	go func() {
 		defer close(pending)
 		c.readLoop(pending)
@@ -66,12 +66,12 @@ func (c *conn) serve() {
 }
 
 // readLoop decodes frames into the pending queue. It owns the read
-// deadline: a connection idle past IdleTimeout, or one that sends a
+// deadline: a connection idle past idleTimeout, or one that sends a
 // corrupt frame, is closed.
 func (c *conn) readLoop(pending chan<- wire.Request) {
 	br := bufio.NewReader(c.nc)
 	for {
-		c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout))
+		c.nc.SetReadDeadline(time.Now().Add(idleTimeout))
 		payload, err := wire.ReadFrame(br)
 		if err != nil {
 			return
@@ -174,7 +174,7 @@ func (c *conn) writeLoop(pending <-chan wire.Request) {
 				return
 			}
 		}
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if bw.Flush() != nil {
 			return
 		}
@@ -192,7 +192,7 @@ func (c *conn) writeResponse(bw *bufio.Writer, resp *wire.Response) bool {
 		// rather than desynchronize the stream.
 		return false
 	}
-	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if wire.WriteFrame(bw, payload) != nil {
 		return false
 	}

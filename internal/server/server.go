@@ -19,15 +19,6 @@ type Config struct {
 	// is reached the server stops accepting — pending dialers queue in
 	// the listen backlog (backpressure) instead of being reset.
 	MaxConns int
-	// MaxPipeline caps in-flight requests per connection (default 32);
-	// beyond it the server stops reading the connection and TCP flow
-	// control pushes back on the client.
-	MaxPipeline int
-	// IdleTimeout closes a connection with no complete request for this
-	// long (default 2 minutes).
-	IdleTimeout time.Duration
-	// WriteTimeout bounds one response flush (default 10 seconds).
-	WriteTimeout time.Duration
 	// ReadOnly rejects write requests. Replica-mode servers set it:
 	// a replica's transaction ID stream is owned by the primary's
 	// replicated log, so a locally committed write would collide with
@@ -39,17 +30,20 @@ func (c Config) withDefaults() Config {
 	if c.MaxConns == 0 {
 		c.MaxConns = 64
 	}
-	if c.MaxPipeline == 0 {
-		c.MaxPipeline = 32
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	return c
 }
+
+const (
+	// maxPipeline caps in-flight requests per connection; beyond it the
+	// server stops reading the connection and TCP flow control pushes
+	// back on the client.
+	maxPipeline = 32
+	// idleTimeout closes a connection with no complete request for this
+	// long.
+	idleTimeout = 2 * time.Minute
+	// writeTimeout bounds one response flush.
+	writeTimeout = 10 * time.Second
+)
 
 // ServerStats is a snapshot of service counters.
 type ServerStats struct {

@@ -7,13 +7,13 @@
 //   - FlatSpace: shadow memory as large as persistent data; the
 //     address mapping is the identity ("a constant offset" in the
 //     paper). No paging.
-//   - PagedSpace in SWPaging mode: a software page table — every access
-//     translates through the table and takes a reference on the page, the
-//     exact per-access overhead the paper attributes to software paging
+//   - PagedSpace in SoftwarePaging mode: a software page table — every
+//     access translates through the table and takes a reference on the
+//     page, the exact per-access overhead the paper attributes to software paging
 //     ("at least two memory accesses per address translation" plus a
 //     compare-and-swap on the page reference).
-//   - PagedSpace in HWPaging mode: simulates Dune/VT-x hardware paging —
-//     reads are optimistic (a versioned page-table word is sampled before
+//   - PagedSpace in HardwarePaging mode: simulates Dune/VT-x hardware
+//     paging — reads are optimistic (a versioned page-table word is sampled before
 //     and after the uninstrumented load, standing in for a free TLB
 //     translation), while evictions pay an explicit TLB-shootdown stall,
 //     the cost profile that makes hardware paging win with large shadow
@@ -122,13 +122,13 @@ func (f *FlatSpace) Stats() Stats { return Stats{} }
 type Mode int
 
 const (
-	// SWPaging is software paging: table lookup + page reference count
-	// on every access, cheap eviction.
-	SWPaging Mode = iota
-	// HWPaging simulates hardware (Dune/VT-x) paging: optimistic reads
-	// with no reference counting, but every eviction pays a simulated
-	// TLB-shootdown stall.
-	HWPaging
+	// SoftwarePaging is software paging: table lookup + page reference
+	// count on every access, cheap eviction.
+	SoftwarePaging Mode = iota
+	// HardwarePaging simulates hardware (Dune/VT-x) paging: optimistic
+	// reads with no reference counting, but every eviction pays a
+	// simulated TLB-shootdown stall.
+	HardwarePaging
 )
 
 // PagedConfig configures a PagedSpace.
@@ -143,8 +143,8 @@ type PagedConfig struct {
 	// Mode selects software or simulated-hardware paging.
 	Mode Mode
 	// ShootdownDelay is the simulated cost of a TLB shootdown on
-	// eviction in HWPaging mode (default 4us; the paper measures a VM
-	// exit plus IPIs to all cores).
+	// eviction in HardwarePaging mode (default 4us; the paper measures
+	// a VM exit plus IPIs to all cores).
 	ShootdownDelay time.Duration
 	// DisableDelays turns off the shootdown stall (unit tests).
 	DisableDelays bool
@@ -272,7 +272,7 @@ func (p *PagedSpace) release(page uint64) {
 func (p *PagedSpace) Load8(addr uint64) uint64 {
 	page := p.pageOf(addr)
 	off := addr & p.pageMask
-	if p.cfg.Mode == HWPaging {
+	if p.cfg.Mode == HardwarePaging {
 		// Optimistic read: sample the versioned slot, do the plain
 		// load (the "TLB hit"), and validate frame+version. A frame
 		// reused mid-read changes the version and the value is retried.
@@ -393,7 +393,7 @@ func (p *PagedSpace) allocFrame() uint64 {
 			continue
 		}
 		p.evictions.Add(1)
-		if p.cfg.Mode == HWPaging && !p.cfg.DisableDelays {
+		if p.cfg.Mode == HardwarePaging && !p.cfg.DisableDelays {
 			// TLB shootdown: a VM exit plus IPIs stall the evictor.
 			spinWait(p.cfg.ShootdownDelay)
 		}

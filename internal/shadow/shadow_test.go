@@ -62,8 +62,8 @@ func spaces(shadowPages uint64) map[string]Space {
 	}
 	return map[string]Space{
 		"flat": NewFlat(tSize, nil, tPageSize),
-		"sw":   mk(SWPaging),
-		"hw":   mk(HWPaging),
+		"sw":   mk(SoftwarePaging),
+		"hw":   mk(HardwarePaging),
 	}
 }
 
@@ -90,7 +90,7 @@ func TestFlatInitFromSource(t *testing.T) {
 }
 
 func TestPagedFaultsInFromSource(t *testing.T) {
-	for _, mode := range []Mode{SWPaging, HWPaging} {
+	for _, mode := range []Mode{SoftwarePaging, HardwarePaging} {
 		src := newFakeSource(tSize, tPageSize)
 		word.Store(src.data, tPageSize*5+8, 123)
 		p := NewPaged(PagedConfig{
@@ -107,7 +107,7 @@ func TestPagedFaultsInFromSource(t *testing.T) {
 }
 
 func TestEvictionDiscardsAndRefaults(t *testing.T) {
-	for _, mode := range []Mode{SWPaging, HWPaging} {
+	for _, mode := range []Mode{SoftwarePaging, HardwarePaging} {
 		src := newFakeSource(tSize, tPageSize)
 		p := NewPaged(PagedConfig{
 			Size: tSize, ShadowBytes: 8 * tPageSize, PageSize: tPageSize,
@@ -133,7 +133,7 @@ func TestEvictionDiscardsAndRefaults(t *testing.T) {
 }
 
 func TestSwapInWaitsForReproduce(t *testing.T) {
-	for _, mode := range []Mode{SWPaging, HWPaging} {
+	for _, mode := range []Mode{SoftwarePaging, HardwarePaging} {
 		src := newFakeSource(tSize, tPageSize)
 		p := NewPaged(PagedConfig{
 			Size: tSize, ShadowBytes: 8 * tPageSize, PageSize: tPageSize,
@@ -176,7 +176,7 @@ func TestSwapInWaitsForReproduce(t *testing.T) {
 }
 
 func TestPinnedPageSurvivesPressure(t *testing.T) {
-	for _, mode := range []Mode{SWPaging, HWPaging} {
+	for _, mode := range []Mode{SoftwarePaging, HardwarePaging} {
 		src := newFakeSource(tSize, tPageSize)
 		p := NewPaged(PagedConfig{
 			Size: tSize, ShadowBytes: 8 * tPageSize, PageSize: tPageSize,
@@ -204,7 +204,7 @@ func TestCommitPagesRaisesTouchMonotonically(t *testing.T) {
 	src := newFakeSource(tSize, tPageSize)
 	p := NewPaged(PagedConfig{
 		Size: tSize, ShadowBytes: 8 * tPageSize, PageSize: tPageSize,
-		Mode: SWPaging, DisableDelays: true,
+		Mode: SoftwarePaging, DisableDelays: true,
 	}, src)
 	pg := p.PinWritePage(0)
 	p.CommitPages([]uint64{pg}, 10)
@@ -238,7 +238,7 @@ func TestConcurrentPagingStress(t *testing.T) {
 	// word on each, emulating commit+reproduce immediately. Any paging
 	// bug (lost pin, torn optimistic read, frame reuse corruption)
 	// breaks the final counts.
-	for _, mode := range []Mode{SWPaging, HWPaging} {
+	for _, mode := range []Mode{SoftwarePaging, HardwarePaging} {
 		src := newFakeSource(tSize, tPageSize)
 		p := NewPaged(PagedConfig{
 			Size: tSize, ShadowBytes: 8 * tPageSize, PageSize: tPageSize,
@@ -282,7 +282,7 @@ func TestHWShootdownDelayApplied(t *testing.T) {
 	src := newFakeSource(tSize, tPageSize)
 	p := NewPaged(PagedConfig{
 		Size: tSize, ShadowBytes: 8 * tPageSize, PageSize: tPageSize,
-		Mode: HWPaging, ShootdownDelay: 2 * time.Millisecond,
+		Mode: HardwarePaging, ShootdownDelay: 2 * time.Millisecond,
 	}, src)
 	// Fill all frames, then cause one eviction and time it.
 	for page := uint64(0); page < 8; page++ {

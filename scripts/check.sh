@@ -64,12 +64,12 @@ echo "== park/wake: coordinator, park.Frontier, Crash on a full log or window, f
 GOMAXPROCS=1 go test -race -count=3 -run 'TestIdleCoordinatorNoWakes|TestNoLostWakeup|TestStopWhileParked|TestHeldAppendJoinsOneGroup|TestCrashWithFullLog|TestCrashWithFullWindow|TestCritpathFenceBudget' ./internal/dudetm
 GOMAXPROCS=1 go test -race -count=3 ./internal/park
 
-echo "== no sleep-polling in the pipeline packages"
-# Every wait in these packages parks on the state it waits for
-# (park.Frontier, coordWake, durNotifier, channels); a time.Sleep in
-# non-test code is a polling loop coming back.
-if grep -rn 'time\.Sleep' --include=*.go internal/dudetm internal/redolog internal/repl internal/shadow internal/harness internal/park | grep -v '_test\.go:'; then
-    echo "time.Sleep in non-test pipeline code (park on the awaited state instead)"
+echo "== no sleep-polling in internal/"
+# Every wait in the internal packages parks on the state it waits for
+# (park.Frontier, coordWake, durNotifier, channels, timers); a
+# time.Sleep call in non-test code is a polling loop coming back.
+if grep -rn 'time\.Sleep(' --include=*.go internal | grep -v '_test\.go:'; then
+    echo "time.Sleep in non-test internal code (park on the awaited state instead)"
     exit 1
 fi
 
@@ -79,11 +79,6 @@ echo "== dudebench -list (experiment registry)"
 go run ./cmd/dudebench -list | tee /tmp/dudebench.list.txt
 grep -q '^fig2 ' /tmp/dudebench.list.txt || { echo "dudebench -list lost the fig2 experiment"; exit 1; }
 rm -f /tmp/dudebench.list.txt
-
-echo "== dudebench smoke (stage utilization counters)"
-# Fails if the persist or reproduce utilization counters stay zero — a
-# regression that routed work around the worker pools.
-go run ./cmd/dudebench -experiment smoke -quick
 
 echo "== dudesrv /metrics smoke (live scrape gate)"
 # Boot a real dudesrv with the observability endpoint, drive load
