@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -29,9 +31,9 @@ func runCritpath(args []string) {
 		url = strings.TrimRight(url, "/") + "/metrics"
 	}
 
-	first := scrape(url)
+	first := scrape(url).Series
 	time.Sleep(*interval)
-	second := scrape(url)
+	second := scrape(url).Series
 
 	window := fmt.Sprintf("%v window", *interval)
 	m := diffCritpath(second, first)
@@ -40,7 +42,11 @@ func runCritpath(args []string) {
 		m = second
 		window = "lifetime totals (no sampled txns in the window)"
 	}
-	renderCritpath(url, window, m)
+	r := seriesReader{view: "critpath", cur: m}
+	renderCritpath(os.Stdout, url, window, &r)
+	for _, p := range r.problems {
+		fmt.Fprintf(os.Stderr, "dudectl critpath: %s (rendered as 0)\n", p)
+	}
 }
 
 // diffCritpath subtracts the critpath counters of two scrapes; gauges
@@ -62,19 +68,16 @@ func diffCritpath(cur, prev map[string]float64) map[string]float64 {
 	return out
 }
 
-func renderCritpath(url, window string, m map[string]float64) {
-	txns := m["dudetm_critpath_txns_total"]
-	fmt.Printf("dudetm critpath — %s (%s)\n", url, window)
-	fmt.Printf("  txns %.0f   incomplete %.0f   dropped %.0f   sampling 1-in-%.0f   quorum %.0f\n",
-		txns, m["dudetm_critpath_incomplete_total"], m["dudetm_critpath_dropped_total"],
-		m["dudetm_trace_sample_every"], m["dudetm_repl_quorum"])
-	if txns == 0 {
-		fmt.Println("  no decomposed transactions yet (is -trace-sample enabled?)")
-		return
-	}
-	e2e := m["dudetm_critpath_e2e_seconds_sum"]
-	fmt.Printf("  commit→acked mean %s over %.0f txns\n", secs(e2e/txns), txns)
-
+// renderCritpath writes the ranked segment table. Every series is read
+// through r before anything is written, so -check covers them all even
+// when the table is empty.
+func renderCritpath(w io.Writer, url, window string, r *seriesReader) {
+	txns := r.get("dudetm_critpath_txns_total")
+	incomplete := r.get("dudetm_critpath_incomplete_total")
+	dropped := r.get("dudetm_critpath_dropped_total")
+	every := r.get("dudetm_trace_sample_every")
+	quorum := r.get("dudetm_repl_quorum")
+	e2e := r.get("dudetm_critpath_e2e_seconds_sum")
 	type row struct {
 		name  string
 		total float64
@@ -83,15 +86,24 @@ func renderCritpath(url, window string, m map[string]float64) {
 	// attributed time.
 	rows := make([]row, 0, obs.NumCritSegments)
 	for seg := obs.CritSegment(0); seg < obs.NumCritSegments; seg++ {
-		rows = append(rows, row{seg.String(), m[`dudetm_critpath_segment_seconds_total{segment="`+seg.String()+`"}`]})
+		rows = append(rows, row{seg.String(), r.get(`dudetm_critpath_segment_seconds_total{segment="` + seg.String() + `"}`)})
 	}
+
+	fmt.Fprintf(w, "dudetm critpath — %s (%s)\n", url, window)
+	fmt.Fprintf(w, "  txns %.0f   incomplete %.0f   dropped %.0f   sampling 1-in-%.0f   quorum %.0f\n",
+		txns, incomplete, dropped, every, quorum)
+	if txns == 0 {
+		fmt.Fprintln(w, "  no decomposed transactions yet (is -trace-sample enabled?)")
+		return
+	}
+	fmt.Fprintf(w, "  commit→acked mean %s over %.0f txns\n", secs(e2e/txns), txns)
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].total > rows[j].total })
-	fmt.Printf("  %-4s %-14s %12s %8s\n", "rank", "segment", "per txn", "share")
-	for i, r := range rows {
+	fmt.Fprintf(w, "  %-4s %-14s %12s %8s\n", "rank", "segment", "per txn", "share")
+	for i, x := range rows {
 		share := 0.0
 		if e2e > 0 {
-			share = 100 * r.total / e2e
+			share = 100 * x.total / e2e
 		}
-		fmt.Printf("  %-4d %-14s %12s %7.1f%%\n", i+1, r.name, secs(r.total/txns), share)
+		fmt.Fprintf(w, "  %-4d %-14s %12s %7.1f%%\n", i+1, x.name, secs(x.total/txns), share)
 	}
 }

@@ -40,20 +40,10 @@ func runForensics(args []string) {
 	}
 
 	if *verify {
-		// Recover a scratch copy (the on-disk image is untouched) and
-		// cross-check the forensic frontier against the live system.
-		scratch := pmem.New(pmem.Config{Size: uint64(len(img))})
-		scratch.Restore(img)
-		sys, rerr := dudetm.Recover(scratch, dudetm.Config{Threads: 1})
-		if rerr != nil {
-			fatal(fmt.Errorf("verify: %w", rerr))
+		if err := verifyReport(img, rep); err != nil {
+			fatal(err)
 		}
-		durable := sys.Durable()
-		sys.Close()
-		if durable != rep.LogFrontier {
-			fatal(fmt.Errorf("verify: recovered durable frontier %d != report frontier %d", durable, rep.LogFrontier))
-		}
-		fmt.Fprintf(os.Stderr, "verify: recovered durable frontier %d matches the report\n", durable)
+		fmt.Fprintf(os.Stderr, "verify: recovered durable frontier %d matches the report\n", rep.LogFrontier)
 	}
 
 	if *asChrome {
@@ -71,6 +61,24 @@ func runForensics(args []string) {
 		return
 	}
 	fmt.Println(rep.String())
+}
+
+// verifyReport recovers a scratch copy of img (the image itself is
+// untouched) and fails unless recovery restores exactly the durable
+// frontier the report claims.
+func verifyReport(img []byte, rep *dudetm.CrashReport) error {
+	scratch := pmem.New(pmem.Config{Size: uint64(len(img))})
+	scratch.Restore(img)
+	sys, err := dudetm.Recover(scratch, dudetm.Config{Threads: 1})
+	if err != nil {
+		return fmt.Errorf("verify: %w", err)
+	}
+	durable := sys.Durable()
+	sys.Close()
+	if durable != rep.LogFrontier {
+		return fmt.Errorf("verify: recovered durable frontier %d != report frontier %d", durable, rep.LogFrontier)
+	}
+	return nil
 }
 
 // forensicsChromeEvents maps the flight-recorder tail onto one Perfetto

@@ -6,57 +6,142 @@ import (
 	"testing"
 	"time"
 
-	"dudetm/internal/server"
+	"dudetm/internal/obs"
 )
 
-// scrapeOf is a scrape exposing every required series with value v.
-func scrapeOf(v float64) map[string]float64 {
-	m := make(map[string]float64, len(server.RequiredSeries))
-	for _, s := range server.RequiredSeries {
-		m[s] = v
+// fixture is a small healthy exposition: every series the top view
+// reads and the critpath view's scalars, a few of them under # TYPE
+// declarations (one a histogram carried by its _count alone).
+// scrapeOf adds the critpath segment series.
+const fixture = `# TYPE dudetm_clock_tid gauge
+dudetm_clock_tid 1
+dudetm_durable_tid 1
+dudetm_reproduced_tid 1
+# TYPE dudetm_stage_utilization gauge
+dudetm_stage_utilization{stage="persist"} 1
+dudetm_stage_utilization{stage="reproduce"} 1
+dudetm_stage_queue_depth{stage="persist"} 1
+dudetm_stage_queue_depth{stage="reproduce"} 1
+dudetm_stage_workers{stage="persist"} 1
+dudetm_stage_workers{stage="reproduce"} 1
+dudetm_stage_groups_total{stage="persist"} 1
+dudetm_stage_groups_total{stage="reproduce"} 1
+dudetm_stage_fences_total{stage="persist"} 1
+dudetm_stage_fences_total{stage="reproduce"} 1
+# TYPE dudetm_commit_durable_seconds histogram
+dudetm_commit_durable_seconds_count 1
+dudetm_commit_durable_latency_seconds{quantile="0.5"} 1
+dudetm_commit_durable_latency_seconds{quantile="0.99"} 1
+dudetm_commit_durable_latency_seconds{quantile="0.999"} 1
+dudetm_commit_reproduced_latency_seconds{quantile="0.99"} 1
+dudetm_trace_sampled_total 1
+dudetm_watchdog_stalls_total 1
+# TYPE dudesrv_requests_total counter
+dudesrv_connections_total 1
+dudesrv_requests_total 1
+dudesrv_acked_writes_total 1
+dudesrv_offered_requests_total 1
+dudesrv_served_responses_total 1
+dudetm_region_flushed_bytes_total{region="log"} 1
+dudetm_repl_peers 1
+dudetm_repl_peers_connected 1
+dudetm_repl_quorum 1
+dudetm_repl_quorum_state 1
+dudetm_repl_acked_tid 1
+dudetm_repl_frontier_lag 1
+dudetm_repl_ack_latency_seconds{quantile="0.99"} 1
+dudetm_repl_wire_bytes_total 1
+dudetm_recovery_runs_total 1
+dudetm_recovery_replay_seconds 1
+dudetm_recovery_groups_replayed 1
+dudetm_recovery_entries_replayed 1
+dudetm_recovery_bytes_replayed 1
+dudetm_critpath_txns_total 1
+dudetm_critpath_incomplete_total 1
+dudetm_critpath_dropped_total 1
+dudetm_critpath_e2e_seconds_sum 1
+dudetm_trace_sample_every 1
+`
+
+// scrapeOf parses the fixture, one segment series per critpath
+// segment and extra lines, then sets every sample to v and applies the
+// edits.
+func scrapeOf(t *testing.T, extra string, v float64, edits map[string]float64) obs.Scrape {
+	t.Helper()
+	text := fixture
+	for seg := obs.CritSegment(0); seg < obs.NumCritSegments; seg++ {
+		text += `dudetm_critpath_segment_seconds_total{segment="` + seg.String() + `"} 1` + "\n"
 	}
-	return m
+	sc, err := obs.ParseProm(strings.NewReader(text + extra))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range sc.Series {
+		sc.Series[s] = v
+	}
+	for s, x := range edits {
+		sc.Series[s] = x
+	}
+	return sc
 }
 
-func set(m map[string]float64, series string, v float64) map[string]float64 {
-	m[series] = v
-	return m
-}
-
-func del(m map[string]float64, series string) map[string]float64 {
-	delete(m, series)
-	return m
+func without(sc obs.Scrape, series string) obs.Scrape {
+	delete(sc.Series, series)
+	return sc
 }
 
 func TestCheckScrapes(t *testing.T) {
 	const tick = 100 * time.Millisecond
+	healthy := func(v float64) obs.Scrape { return scrapeOf(t, "", v, nil) }
+	one := func(series string, v float64) obs.Scrape {
+		return scrapeOf(t, "", 1, map[string]float64{series: v})
+	}
 	cases := []struct {
 		name          string
-		first, second map[string]float64
+		first, second obs.Scrape
 		elapsed       time.Duration
-		want          string // prefix of the first problem; "" = healthy
+		want          string // the first problem; "" = healthy
 	}{
-		{"healthy", scrapeOf(1), scrapeOf(5), tick, ""},
-		{"missing series", del(scrapeOf(1), "dudesrv_failed_acks_total"), scrapeOf(1), tick,
-			"missing series dudesrv_failed_acks_total"},
-		{"NaN", set(scrapeOf(1), "dudetm_durable_tid", math.NaN()), scrapeOf(1), tick, "dudetm_durable_tid = NaN"},
-		{"+Inf", set(scrapeOf(1), "dudetm_durable_tid", math.Inf(1)), scrapeOf(1), tick, "dudetm_durable_tid = +Inf"},
-		{"-Inf", set(scrapeOf(1), "dudetm_durable_tid", math.Inf(-1)), scrapeOf(1), tick, "dudetm_durable_tid = -Inf"},
+		{"healthy", healthy(1), healthy(5), tick, ""},
+		// The endpoint declares a family it writes no sample for.
+		{"declared family without sample", scrapeOf(t, "# TYPE dudesrv_failed_acks_total counter\n", 1, nil), healthy(1), tick,
+			"counter family dudesrv_failed_acks_total has no sample"},
+		{"NaN", one("dudetm_durable_tid", math.NaN()), healthy(1), tick, "dudetm_durable_tid = NaN"},
+		{"+Inf", one("dudetm_durable_tid", math.Inf(1)), healthy(1), tick, "dudetm_durable_tid = +Inf"},
+		{"-Inf", one("dudetm_durable_tid", math.Inf(-1)), healthy(1), tick, "dudetm_durable_tid = -Inf"},
+		// A series the view renders was renamed away: the replication
+		// line does not print on this fixture's first scrape, but its
+		// series are read all the same.
+		{"missing rendered series", healthy(1), without(healthy(1), "dudetm_repl_peers_connected"), tick,
+			"top view reads missing series dudetm_repl_peers_connected"},
+		{"missing rate series", healthy(1), without(healthy(1), "dudesrv_offered_requests_total"), tick,
+			"top view reads missing series dudesrv_offered_requests_total"},
+		// dudectl critpath would rank a renamed segment as 0.
+		{"missing critpath segment", healthy(1), without(healthy(5), `dudetm_critpath_segment_seconds_total{segment="persist_fence"}`), tick,
+			`critpath view reads missing series dudetm_critpath_segment_seconds_total{segment="persist_fence"}`},
+		// Read even in a window with no sampled transactions, where the
+		// table is not printed.
+		{"missing critpath segment, quiet window", healthy(1), without(healthy(1), `dudetm_critpath_segment_seconds_total{segment="notify"}`), tick,
+			`critpath view reads missing series dudetm_critpath_segment_seconds_total{segment="notify"}`},
+		// A counter that reads +Inf on the second scrape only has an
+		// infinite rate.
+		{"bad rate", healthy(1), one("dudesrv_requests_total", math.Inf(1)), tick,
+			"rate(dudesrv_requests_total) = +Inf"},
 		// A restart between the scrapes resets every counter: the rates
 		// clamp to 0 instead of going negative.
-		{"counter reset", scrapeOf(1000), scrapeOf(0), tick, ""},
+		{"counter reset", healthy(1000), healthy(0), tick, ""},
 		// Scrapes no time apart, or a clock step backwards, must not
 		// divide into an Inf or NaN rate.
-		{"zero elapsed", scrapeOf(1), scrapeOf(5), 0, ""},
-		{"negative elapsed", scrapeOf(1), scrapeOf(5), -time.Second, ""},
+		{"zero elapsed", healthy(1), healthy(5), 0, ""},
+		{"negative elapsed", healthy(1), healthy(5), -time.Second, ""},
 	}
 	for _, c := range cases {
 		p := checkScrapes(c.first, c.second, c.elapsed)
 		switch {
 		case c.want == "" && len(p) != 0:
 			t.Errorf("%s: problems %q, want none", c.name, p)
-		case c.want != "" && (len(p) == 0 || !strings.HasPrefix(p[0], c.want)):
-			t.Errorf("%s: problems %q, want first to start with %q", c.name, p, c.want)
+		case c.want != "" && (len(p) == 0 || p[0] != c.want):
+			t.Errorf("%s: problems %q, want first %q", c.name, p, c.want)
 		}
 	}
 }

@@ -37,18 +37,20 @@ func Inspect(dev *pmem.Device) (PoolInfo, error) {
 	if err != nil {
 		return PoolInfo{}, err
 	}
+	results, anchor, groups, err := scanPool(dev, lay)
+	if err != nil {
+		return PoolInfo{}, err
+	}
 	info := PoolInfo{
 		NLogs:    lay.nlogs,
 		LogSize:  lay.logSize,
 		DataSize: lay.dataSize,
 		PageSize: lay.pageSize,
+		Anchor:   anchor,
+		// The dense durable frontier, computed the same way Recover does.
+		Frontier: denseFrontier(anchor, groups),
 	}
-	var all []redolog.Group
-	for i := 0; i < int(lay.nlogs); i++ {
-		res, err := redolog.Scan(dev, lay.metaAddr(i), lay.logAddr(i), lay.logSize)
-		if err != nil {
-			return PoolInfo{}, err
-		}
+	for _, res := range results {
 		li := LogInfo{
 			LiveGroups: len(res.Groups),
 			NextSeq:    res.NextSeq,
@@ -64,13 +66,7 @@ func Inspect(dev *pmem.Device) (PoolInfo, error) {
 			}
 		}
 		info.Logs = append(info.Logs, li)
-		if res.ReproTid > info.Anchor {
-			info.Anchor = res.ReproTid
-		}
-		all = append(all, res.Groups...)
 	}
-	// Compute the dense durable frontier the same way Recover does.
-	info.Frontier = denseFrontier(info.Anchor, all)
 	return info, nil
 }
 

@@ -188,6 +188,11 @@ type critState struct {
 	once   sync.Once
 	quorum atomic.Int64
 
+	// mu makes each fold of txns, e2e and seg atomic to snapshot, so
+	// a scrape never reads an e2e count that disagrees with txns or
+	// segment sums from a larger population than e2e. Only the
+	// collector and snapshot take it.
+	mu         sync.Mutex
 	txns       atomic.Uint64 // decomposed transactions
 	incomplete atomic.Uint64 // timelines missing a required stamp
 	dropped    atomic.Uint64 // samples dropped on a full channel
@@ -225,6 +230,8 @@ func (c *critState) close() {
 }
 
 func (c *critState) snapshot() CritSnapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	s := CritSnapshot{
 		Txns:       c.txns.Load(),
 		Incomplete: c.incomplete.Load(),
@@ -272,11 +279,13 @@ func (o *Observer) critObserve(tid uint64) {
 		o.crit.incomplete.Add(1)
 		return
 	}
+	o.crit.mu.Lock()
 	o.crit.txns.Add(1)
 	o.crit.e2e.Observe(uint64(cp.Total))
 	for i, d := range cp.Seg {
 		o.crit.seg[i].Observe(uint64(d))
 	}
+	o.crit.mu.Unlock()
 }
 
 // SetReplQuorum tells the collector the replication write quorum, so

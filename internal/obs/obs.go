@@ -364,8 +364,12 @@ func (o *Observer) drain(pend *[]pendTx, frontier uint64, h *Histogram) {
 // tid, ordered by timestamp. For a sampled transaction still resident
 // in the rings this is commit → group-seal → persist-fence →
 // reproduce-apply; older transactions may have been overwritten and
-// return a partial (or empty) timeline.
+// return a partial (or empty) timeline. Tid 0 is never assigned and
+// has none.
 func (o *Observer) TraceOf(tid uint64) []Record {
+	if tid == 0 {
+		return nil // collect reads 0 as "every record"
+	}
 	var recs []Record
 	for _, r := range o.rings {
 		recs = r.collect(recs, tid)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -130,6 +129,9 @@ func TestTraceOfTimeline(t *testing.T) {
 	}
 	if got := o.TraceOf(10); len(got) != 0 {
 		t.Errorf("TraceOf(10) = %v, want none (outside every range)", got)
+	}
+	if got := o.TraceOf(0); len(got) != 0 {
+		t.Errorf("TraceOf(0) = %v, want none (tid 0 is never assigned)", got)
 	}
 }
 
@@ -304,16 +306,16 @@ func TestPromRoundTrip(t *testing.T) {
 	var sb strings.Builder
 	pw := NewPromWriter(&sb)
 	pw.Gauge("dudetm_durable_tid", "durable frontier", 42)
-	pw.Header("dudetm_stage_queue_depth", "gauge", "backlog")
-	pw.Sample("dudetm_stage_queue_depth", `stage="persist"`, 3)
+	pw.Family("dudetm_stage_queue_depth", "gauge", "backlog", "stage", []string{"persist"}, func(int) float64 { return 3 })
 	pw.Histogram("dudetm_fence_seconds", "fence duration", h.Snapshot(), 1e-9)
 	if err := pw.Err(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ParseProm(strings.NewReader(sb.String()))
+	sc, err := ParseProm(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, sb.String())
 	}
+	m := sc.Series
 	if m["dudetm_durable_tid"] != 42 {
 		t.Errorf("gauge = %v", m["dudetm_durable_tid"])
 	}
@@ -326,10 +328,8 @@ func TestPromRoundTrip(t *testing.T) {
 	if m[`dudetm_fence_seconds_bucket{le="+Inf"}`] != 2 {
 		t.Errorf("+Inf bucket = %v", m[`dudetm_fence_seconds_bucket{le="+Inf"}`])
 	}
-	for k, v := range m {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("series %s = %v", k, v)
-		}
+	if p := sc.Check(); len(p) != 0 {
+		t.Errorf("Check() = %q", p)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -25,18 +27,21 @@ func TestPromRoundTripFull(t *testing.T) {
 	w := NewPromWriter(&buf)
 	w.Gauge("test_gauge", "a gauge", 42.5)
 	w.Counter("test_counter", "a counter", 12345)
-	w.Header("test_labeled", "gauge", "labeled series")
-	w.Sample("test_labeled", `stage="persist"`, 0.25)
-	w.Sample("test_labeled", `stage="reproduce"`, 0.75)
+	w.Family("test_labeled", "gauge", "labeled series", "stage", []string{"persist", "reproduce"},
+		func(i int) float64 { return []float64{0.25, 0.75}[i] })
 	w.Histogram("test_hist_seconds", "a histogram", snap, 1e-9)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	m, err := ParseProm(bytes.NewReader(buf.Bytes()))
+	sc, err := ParseProm(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("parsing writer output: %v\n%s", err, buf.String())
 	}
+	if p := sc.Check(); len(p) != 0 {
+		t.Errorf("writer output fails Check: %q", p)
+	}
+	m := sc.Series
 	want := map[string]float64{
 		"test_gauge":                          42.5,
 		"test_counter":                        12345,
@@ -95,17 +100,18 @@ func TestPromRoundTripEmptyHistogram(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewPromWriter(&buf)
 	w.Histogram("repl_ack_seconds", "empty at R=0", empty, 1e-9)
-	w.Header("repl_ack_latency_seconds", "gauge", "ack latency quantiles")
-	for _, q := range []string{"0.5", "0.99", "0.999"} {
-		w.Sample("repl_ack_latency_seconds", `quantile="`+q+`"`, float64(empty.Quantile(0.5))*1e-9)
-	}
+	w.Quantiles("repl_ack_latency_seconds", "ack latency quantiles", empty, 1e-9)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ParseProm(bytes.NewReader(buf.Bytes()))
+	sc, err := ParseProm(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("parsing writer output: %v\n%s", err, buf.String())
 	}
+	if p := sc.Check(); len(p) != 0 {
+		t.Errorf("empty-histogram output fails Check: %q", p)
+	}
+	m := sc.Series
 	for _, series := range []string{
 		"repl_ack_seconds_count",
 		"repl_ack_seconds_sum",
@@ -134,9 +140,46 @@ func TestParsePromRejectsMalformed(t *testing.T) {
 	if _, err := ParseProm(bytes.NewReader([]byte("series notanumber\n"))); err == nil {
 		t.Error("non-numeric value accepted")
 	}
-	m, err := ParseProm(bytes.NewReader([]byte("# HELP x y\n\nseries 1\n")))
-	if err != nil || m["series"] != 1 {
-		t.Errorf("comments/blanks mishandled: %v %v", m, err)
+	sc, err := ParseProm(bytes.NewReader([]byte("# HELP x y\n\nseries 1\n")))
+	if err != nil || sc.Series["series"] != 1 {
+		t.Errorf("comments/blanks mishandled: %v %v", sc, err)
+	}
+}
+
+// TestScrapeCheck pins what Check holds an exposition to: every family
+// a # TYPE line declares has a sample (a histogram's _bucket, _sum or
+// _count counts for it), and no sample is NaN or ±Inf.
+func TestScrapeCheck(t *testing.T) {
+	const healthy = `# HELP up a gauge
+# TYPE up gauge
+up 1
+# TYPE stage_util gauge
+stage_util{stage="persist"} 0.5
+# TYPE fence_seconds histogram
+fence_seconds_count 0
+`
+	cases := []struct {
+		name, text string
+		want       []string
+	}{
+		{"healthy", healthy, nil},
+		{"declared family without sample", healthy + "# TYPE orphan_total counter\n",
+			[]string{"counter family orphan_total has no sample"}},
+		{"histogram without samples", "# TYPE lat_seconds histogram\nlat_seconds_total 1\n",
+			[]string{"histogram family lat_seconds has no sample"}},
+		{"NaN", healthy + "x NaN\n", []string{"x = NaN"}},
+		{"+Inf", healthy + `y{region="log"} +Inf` + "\n", []string{`y{region="log"} = +Inf`}},
+		{"-Inf and orphan", healthy + "z -Inf\n# TYPE gone gauge\n",
+			[]string{"gauge family gone has no sample", "z = -Inf"}},
+	}
+	for _, c := range cases {
+		sc, err := ParseProm(strings.NewReader(c.text))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := sc.Check(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Check() = %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 

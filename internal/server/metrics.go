@@ -14,71 +14,16 @@ import (
 	"dudetm/internal/repl"
 )
 
-// RequiredSeries is the scrape contract of WriteMetrics: a healthy
-// endpoint exposes every one of these with a finite value. The server's
-// endpoint test and the `dudectl top -check` gate both range over it.
-var RequiredSeries = []string{
-	"dudetm_clock_tid",
-	"dudetm_durable_tid",
-	"dudetm_reproduced_tid",
-	`dudetm_stage_utilization{stage="persist"}`,
-	`dudetm_stage_utilization{stage="reproduce"}`,
-	`dudetm_stage_queue_depth{stage="persist"}`,
-	`dudetm_stage_queue_depth{stage="reproduce"}`,
-	"dudetm_persist_wakes_total",
-	"dudetm_commit_durable_seconds_count",
-	"dudetm_commit_durable_seconds_sum",
-	`dudetm_commit_durable_latency_seconds{quantile="0.5"}`,
-	`dudetm_commit_durable_latency_seconds{quantile="0.99"}`,
-	`dudetm_commit_durable_latency_seconds{quantile="0.999"}`,
-	"dudetm_repro_epochs_total",
-	"dudetm_repro_epoch_entries_in_total",
-	"dudetm_repro_epoch_entries_out_total",
-	"dudetm_repro_epoch_coalesce_ratio",
-	"dudetm_repro_epoch_groups_count",
-	"dudetm_repro_lines_flushed_total",
-	"dudetm_critpath_txns_total",
-	"dudetm_critpath_incomplete_total",
-	"dudetm_critpath_dropped_total",
-	"dudetm_critpath_e2e_seconds_count",
-	"dudetm_critpath_e2e_seconds_sum",
-	`dudetm_critpath_segment_seconds_total{segment="ring_dwell"}`,
-	`dudetm_critpath_segment_seconds_total{segment="seal_wait"}`,
-	`dudetm_critpath_segment_seconds_total{segment="persist_fence"}`,
-	`dudetm_critpath_segment_seconds_total{segment="repl_ship"}`,
-	`dudetm_critpath_segment_seconds_total{segment="quorum_wait"}`,
-	`dudetm_critpath_segment_seconds_total{segment="notify"}`,
-	`dudetm_critpath_segment_share{segment="persist_fence"}`,
-	`dudetm_critpath_segment_p99_seconds{segment="persist_fence"}`,
-	"dudetm_watchdog_stalls_total",
-	"dudetm_recovery_runs_total",
-	"dudetm_recovery_replay_seconds",
-	"dudetm_recovery_bytes_replayed",
-	`dudetm_region_flushed_bytes_total{region="log"}`,
-	`dudetm_region_flushed_bytes_total{region="data"}`,
-	`dudetm_region_fences_total{region="log"}`,
-	"dudetm_repl_peers",
-	"dudetm_repl_quorum_state",
-	"dudetm_repl_acked_tid",
-	"dudetm_repl_frontier_lag",
-	"dudetm_repl_degraded_events_total",
-	"dudetm_repl_wire_bytes_total",
-	`dudetm_repl_ack_latency_seconds{quantile="0.5"}`,
-	`dudetm_repl_ack_latency_seconds{quantile="0.99"}`,
-	`dudetm_repl_ack_latency_seconds{quantile="0.999"}`,
-	"dudesrv_connections_total",
-	"dudesrv_requests_total",
-	"dudesrv_acked_writes_total",
-	"dudesrv_failed_acks_total",
-	"dudesrv_offered_requests_total",
-	"dudesrv_served_responses_total",
-}
-
 // WriteMetrics renders the pool's pipeline state and the server's
 // service counters in the Prometheus text exposition format (0.0.4).
 // One scrape is a consistent-enough snapshot for operations: every
 // value is read from a monotonic counter or a current gauge; no locks
 // are taken on the transaction hot path.
+//
+// Each family's name, type and help are declared here once and
+// nowhere else. Every family writes at least one sample whatever the
+// load or topology (zeros on a fresh or unreplicated node), which is
+// what obs.Scrape.Check holds a scrape to.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	st := s.pool.Stats()
 	sv := s.Stats()
@@ -98,39 +43,22 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 
 	// Per-stage utilization, labeled like a real job system so one
 	// dashboard query covers both background stages.
-	stages := []struct {
-		labels string
-		ss     idudetm.StageStats
-	}{
-		{`stage="persist"`, st.Persist},
-		{`stage="reproduce"`, st.Reproduce},
-	}
-	p.Header("dudetm_stage_busy_seconds_total", "counter", "Busy time per pipeline stage (summed across workers).")
-	for _, r := range stages {
-		p.Sample("dudetm_stage_busy_seconds_total", r.labels, float64(r.ss.BusyNanos)*1e-9)
-	}
-	p.Header("dudetm_stage_groups_total", "counter", "Groups processed per pipeline stage.")
-	for _, r := range stages {
-		p.Sample("dudetm_stage_groups_total", r.labels, float64(r.ss.Groups))
-	}
-	p.Header("dudetm_stage_fences_total", "counter", "Persist barriers issued per pipeline stage.")
-	for _, r := range stages {
-		p.Sample("dudetm_stage_fences_total", r.labels, float64(r.ss.Fences))
-	}
-	p.Header("dudetm_stage_workers", "gauge", "Configured worker count per pipeline stage.")
-	for _, r := range stages {
-		p.Sample("dudetm_stage_workers", r.labels, float64(r.ss.Workers))
-	}
-	p.Header("dudetm_stage_queue_depth", "gauge", "Current stage backlog in groups.")
-	for _, r := range stages {
-		p.Sample("dudetm_stage_queue_depth", r.labels, float64(r.ss.QueueDepth))
-	}
-	p.Header("dudetm_stage_utilization", "gauge", "Per-worker stage utilization in [0,1].")
-	for _, r := range stages {
-		p.Sample("dudetm_stage_utilization", r.labels, r.ss.Utilization)
-	}
+	stageNames := []string{"persist", "reproduce"}
+	stages := []idudetm.StageStats{st.Persist, st.Reproduce}
+	p.Family("dudetm_stage_busy_seconds_total", "counter", "Busy time per pipeline stage (summed across workers).",
+		"stage", stageNames, func(i int) float64 { return float64(stages[i].BusyNanos) * 1e-9 })
+	p.Family("dudetm_stage_groups_total", "counter", "Groups processed per pipeline stage.",
+		"stage", stageNames, func(i int) float64 { return float64(stages[i].Groups) })
+	p.Family("dudetm_stage_fences_total", "counter", "Persist barriers issued per pipeline stage.",
+		"stage", stageNames, func(i int) float64 { return float64(stages[i].Fences) })
+	p.Family("dudetm_stage_workers", "gauge", "Configured worker count per pipeline stage.",
+		"stage", stageNames, func(i int) float64 { return float64(stages[i].Workers) })
+	p.Family("dudetm_stage_queue_depth", "gauge", "Current stage backlog in groups.",
+		"stage", stageNames, func(i int) float64 { return float64(stages[i].QueueDepth) })
+	p.Family("dudetm_stage_utilization", "gauge", "Per-worker stage utilization in [0,1] over the process lifetime.",
+		"stage", stageNames, func(i int) float64 { return stages[i].Utilization })
 	p.Gauge("dudetm_persist_window_depth", "Reserved-but-unretired persist dispatch sequences.", float64(st.Persist.WindowDepth))
-	p.Counter("dudetm_persist_wakes_total", "Persist coordinator wakes from an idle park (a commit, a drained persist queue, Close or Crash).", float64(st.Persist.Wakes))
+	p.Counter("dudetm_persist_wakes_total", "Persist coordinator wakes from an idle park (a commit, a drained persist queue, Close or Crash); divided by dudetm_stage_groups_total{stage=\"persist\"} it is wakes per group.", float64(st.Persist.Wakes))
 
 	// Replay-epoch coalescing (Reproduce stage). The counters exist (at
 	// zero) while Reproduce keeps up — epochs only form under backlog —
@@ -161,18 +89,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Histogram("dudetm_repro_epoch_groups", "Groups merged per coalesced replay epoch.", ob.EpochGroups, 1)
 	p.Histogram("dudetm_repro_epoch_entries", "Coalesced entries per replay epoch.", ob.EpochEntries, 1)
 
-	quantiles := []struct {
-		label string
-		q     float64
-	}{{"0.5", 0.5}, {"0.99", 0.99}, {"0.999", 0.999}}
-	p.Header("dudetm_commit_durable_latency_seconds", "gauge", "Commit to durable latency quantiles of sampled transactions.")
-	for _, q := range quantiles {
-		p.Sample("dudetm_commit_durable_latency_seconds", `quantile="`+q.label+`"`, float64(ob.CommitDurable.Quantile(q.q))*1e-9)
-	}
-	p.Header("dudetm_commit_reproduced_latency_seconds", "gauge", "Commit to reproduced latency quantiles of sampled transactions.")
-	for _, q := range quantiles {
-		p.Sample("dudetm_commit_reproduced_latency_seconds", `quantile="`+q.label+`"`, float64(ob.CommitReproduced.Quantile(q.q))*1e-9)
-	}
+	p.Quantiles("dudetm_commit_durable_latency_seconds", "Commit to durable latency quantiles of sampled transactions.", ob.CommitDurable, 1e-9)
+	p.Quantiles("dudetm_commit_reproduced_latency_seconds", "Commit to reproduced latency quantiles of sampled transactions.", ob.CommitReproduced, 1e-9)
 
 	// Critical-path decomposition of sampled transactions: where the
 	// commit→acked window goes, segment by segment. The segment set is
@@ -183,22 +101,21 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Counter("dudetm_critpath_incomplete_total", "Sampled transactions whose timeline was missing a required stamp.", float64(crit.Incomplete))
 	p.Counter("dudetm_critpath_dropped_total", "Samples dropped because the critpath collector was behind.", float64(crit.Dropped))
 	p.Histogram("dudetm_critpath_e2e_seconds", "Commit to quorum-acked latency of decomposed transactions.", crit.E2E, 1e-9)
-	p.Header("dudetm_critpath_segment_seconds_total", "counter", "Critical-path time attributed per segment across decomposed transactions.")
-	for seg := obs.CritSegment(0); seg < obs.NumCritSegments; seg++ {
-		p.Sample("dudetm_critpath_segment_seconds_total", `segment="`+seg.String()+`"`, float64(crit.Segments[seg].Sum)*1e-9)
+	segNames := make([]string, obs.NumCritSegments)
+	for seg := range segNames {
+		segNames[seg] = obs.CritSegment(seg).String()
 	}
-	p.Header("dudetm_critpath_segment_share", "gauge", "Fraction of total critical-path time attributed per segment.")
-	for seg := obs.CritSegment(0); seg < obs.NumCritSegments; seg++ {
-		share := 0.0
-		if crit.E2E.Sum > 0 {
-			share = float64(crit.Segments[seg].Sum) / float64(crit.E2E.Sum)
-		}
-		p.Sample("dudetm_critpath_segment_share", `segment="`+seg.String()+`"`, share)
-	}
-	p.Header("dudetm_critpath_segment_p99_seconds", "gauge", "Per-transaction p99 of each critical-path segment.")
-	for seg := obs.CritSegment(0); seg < obs.NumCritSegments; seg++ {
-		p.Sample("dudetm_critpath_segment_p99_seconds", `segment="`+seg.String()+`"`, float64(crit.Segments[seg].Quantile(0.99))*1e-9)
-	}
+	p.Family("dudetm_critpath_segment_seconds_total", "counter", "Critical-path time attributed per segment across decomposed transactions.",
+		"segment", segNames, func(i int) float64 { return float64(crit.Segments[i].Sum) * 1e-9 })
+	p.Family("dudetm_critpath_segment_share", "gauge", "Fraction of total critical-path time attributed per segment.",
+		"segment", segNames, func(i int) float64 {
+			if crit.E2E.Sum == 0 {
+				return 0
+			}
+			return float64(crit.Segments[i].Sum) / float64(crit.E2E.Sum)
+		})
+	p.Family("dudetm_critpath_segment_p99_seconds", "gauge", "Per-transaction p99 of each critical-path segment.",
+		"segment", segNames, func(i int) float64 { return float64(crit.Segments[i].Quantile(0.99)) * 1e-9 })
 
 	p.Counter("dudetm_watchdog_stalls_total", "Pipeline stall episodes detected by the watchdog.", float64(st.Stalls))
 
@@ -256,39 +173,32 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Gauge("dudetm_repl_peers_connected", "Peers with a live replication stream.", float64(snd.Connected))
 	p.Counter("dudetm_repl_dead_peers_total", "Peers abandoned permanently (queue overflow or oversize group).", float64(snd.DeadPeers))
 	p.Histogram("dudetm_repl_ack_seconds", "Ship-to-replica-ack latency per shipped group.", snd.AckLatency, 1e-9)
-	p.Header("dudetm_repl_ack_latency_seconds", "gauge", "Ship-to-replica-ack latency quantiles.")
-	for _, q := range quantiles {
-		p.Sample("dudetm_repl_ack_latency_seconds", `quantile="`+q.label+`"`, float64(snd.AckLatency.Quantile(q.q))*1e-9)
-	}
+	p.Quantiles("dudetm_repl_ack_latency_seconds", "Ship-to-replica-ack latency quantiles.", snd.AckLatency, 1e-9)
 
 	// Per-region device traffic: which pool region (header, meta,
 	// blackbox, log, data) the flush/fence/byte volume lands in.
-	p.Header("dudetm_region_stored_bytes_total", "counter", "Bytes stored per pool region.")
-	for _, r := range st.Regions {
-		p.Sample("dudetm_region_stored_bytes_total", `region="`+r.Name+`"`, float64(r.BytesStored))
+	regionNames := make([]string, len(st.Regions))
+	for i, r := range st.Regions {
+		regionNames[i] = r.Name
 	}
-	p.Header("dudetm_region_flushed_bytes_total", "counter", "Bytes written back per pool region.")
-	for _, r := range st.Regions {
-		p.Sample("dudetm_region_flushed_bytes_total", `region="`+r.Name+`"`, float64(r.BytesFlushed))
-	}
-	p.Header("dudetm_region_flushed_lines_total", "counter", "Cache lines written back per pool region.")
-	for _, r := range st.Regions {
-		p.Sample("dudetm_region_flushed_lines_total", `region="`+r.Name+`"`, float64(r.LinesFlushed))
-	}
-	p.Header("dudetm_region_fences_total", "counter", "Persist barriers attributed per pool region.")
-	for _, r := range st.Regions {
-		p.Sample("dudetm_region_fences_total", `region="`+r.Name+`"`, float64(r.Fences))
-	}
+	p.Family("dudetm_region_stored_bytes_total", "counter", "Bytes stored per pool region.",
+		"region", regionNames, func(i int) float64 { return float64(st.Regions[i].BytesStored) })
+	p.Family("dudetm_region_flushed_bytes_total", "counter", "Bytes written back per pool region.",
+		"region", regionNames, func(i int) float64 { return float64(st.Regions[i].BytesFlushed) })
+	p.Family("dudetm_region_flushed_lines_total", "counter", "Cache lines written back per pool region.",
+		"region", regionNames, func(i int) float64 { return float64(st.Regions[i].LinesFlushed) })
+	p.Family("dudetm_region_fences_total", "counter", "Persist barriers attributed per pool region.",
+		"region", regionNames, func(i int) float64 { return float64(st.Regions[i].Fences) })
 
 	// Service counters.
 	p.Counter("dudesrv_connections_total", "Connections accepted.", float64(sv.Conns))
 	p.Counter("dudesrv_requests_total", "Requests executed.", float64(sv.Requests))
 	p.Counter("dudesrv_acked_writes_total", "Write transactions acknowledged durable to clients.", float64(sv.AckedWrites))
-	p.Counter("dudesrv_failed_acks_total", "Strict writes answered with an error because their durability wait failed (quorum lost, or pool closed or crashed).", float64(sv.FailedAcks))
+	p.Counter("dudesrv_failed_acks_total", "Strict writes answered with an error because their durability wait failed (quorum lost, or pool closed or crashed); the response's error text and dudetm_repl_quorum_state say which.", float64(sv.FailedAcks))
 	p.Counter("dudesrv_offered_requests_total", "Requests decoded off the wire (demand, counted before execution).", float64(sv.Offered))
 	p.Counter("dudesrv_served_responses_total", "Responses written back to clients.", float64(sv.Served))
-	p.Counter("dudesrv_notifier_wakeups_total", "Ack-frontier advances that released at least one parked waiter (counted by the pool's durability notifier).", float64(sv.Notifier.Wakeups))
-	p.Counter("dudesrv_notifier_released_total", "Parked waiters released by ack-frontier advances.", float64(sv.Notifier.Released))
+	p.Counter("dudesrv_notifier_wakeups_total", "Ack-frontier advances that released at least one parked waiter (counted by the pool's durability notifier, Pool.NotifierStats; the server has none of its own).", float64(sv.Notifier.Wakeups))
+	p.Counter("dudesrv_notifier_released_total", "Parked waiters released by ack-frontier advances (server connections and library WaitDurable callers alike).", float64(sv.Notifier.Released))
 	p.Gauge("dudesrv_notifier_max_batch", "Most waiters released by a single frontier advance.", float64(sv.Notifier.MaxBatch))
 	return p.Err()
 }

@@ -39,20 +39,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	m, err := obs.ParseProm(resp.Body)
+	sc, err := obs.ParseProm(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, series := range RequiredSeries {
-		v, ok := m[series]
-		if !ok {
-			t.Errorf("missing series %s", series)
-			continue
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("%s = %v", series, v)
-		}
+	// Every declared family has a sample and every sample is finite.
+	for _, p := range sc.Check() {
+		t.Error(p)
 	}
+	m := sc.Series
 	// Put acks after durability, so 50 writes are behind the frontier
 	// and each was a sampled (1-in-1) lifecycle observation.
 	if m["dudetm_durable_tid"] < 50 {
@@ -75,10 +70,40 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m["dudesrv_served_responses_total"] < 50 {
 		t.Errorf("dudesrv_served_responses_total = %v, want >= 50", m["dudesrv_served_responses_total"])
 	}
+	// The group-commit counters come from the pool's notifier, not the
+	// server: the acks above were released by at least one wakeup, and
+	// a wakeup releases at least one waiter.
+	if w, r := m["dudesrv_notifier_wakeups_total"], m["dudesrv_notifier_released_total"]; !(0 < w && w <= r) {
+		t.Errorf("notifier wakeups %v, released %v; want 0 < wakeups <= released", w, r)
+	}
 	// 50 durable writes must have flushed log-region bytes; this pool
 	// was created fresh, so no recovery has run.
 	if m[`dudetm_region_flushed_bytes_total{region="log"}`] == 0 {
 		t.Error("log region reports no flushed bytes after 50 durable writes")
+	}
+	// Check holds each family to one sample; the label sets are held
+	// here: every pool region, quantile and critpath segment has its
+	// series.
+	var labeled []string
+	for _, r := range pool.Stats().Regions {
+		for _, f := range []string{"stored_bytes", "flushed_bytes", "flushed_lines", "fences"} {
+			labeled = append(labeled, "dudetm_region_"+f+`_total{region="`+r.Name+`"}`)
+		}
+	}
+	for _, f := range []string{"commit_durable", "commit_reproduced", "repl_ack"} {
+		for _, q := range []string{"0.5", "0.99", "0.999"} {
+			labeled = append(labeled, "dudetm_"+f+`_latency_seconds{quantile="`+q+`"}`)
+		}
+	}
+	for seg := obs.CritSegment(0); seg < obs.NumCritSegments; seg++ {
+		for _, f := range []string{"seconds_total", "share", "p99_seconds"} {
+			labeled = append(labeled, "dudetm_critpath_segment_"+f+`{segment="`+seg.String()+`"}`)
+		}
+	}
+	for _, series := range labeled {
+		if _, ok := m[series]; !ok {
+			t.Errorf("missing series %s", series)
+		}
 	}
 	if m["dudetm_recovery_runs_total"] != 0 {
 		t.Errorf("dudetm_recovery_runs_total = %v on a fresh pool", m["dudetm_recovery_runs_total"])
@@ -114,11 +139,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err = obs.ParseProm(resp.Body)
+		sc, err = obs.ParseProm(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
+		m = sc.Series
 	}
 	if m["dudetm_critpath_e2e_seconds_count"] != m["dudetm_critpath_txns_total"] {
 		t.Errorf("e2e count %v != txns %v",
@@ -131,8 +157,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("replication segments nonzero on an unreplicated node")
 	}
 	var share float64
-	for _, seg := range []string{"ring_dwell", "seal_wait", "persist_fence", "repl_ship", "quorum_wait", "notify"} {
-		share += m[`dudetm_critpath_segment_share{segment="`+seg+`"}`]
+	for seg := obs.CritSegment(0); seg < obs.NumCritSegments; seg++ {
+		share += m[`dudetm_critpath_segment_share{segment="`+seg.String()+`"}`]
 	}
 	if math.Abs(share-1) > 0.01 {
 		t.Errorf("segment shares sum to %v, want ~1", share)
@@ -150,18 +176,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(body, "tid 25 lifecycle") || !strings.Contains(body, "commit") {
 		t.Errorf("/debug/trace?tid=25:\n%s", body)
 	}
-	// An unknown tid is a 404 whose body explains the sampling period.
-	resp, err = http.Get(hs.URL + "/debug/trace?tid=999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/debug/trace with unknown tid: %s, want 404", resp.Status)
-	}
-	if !strings.Contains(string(nb), "not sampled") || !strings.Contains(string(nb), "1-in-1") {
-		t.Errorf("404 body = %q, want sampling explanation", nb)
+	// An unknown tid is a 404 whose body explains the sampling period;
+	// so is tid 0, which is never assigned (the trace rings read it as
+	// "every record", which must not leak out as one timeline).
+	for _, tid := range []string{"999999", "0"} {
+		resp, err = http.Get(hs.URL + "/debug/trace?tid=" + tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nb, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("/debug/trace?tid=%s: %s, want 404", tid, resp.Status)
+		}
+		if !strings.Contains(string(nb), "not sampled") || !strings.Contains(string(nb), "1-in-1") {
+			t.Errorf("tid %s 404 body = %q, want sampling explanation", tid, nb)
+		}
 	}
 	// format=chrome renders the timeline as a Perfetto-loadable
 	// trace-event document.

@@ -82,9 +82,13 @@ rm -f /tmp/dudebench.list.txt
 
 echo "== dudesrv /metrics smoke (live scrape gate)"
 # Boot a real dudesrv with the observability endpoint, drive load
-# through the wire protocol, then hold the endpoint to its contract:
-# dudectl top -check fails on any missing or non-finite required series
-# (frontier gauges, per-stage utilization, durability quantiles).
+# through the wire protocol, then hold the endpoint to its own
+# declarations: dudectl top -check fails on any family a # TYPE line
+# declares without a sample, any NaN or Inf sample, any series the
+# top or critpath view reads that the scrape lacks, and any bad
+# counter rate.
+# The notifier counters' load-dependent bound (0 < wakeups <= released)
+# is asserted by TestMetricsEndpoint.
 SRV_ADDR=127.0.0.1:17070
 MET_ADDR=127.0.0.1:17071
 go build -o /tmp/dudesrv.check ./cmd/dudesrv
@@ -101,48 +105,6 @@ done
 go run ./examples/netbank -addr "$SRV_ADDR" >/dev/null
 /tmp/dudectl.check top -addr "$MET_ADDR" -n 1
 /tmp/dudectl.check top -addr "$MET_ADDR" -check
-
-echo "== metrics/docs consistency (live /metrics vs DESIGN.md inventory)"
-# The "Metrics inventory" section of DESIGN.md is a checked contract:
-# every dudetm_*/dudesrv_* family the live endpoint exports must be
-# documented there, and every family documented there must still be
-# exported. Catches both undocumented additions and stale docs.
-curl -fsS "http://$MET_ADDR/metrics" >/tmp/dude.check.metrics.txt
-python3 - <<'EOF'
-import re, sys
-live = set()
-for line in open("/tmp/dude.check.metrics.txt"):
-    m = re.match(r"# TYPE ((?:dudetm|dudesrv)_[a-z0-9_]+) ", line)
-    if m:
-        live.add(m.group(1))
-design = open("DESIGN.md").read()
-m = re.search(r"^## Metrics inventory$(.*?)^## ", design, re.S | re.M)
-if not m:
-    sys.exit("DESIGN.md lacks a '## Metrics inventory' section")
-documented = set(re.findall(r"`((?:dudetm|dudesrv)_[a-z0-9_]+)`", m.group(1)))
-undocumented = sorted(live - documented)
-stale = sorted(documented - live)
-if undocumented:
-    sys.exit(f"exported but missing from DESIGN.md metrics inventory: {undocumented}")
-if stale:
-    sys.exit(f"in DESIGN.md metrics inventory but not exported: {stale}")
-print(f"metrics/docs consistency: {len(live)} families documented and exported")
-# The group-commit counters are counted by the pool's notifier, not by
-# the server: names alone would pass with a series stuck at zero. After
-# the netbank load acks must have been released, in batches.
-text = open("/tmp/dude.check.metrics.txt").read()
-def sample(name):
-    m = re.search(rf"^{name} (\S+)$", text, re.M)
-    if not m:
-        sys.exit(f"/metrics has no sample for {name}")
-    return float(m.group(1))
-released = sample("dudesrv_notifier_released_total")
-wakeups = sample("dudesrv_notifier_wakeups_total")
-if not 0 < wakeups <= released:
-    sys.exit(f"notifier counters after load: wakeups {wakeups:g}, released {released:g}; want 0 < wakeups <= released")
-print(f"notifier counters: {released:g} waiters released by {wakeups:g} wakeups")
-EOF
-rm -f /tmp/dude.check.metrics.txt
 
 kill -TERM "$SRV_PID"
 wait "$SRV_PID"
