@@ -164,11 +164,19 @@ func (v *topView) render(w io.Writer, url string, sample int) {
 		clock, durable, clock-durable, repro, durable-repro)
 	for _, stage := range []string{"persist", "reproduce"} {
 		l := fmt.Sprintf("{stage=%q}", stage)
-		fmt.Fprintf(w, "  %-11s util %5.1f%%   queue %.0f   workers %.0f   groups %.0f   fences %.0f\n",
-			stage,
-			100*v.get("dudetm_stage_utilization"+l),
+		workers := v.get("dudetm_stage_workers" + l)
+		// Busy seconds per second per worker over the polling interval,
+		// not dudetm_stage_utilization's lifetime average. The first
+		// sample has no interval yet.
+		busy := v.rate("dudetm_stage_busy_seconds_total" + l)
+		util := "    -"
+		if v.prev != nil && workers > 0 {
+			util = fmt.Sprintf("%5.1f%%", 100*busy/workers)
+		}
+		fmt.Fprintf(w, "  %-11s util %s   queue %.0f   workers %.0f   groups %.0f   fences %.0f\n",
+			stage, util,
 			v.get("dudetm_stage_queue_depth"+l),
-			v.get("dudetm_stage_workers"+l),
+			workers,
 			v.get("dudetm_stage_groups_total"+l),
 			v.get("dudetm_stage_fences_total"+l))
 	}

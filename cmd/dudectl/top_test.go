@@ -17,9 +17,9 @@ const fixture = `# TYPE dudetm_clock_tid gauge
 dudetm_clock_tid 1
 dudetm_durable_tid 1
 dudetm_reproduced_tid 1
-# TYPE dudetm_stage_utilization gauge
-dudetm_stage_utilization{stage="persist"} 1
-dudetm_stage_utilization{stage="reproduce"} 1
+# TYPE dudetm_stage_busy_seconds_total counter
+dudetm_stage_busy_seconds_total{stage="persist"} 1
+dudetm_stage_busy_seconds_total{stage="reproduce"} 1
 dudetm_stage_queue_depth{stage="persist"} 1
 dudetm_stage_queue_depth{stage="reproduce"} 1
 dudetm_stage_workers{stage="persist"} 1
@@ -116,6 +116,8 @@ func TestCheckScrapes(t *testing.T) {
 			"top view reads missing series dudetm_repl_peers_connected"},
 		{"missing rate series", healthy(1), without(healthy(1), "dudesrv_offered_requests_total"), tick,
 			"top view reads missing series dudesrv_offered_requests_total"},
+		{"missing stage busy time", healthy(1), without(healthy(1), `dudetm_stage_busy_seconds_total{stage="reproduce"}`), tick,
+			`top view reads missing series dudetm_stage_busy_seconds_total{stage="reproduce"}`},
 		// dudectl critpath would rank a renamed segment as 0.
 		{"missing critpath segment", healthy(1), without(healthy(5), `dudetm_critpath_segment_seconds_total{segment="persist_fence"}`), tick,
 			`critpath view reads missing series dudetm_critpath_segment_seconds_total{segment="persist_fence"}`},
@@ -143,5 +145,48 @@ func TestCheckScrapes(t *testing.T) {
 		case c.want != "" && (len(p) == 0 || p[0] != c.want):
 			t.Errorf("%s: problems %q, want first %q", c.name, p, c.want)
 		}
+	}
+}
+
+// TestTopUtilIsIntervalRate renders the stage lines over two scrapes a
+// second apart: util is the busy-time rate per worker over that second,
+// whatever the lifetime utilization gauge reads, and the first sample,
+// with no interval yet, shows none.
+func TestTopUtilIsIntervalRate(t *testing.T) {
+	const (
+		busyPersist   = `dudetm_stage_busy_seconds_total{stage="persist"}`
+		busyReproduce = `dudetm_stage_busy_seconds_total{stage="reproduce"}`
+		lifetime      = "# TYPE dudetm_stage_utilization gauge\n" +
+			`dudetm_stage_utilization{stage="persist"} 1` + "\n" +
+			`dudetm_stage_utilization{stage="reproduce"} 1` + "\n"
+	)
+	first := scrapeOf(t, lifetime, 1, map[string]float64{
+		busyPersist: 10, busyReproduce: 3, `dudetm_stage_workers{stage="persist"}`: 2,
+		`dudetm_stage_utilization{stage="persist"}`: 0.001, `dudetm_stage_utilization{stage="reproduce"}`: 0.9,
+	})
+	second := scrapeOf(t, lifetime, 1, map[string]float64{
+		busyPersist: 10.5, busyReproduce: 3, `dudetm_stage_workers{stage="persist"}`: 2,
+		`dudetm_stage_utilization{stage="persist"}`: 0.001, `dudetm_stage_utilization{stage="reproduce"}`: 0.9,
+	})
+	render := func(cur, prev obs.Scrape) string {
+		v := topView{seriesReader: seriesReader{view: "top", cur: cur.Series}, prev: prev.Series, elapsed: time.Second}
+		var b strings.Builder
+		v.render(&b, "", 1)
+		if len(v.problems) != 0 {
+			t.Fatalf("problems %q", v.problems)
+		}
+		return b.String()
+	}
+	out := render(second, first)
+	for _, want := range []string{
+		"persist     util  25.0%   queue 1   workers 2", // 0.5 s busy / 1 s / 2 workers
+		"reproduce   util   0.0%   queue 1   workers 1", // idle over the interval
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("two-scrape view lacks %q:\n%s", want, out)
+		}
+	}
+	if out := render(first, obs.Scrape{}); !strings.Contains(out, "persist     util     -   queue") {
+		t.Errorf("first sample shows a util figure without an interval:\n%s", out)
 	}
 }

@@ -109,8 +109,8 @@ func main() {
 				rec.GroupsReplayed, rec.EntriesReplayed, rec.BytesReplayed,
 				time.Duration(rec.ReplayNanos), time.Duration(rec.RecycleNanos))
 			if r := rec.Report; r != nil {
-				log.Printf("dudesrv: crash report: last durable stamp %d, %d in-flight fence(s), %d torn recorder slot(s), %d torn log(s)",
-					r.LastDurableStamp, len(r.InFlightFences),
+				log.Printf("dudesrv: crash report: log frontier %d, %d in-flight fence(s), %d torn recorder slot(s), %d torn log(s)",
+					r.LogFrontier, len(r.InFlightFences),
 					r.TornBlackboxSlots, r.TornLogs)
 			}
 		}

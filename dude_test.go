@@ -332,3 +332,68 @@ func TestOldFormatImageRefusedByName(t *testing.T) {
 	_, err = Forensics(img)
 	check("Forensics", err)
 }
+
+// TestRecordOverwriteByteBudget pins the NVM write traffic of the
+// benchmark's tx-btree transaction: overwriting a Pool.Alloc'd 128 B
+// record writes back exactly its two data lines, and the flight
+// recorder writes nothing after boot. A record that straddles a third
+// line, or a per-group recorder write, fails here.
+func TestRecordOverwriteByteBudget(t *testing.T) {
+	const records, words = 64, 16
+	pool, err := Create(Options{DataSize: 1 << 20, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := func(name string) (bytes, fences uint64) {
+		for _, r := range pool.Stats().Regions {
+			if r.Name == name {
+				return r.BytesFlushed, r.Fences
+			}
+		}
+		t.Fatalf("no %s region in Stats().Regions", name)
+		return 0, 0
+	}
+	bbBytes, bbFences := region("blackbox")
+
+	var addrs []uint64
+	last, err := pool.Update(0, func(tx *Tx) error {
+		addrs = addrs[:0]
+		for i := 0; i < records; i++ {
+			a, err := pool.Alloc(tx, words*8)
+			if err != nil {
+				return err
+			}
+			addrs = append(addrs, a)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.WaitDurable(last)
+	for deadline := time.Now().Add(5 * time.Second); pool.Reproduced() < last; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("preload not reproduced: %d < %d", pool.Reproduced(), last)
+		}
+	}
+	dataBytes, _ := region("data")
+
+	for i, a := range addrs {
+		if _, err := pool.Update(0, func(tx *Tx) error {
+			for j := uint64(0); j < words; j++ {
+				tx.Store(a+j*8, uint64(i)<<8|j)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool.Close() // reproduces every overwrite
+	if got, _ := region("data"); got-dataBytes != records*words*8 {
+		t.Errorf("data region flushed %d B for %d record overwrites (%.1f B/tx), want %d B/tx",
+			got-dataBytes, records, float64(got-dataBytes)/records, words*8)
+	}
+	if b, f := region("blackbox"); b != bbBytes || f != bbFences {
+		t.Errorf("flight recorder flushed %d B with %d fence(s) after boot, want none", b-bbBytes, f-bbFences)
+	}
+}

@@ -111,7 +111,7 @@ func TestEpochCoalesceLastWriterWins(t *testing.T) {
 // flight. The teardown path abandons the epoch-granular recycle
 // bookkeeping wherever it stood (Crash never flushes pending
 // recycles), so the image recovery sees has durable-but-unreplayed
-// groups and stale recycle stamps behind coalesced epochs. Recovery
+// groups and stale recycle watermarks behind coalesced epochs. Recovery
 // must reproduce the exact last-writer-wins image of every
 // acknowledged transaction, the durability audit must accept the
 // acked frontier, and a second recovery of the same crash image must

@@ -42,10 +42,6 @@ type CrashReport struct {
 	LogFrontier uint64 `json:"log_frontier"`
 	// Anchor is the reproduce watermark the last recycle persisted.
 	Anchor uint64 `json:"anchor"`
-	// LastDurableStamp is the highest durable-frontier advance the
-	// flight recorder captured. Always <= LogFrontier: the stamp is
-	// written back only after the group's own persist barrier.
-	LastDurableStamp uint64 `json:"last_durable_stamp"`
 	// InFlightFences lists the persist barriers the crash interrupted
 	// mid-append: the tid range each torn log tail claims, when the
 	// header's tid words reached media (redolog.ScanResult.TornMinTid).
@@ -69,8 +65,7 @@ type CrashReport struct {
 // String renders the report as a multi-line diagnostic dump.
 func (r *CrashReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "crash report: log frontier %d (anchor %d, last durable stamp %d)",
-		r.LogFrontier, r.Anchor, r.LastDurableStamp)
+	fmt.Fprintf(&b, "crash report: log frontier %d (anchor %d)", r.LogFrontier, r.Anchor)
 	fmt.Fprintf(&b, "\n  live log content: %d groups, %d entries; %d torn log(s), %d torn recorder slot(s)",
 		r.LiveGroups, r.LiveEntries, r.TornLogs, r.TornBlackboxSlots)
 	for _, g := range r.InFlightFences {
@@ -108,7 +103,7 @@ func scanPool(dev *pmem.Device, lay layout) ([]redolog.ScanResult, uint64, []red
 // flight-recorder stamps. A fenced log record is its own persist-fence
 // stamp and a torn tail is the in-flight append, so per-group findings
 // come from the scan. Only stamps from the current boot epoch are
-// analyzed: the ring keeps the newest stamps, so everything after the
+// reported: the ring keeps the newest stamps, so everything after the
 // last surviving boot stamp (or everything, when the boot itself was
 // lapped away) belongs to the epoch that crashed — earlier epochs may
 // reference transaction IDs recovery discarded and this mount reused.
@@ -146,14 +141,6 @@ func buildCrashReport(dev *pmem.Device, lay layout, results []redolog.ScanResult
 		if recs[i].Kind == blackbox.KindBoot {
 			recs = recs[i:]
 			break
-		}
-	}
-
-	// Retired per-group kinds from an older ring are listed under Events
-	// but not analyzed.
-	for _, rec := range recs {
-		if rec.Kind == blackbox.KindDurable && rec.A > rep.LastDurableStamp {
-			rep.LastDurableStamp = rec.A
 		}
 	}
 

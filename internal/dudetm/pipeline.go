@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"dudetm/internal/obs/blackbox"
 	"dudetm/internal/pmem"
 	"dudetm/internal/redolog"
 )
@@ -53,7 +52,7 @@ type applyTask struct {
 // append is in flight join the next group instead of waiting for a
 // timer — after one yield of the processor, so committers that are
 // already runnable join it too. Partial groups go to worker 0, so at
-// light load one log head moves and one recycle stamp covers it. With
+// light load one log head moves and one recycle covers it. With
 // nothing to do the loop parks on coord (see coordWake); the committer
 // publishing an end mark, the worker draining the persist queue, Close
 // and Crash wake it. No timer sits on this path: on an idle processor a
@@ -229,10 +228,9 @@ func (s *System) persistLoop() {
 // PausePersist wait out an in-flight append.
 //
 // The budget pins the paper's fence economy: one persist barrier per
-// group (AppendGroup's), with the durable-advance stamp's write-back
-// riding behind it fence-free. Nothing is stamped between seal and
-// append: the fenced record is its own persist-fence evidence and a torn
-// tail is the in-flight signature (see buildCrashReport).
+// group (AppendGroup's). The flight recorder writes nothing per group:
+// the fenced record is its own persist-fence evidence and a torn tail is
+// the in-flight signature (see buildCrashReport).
 //
 //dudelint:fencebudget 1
 func (s *System) persistWorker(wi int) {
@@ -265,9 +263,6 @@ func (s *System) persistWorker(wi int) {
 		}
 		s.rm.enqueue()
 		s.reproCh <- repoMsg{g: m.g, w: w, wi: wi, ep: m.ep}
-		// One write-back for the durable stamp the window took above; it
-		// rides after the group's own barrier, adding no fence of its own.
-		s.bb.Flush()
 		s.workerGates[wi].Unlock()
 	}
 }
@@ -504,21 +499,19 @@ func (s *System) reproduceLoop() {
 			if pend[i].count > 0 {
 				repro := s.reproduced.Load()
 				s.writers[i].Recycle(pend[i].pos, pend[i].seq, repro)
-				s.bb.Stamp(blackbox.KindRecycle, uint64(i), pend[i].seq, repro)
 				pendingRecycles -= pend[i].count
 				pend[i].count = 0
 			}
 		}
-		s.bb.Flush()
 		s.recycled.Store(s.reproduced.Load())
 	}
 
 	// retire publishes one applied group's frontier and recycle
 	// bookkeeping. Epochs retire their groups one by one in ascending
 	// order, after the epoch fence, so the reproduced frontier, the
-	// GroupApplied/ReproducedAdvanced trace stamps and the blackbox
-	// recycle stamps advance exactly as they would group-by-group —
-	// monotonic, none skipped, none reordered.
+	// GroupApplied/ReproducedAdvanced trace stamps and the recycles
+	// advance exactly as they would group-by-group — monotonic, none
+	// skipped, none reordered.
 	retire := func(m repoMsg) {
 		s.reproduced.Store(m.g.MaxTid)
 		s.obs.GroupApplied(s.srcRepro(), m.g.MinTid, m.g.MaxTid)
@@ -531,8 +524,6 @@ func (s *System) reproduceLoop() {
 		pendingRecycles++
 		if p.count >= recycleEvery {
 			s.writers[m.wi].Recycle(p.pos, p.seq, m.g.MaxTid)
-			s.bb.Stamp(blackbox.KindRecycle, uint64(m.wi), p.seq, m.g.MaxTid)
-			s.bb.Flush()
 			pendingRecycles -= p.count
 			p.count = 0
 			if pendingRecycles == 0 {

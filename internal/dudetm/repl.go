@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dudetm/internal/obs/blackbox"
 	"dudetm/internal/redolog"
 )
 
@@ -408,10 +407,9 @@ func (s *System) IngestGroup(minTid, maxTid uint64, entries []redolog.Entry) err
 	g := &redolog.Group{MinTid: minTid, MaxTid: maxTid, Entries: *ep}
 	w := s.writers[0]
 	txns := int(maxTid - minTid + 1)
-	// The same forensic evidence as a locally sealed group: the fenced
-	// record, then a durable stamp behind the group's own barrier — so
-	// dudectl forensics reads a promoted replica's log exactly like a
-	// primary's.
+	// The fenced record is the same forensic evidence a locally sealed
+	// group leaves, so dudectl forensics reads a promoted replica's log
+	// exactly like a primary's.
 	sealAt := s.obs.GroupSealed(s.srcCoord(), minTid, maxTid, txns, len(entries))
 	startAt := s.obs.Now()
 	if w.AppendGroup(g) == 0 {
@@ -426,10 +424,7 @@ func (s *System) IngestGroup(minTid, maxTid uint64, entries []redolog.Entry) err
 	s.rawEntries.Add(uint64(len(entries)))
 	s.combEntries.Add(uint64(len(entries)))
 	s.groups.Add(1)
-	// Stamped before waiters wake, like markDurable (see setDurable).
-	s.bb.Stamp(blackbox.KindDurable, maxTid, 0, 0)
 	s.setDurable(maxTid)
-	s.bb.Flush()
 	s.rm.enqueue()
 	s.reproCh <- repoMsg{g: g, w: w, wi: 0, ep: ep}
 	return nil

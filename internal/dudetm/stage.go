@@ -29,15 +29,6 @@ type seqWindow struct {
 	done park.Frontier // frontier: every sequence < done has completed
 	bits [persistWindow / 64]uint64
 	tids [persistWindow]uint64 // MaxTid per slot, read when the frontier passes it
-	// onAdvance, when set, runs under mu each time complete advances
-	// the contiguous frontier, before the advance is published. Work
-	// that must happen-before a WaitDurable return (the flight
-	// recorder's durable-advance stamp) belongs here: a worker whose
-	// advance lost the race to a later one still holds mu while
-	// stamping, so the winning worker's frontier publication — and
-	// therefore any snapshot taken after waiting on it — orders after
-	// every stamp.
-	onAdvance func(tid uint64)
 }
 
 // reserve hands out the next sequence number, blocking while the window
@@ -80,9 +71,6 @@ func (w *seqWindow) complete(seq, maxTid uint64) (uint64, bool) {
 		done++
 	}
 	w.done.Store(done)
-	if w.onAdvance != nil {
-		w.onAdvance(last)
-	}
 	return last, true
 }
 

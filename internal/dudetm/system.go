@@ -63,10 +63,8 @@ type System struct {
 	// acked-frontier stamps).
 	obs *obs.Observer
 
-	// Persistent flight recorder: stamped at pipeline milestones,
-	// decoded by forensics after a crash. Stamps are batched — Flush
-	// rides the pipeline's existing barriers — and Sync fences
-	// immediately (boot, stall).
+	// Persistent flight recorder: stamped and synced at boot and on a
+	// watchdog stall, decoded by forensics after a crash.
 	bb *blackbox.Recorder
 
 	// Recovery instrumentation from the Recover that produced this mount
@@ -257,12 +255,6 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 		return nil, err
 	}
 	s.bb = bb
-	// Async durable-advance stamps ride the completion window's mutex
-	// (see seqWindow.onAdvance for why); the write-back still batches
-	// with the worker's next bb.Flush.
-	s.window.onAdvance = func(tid uint64) {
-		bb.Stamp(blackbox.KindDurable, tid, 0, 0)
-	}
 
 	switch cfg.Shadow {
 	case ShadowFlat:
@@ -433,12 +425,6 @@ func (s *System) setDurable(f uint64) {
 	}
 	s.publishDurable(f)
 	s.obs.DurableAdvanced(f)
-	// The durable-advance flight-recorder stamp is NOT issued here: it
-	// must happen-before waiters wake, or a caller that waits out the
-	// frontier and then snapshots the device races with the stamp's
-	// store. The async path stamps inside the completion window's
-	// critical section (seqWindow.onAdvance); the sync path stamps in
-	// markDurable on the committing thread.
 }
 
 // Run executes fn as a durable transaction on behalf of thread slot and
@@ -583,7 +569,6 @@ func (s *System) syncCommit(th *thread, tid uint64) {
 	s.combEntries.Add(uint64(len(th.entries)))
 	s.groups.Add(1)
 	s.markDurable(tid)
-	s.bb.Flush()
 	s.rm.enqueue()
 	s.reproCh <- repoMsg{g: g, w: th.writer, wi: th.slot, ep: ep}
 	th.entries = th.entries[:0]
@@ -593,11 +578,7 @@ func (s *System) syncCommit(th *thread, tid uint64) {
 // markDurable records tid as flushed and advances the durable frontier
 // to the largest prefix-complete ID.
 func (s *System) markDurable(tid uint64) {
-	f := s.dense.mark(tid)
-	// Batched: the caller's bb.Flush writes it back. Stamped on the
-	// committing thread itself, so it is sequenced before Run returns.
-	s.bb.Stamp(blackbox.KindDurable, f, 0, 0)
-	s.setDurable(f)
+	s.setDurable(s.dense.mark(tid))
 }
 
 // Close drains the pipeline and stops the background threads. All Run

@@ -505,8 +505,7 @@ func Recovery(c ExpConfig) error {
 		sys.Close()
 		return fmt.Errorf("recovery drill: %w", err)
 	}
-	// The gates wait out the in-flight append and the durable stamp's
-	// write-back behind it.
+	// The gates wait out the in-flight append.
 	ds.PausePersist()
 	img := ds.Device().PersistedImage()
 	ds.ResumePersist()

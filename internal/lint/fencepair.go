@@ -35,9 +35,8 @@ import (
 // to other code (as a call argument, composite-literal field, or
 // channel send) counts as flush-like evidence, so the owner's fence
 // after the join is not a "wasted barrier". The pmem package itself,
-// the blackbox flight recorder (whose batched-barrier API deliberately
-// splits Stamp / Flush / Sync across calls so recorder write-backs ride
-// the pipeline's existing fences) and test files (which deliberately
+// the blackbox flight recorder (a second substrate: Stamp stores a slot
+// that a later Sync writes back and fences) and test files (which deliberately
 // leave data unflushed to exercise Crash()) are exempt.
 var analyzerFencePair = &Analyzer{
 	Name: "fencepair",

@@ -28,8 +28,8 @@ import (
 // justification; the suppression also stops the obligation from
 // propagating to callers. The pmem package itself — the substrate that
 // defines Store and Flush — the blackbox flight recorder (a second
-// substrate: Stamp stores a slot that the batched Flush/Sync write back
-// later, by design) and test files are exempt.
+// substrate: Stamp stores a slot that a later Sync writes back, by
+// design) and test files are exempt.
 //
 // The sharded Reproduce apply path needs no suppression: an applier
 // that stores its address shard and flushes it into the group's shared

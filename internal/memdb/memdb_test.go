@@ -104,16 +104,89 @@ func TestHeapOOM(t *testing.T) {
 	}
 }
 
+// TestHeapLineAlignment pins the wilderness padding rule: a payload
+// starts on a 64 B line exactly when that makes it span fewer lines and
+// the padded block still fits. bump+8 is where an unpadded payload
+// would start.
+func TestHeapLineAlignment(t *testing.T) {
+	const at = 1024 // a line boundary well inside the heap
+	cases := []struct {
+		name   string
+		n, off uint64 // payload size; unpadded payload offset in its line
+		want   uint64 // payload offset from at
+		size   uint64 // heap size (0 = 64 KiB)
+	}{
+		{"128 B record unaligned: 3 lines -> 2", 128, 8, 64, 0},
+		{"128 B record worst case: 3 lines -> 2", 128, 56, 64, 0},
+		{"128 B record already aligned", 128, 0, 0, 0},
+		{"8 B word never straddles", 8, 56, 56, 0},
+		{"16 B pair inside a line", 16, 40, 40, 0},
+		{"16 B pair straddling: 2 lines -> 1", 16, 56, 64, 0},
+		{"272 B node spanning 5 lines unpadded", 272, 48, 48, 0},
+		{"272 B node spanning 6 lines: padded to 5", 272, 56, 64, 0},
+		{"64 B line-sized block", 64, 8, 64, 0},
+		// The padded block would run past the end; the unpadded one fits.
+		{"pad that does not fit", 128, 8, 8, at + 8 + 128},
+	}
+	for _, c := range cases {
+		size := c.size
+		if size == 0 {
+			size = 1 << 16
+		}
+		ctx := newCtx(1 << 16)
+		h := Heap{Base: 0, Size: size}
+		h.Format(ctx)
+		ctx.Store(8, at+c.off-8) // bump pointer: the next block's header
+		a, err := h.Alloc(ctx, c.n)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if a != at+c.want {
+			t.Errorf("%s: payload at %d (line offset %d), want %d", c.name, a, a%64, at+c.want)
+		}
+		if got := h.BlockSize(ctx, a); got != c.n {
+			t.Errorf("%s: BlockSize = %d, want %d", c.name, got, c.n)
+		}
+		if bump := ctx.Load(8); bump != a+c.n {
+			t.Errorf("%s: bump pointer %d, want %d", c.name, bump, a+c.n)
+		}
+	}
+
+	// A run of 128 B records: every payload on a line, 192 B apart.
+	ctx := newCtx(1 << 16)
+	h := Heap{Base: 0, Size: 1 << 16}
+	h.Format(ctx)
+	prev := uint64(0)
+	for i := 0; i < 16; i++ {
+		a, err := h.Alloc(ctx, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a%64 != 0 || (i > 0 && a-prev != 192) {
+			t.Fatalf("record %d at %d (previous %d), want line-aligned at a 192 B stride", i, a, prev)
+		}
+		prev = a
+	}
+}
+
+// TestHeapQuickNoOverlap allocates and frees a random mix of the sizes
+// the repository uses (words, KV blobs, 128 B records, B+-tree nodes)
+// and arbitrary ones. No two live blocks may overlap, headers included,
+// and every live payload keeps what was written into it.
 func TestHeapQuickNoOverlap(t *testing.T) {
+	sizes := []uint64{8, 16, 112, 128, 272}
 	f := func(ops []uint16) bool {
 		ctx := newCtx(1 << 20)
 		h := Heap{Base: 0, Size: 1 << 20}
 		h.Format(ctx)
-		type blk struct{ addr, size uint64 }
+		type blk struct{ addr, size, tag uint64 }
 		var live []blk
-		for _, op := range ops {
+		for k, op := range ops {
 			if op%3 != 0 || len(live) == 0 {
 				n := uint64(op%500) + 1
+				if op%2 == 0 {
+					n = sizes[int(op/2)%len(sizes)]
+				}
 				a, err := h.Alloc(ctx, n)
 				if err != nil {
 					continue
@@ -122,22 +195,96 @@ func TestHeapQuickNoOverlap(t *testing.T) {
 				if rn < 8 {
 					rn = 8
 				}
+				if h.BlockSize(ctx, a) < rn {
+					return false
+				}
 				for _, b := range live {
-					if a < b.addr+b.size && b.addr < a+rn {
+					if a-8 < b.addr+b.size && b.addr-8 < a+rn {
 						return false // overlap
 					}
 				}
-				live = append(live, blk{a, rn})
+				b := blk{a, rn, uint64(k) << 32}
+				for w := uint64(0); w < rn; w += 8 {
+					ctx.Store(a+w, b.tag|w)
+				}
+				live = append(live, b)
 			} else {
 				i := int(op) % len(live)
 				h.Free(ctx, live[i].addr)
 				live = append(live[:i], live[i+1:]...)
 			}
 		}
+		for _, b := range live {
+			for w := uint64(0); w < b.size; w += 8 {
+				if ctx.Load(b.addr+w) != b.tag|w {
+					return false // clobbered
+				}
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeapUnpaddedImage runs the allocator over a heap laid out without
+// line padding — 128 B records packed at a 136 B stride, with every
+// other one on the free list — as an image written before the padding
+// rule holds it. Freed blocks are reused where they lie, the wilderness
+// continues line-aligned past them, and no block overlaps another.
+func TestHeapUnpaddedImage(t *testing.T) {
+	ctx := newCtx(1 << 16)
+	h := Heap{Base: 0, Size: 1 << 16}
+	var free []uint64
+	head := uint64(0)
+	bp := uint64(heapMeta)
+	var kept []uint64
+	for i := 0; i < 8; i++ {
+		ctx.Store(bp, 128)
+		if i%2 == 0 {
+			ctx.Store(bp+8, head) // free: link into the list
+			head = bp
+			free = append(free, bp+8)
+		} else {
+			ctx.Store(bp+8, uint64(i)) // live: a record's first word
+			kept = append(kept, bp+8)
+		}
+		bp += 136
+	}
+	ctx.Store(0, head)
+	ctx.Store(8, bp)
+
+	// The free list hands back the old, unaligned blocks, newest first.
+	for i := len(free) - 1; i >= 0; i-- {
+		a, err := h.Alloc(ctx, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != free[i] {
+			t.Fatalf("free-list alloc at %d, want the unpadded block at %d", a, free[i])
+		}
+	}
+	// The wilderness picks up after the old blocks, line-aligned.
+	a, err := h.Alloc(ctx, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a < bp+8 || a%64 != 0 {
+		t.Fatalf("wilderness alloc at %d, want a line-aligned payload past %d", a, bp+8)
+	}
+	// Freeing an old block and allocating again reuses it.
+	h.Free(ctx, kept[1])
+	if b, _ := h.Alloc(ctx, 128); b != kept[1] {
+		t.Fatalf("freed unpadded block not reused: %d != %d", b, kept[1])
+	}
+	for i, k := range kept {
+		if i != 1 && ctx.Load(k) != uint64(2*i+1) {
+			t.Errorf("live record at %d clobbered: %d", k, ctx.Load(k))
+		}
+		if h.BlockSize(ctx, k) != 128 {
+			t.Errorf("block at %d lost its header", k)
+		}
 	}
 }
 

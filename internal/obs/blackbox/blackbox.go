@@ -1,20 +1,19 @@
 // Package blackbox is a persistent flight recorder: a small append-only
 // ring of fixed-size milestone records stored inside the simulated NVM
-// device, in its own pool region. The live pipeline stamps it at
-// persistence milestones the redo log does not already record (boot,
-// durable-ID advance, log recycle, watchdog stall); after a crash, the
-// surviving stamps and the log records are what is left of what the
-// pipeline was doing when power failed, and the forensics pass decodes
-// both into the CrashReport.
+// device, in its own pool region. The live pipeline stamps it at the
+// rare milestones the redo log does not already record (boot, watchdog
+// stall); after a crash, the surviving stamps and the log records are
+// what is left of what the pipeline was doing when power failed, and the
+// forensics pass decodes both into the CrashReport. Nothing is stamped
+// per group: the log's own records and metadata carry the durable and
+// reproduced frontiers.
 //
 // Durability discipline: each record occupies exactly one cache line, so
 // it persists atomically, and carries a CRC-32C so a line that never made
 // it out of the cache (or was half-written when the recorder was lapped)
 // reads as a torn slot rather than a bogus event. Stamps are volatile
-// stores; Flush writes the pending slots back without a fence — batched
-// so a group's stamps ride the pipeline's existing barriers — and Sync
-// adds a fence for rare events (boot, stall) that must not wait for one.
-// The stamp path takes one mutex and allocates nothing.
+// stores until Sync writes the pending slots back and fences them. The
+// stamp path takes one mutex and allocates nothing.
 package blackbox
 
 import (
@@ -76,18 +75,18 @@ const (
 	// the last boot — earlier epochs may reuse transaction IDs that were
 	// discarded by recovery.
 	KindBoot Kind = iota + 1
-	// Kinds 2-4 (group-seal, fence-begin, persist-fence; a/b were the
-	// group's MinTid/MaxTid) are retired, not renumbered: the fenced log
-	// record carries the same evidence, but rings written before the
-	// retirement still hold them and must keep decoding.
+	// Kinds 2-6 are retired, not renumbered: rings written before the
+	// retirement still hold them and must keep decoding. 2-4 (group-seal,
+	// fence-begin, persist-fence; a/b were the group's MinTid/MaxTid)
+	// restated what the fenced log record carries; 5 (durable advance, a
+	// the frontier) restated the log scan's frontier, and 6 (log recycle,
+	// a/b/c the log index, next sequence and reproduced watermark) the
+	// ReproTid each log's metadata persists.
 	_
 	_
 	_
-	// KindDurable marks a durable-frontier advance; a is the frontier.
-	KindDurable
-	// KindRecycle marks a log recycle; a is the log index, b the next
-	// live sequence number, c the reproduced watermark persisted.
-	KindRecycle
+	_
+	_
 	// KindStall marks a watchdog stall episode; a encodes the stage
 	// (1 persist, 2 reproduce), b/c the durable/reproduced frontiers.
 	KindStall
@@ -98,12 +97,8 @@ func (k Kind) String() string {
 	switch k {
 	case KindBoot:
 		return "boot"
-	case 2, 3, 4:
+	case 2, 3, 4, 5, 6:
 		return fmt.Sprintf("retired-%d", uint64(k))
-	case KindDurable:
-		return "durable"
-	case KindRecycle:
-		return "recycle"
 	case KindStall:
 		return "stall"
 	}
@@ -126,17 +121,16 @@ func Size(entries uint64) uint64 { return HeaderBytes + entries*SlotBytes }
 
 // Recorder appends milestone records to the ring. Stamp may be called
 // from any pipeline goroutine; a single mutex serializes slot claims
-// (milestones are per-group events, orders of magnitude rarer than
-// transactions, so the lock is never contended enough to matter).
+// (milestones are per-mount or per-stall events, so the lock is never
+// contended).
 type Recorder struct {
 	dev     *pmem.Device
 	base    uint64 // first slot address
 	entries uint64
 
-	mu        sync.Mutex
-	seq       uint64 // next sequence to claim (1-based)
-	flushed   uint64 // first sequence not yet written back
-	pendBytes uint64 // flushed-but-unfenced volume, for Sync's fence
+	mu      sync.Mutex
+	seq     uint64 // next sequence to claim (1-based)
+	flushed uint64 // first sequence not yet written back
 }
 
 // Format initializes the ring header at off with the given slot count
@@ -198,8 +192,8 @@ func (r *Recorder) slotAddr(seq uint64) uint64 {
 }
 
 // Stamp appends one milestone record. The store is volatile until a
-// later Flush or Sync; a crash before then loses the stamp, exactly as
-// it loses any other unflushed line. Allocation-free.
+// later Sync; a crash before then loses the stamp, exactly as it loses
+// any other unflushed line. Allocation-free.
 //
 //dudelint:fencebudget 0
 //dudelint:noalloc
@@ -219,46 +213,25 @@ func (r *Recorder) Stamp(kind Kind, a, b, c uint64) {
 	r.mu.Unlock()
 }
 
-// Flush writes the pending stamps back (CLWB) without a fence: on this
-// device a written-back line survives a crash, and the stamps only claim
-// that their milestone was reached, never that later data is durable, so
-// no ordering barrier is needed on the steady-state path. Allocation-free.
-//
-//dudelint:fencebudget 0
-//dudelint:noalloc
-func (r *Recorder) Flush() {
-	r.mu.Lock()
-	r.flushLocked()
-	r.mu.Unlock()
-}
-
-func (r *Recorder) flushLocked() {
-	lo, hi := r.flushed, r.seq
-	if lo == hi {
-		return
-	}
-	if hi-lo >= r.entries {
-		// The recorder lapped itself since the last flush; every slot is
-		// pending.
-		r.pendBytes += r.dev.FlushRange(r.base, r.entries*SlotBytes)
-	} else {
-		for s := lo; s < hi; s++ {
-			r.pendBytes += r.dev.FlushRange(r.slotAddr(s), SlotBytes)
-		}
-	}
-	r.flushed = hi
-}
-
-// Sync flushes and fences the pending stamps — for rare milestones
-// (boot, stall) that must be on stable media before the caller proceeds.
+// Sync writes the pending stamps back and fences them, so they are on
+// stable media before the caller proceeds. Allocation-free.
 //
 //dudelint:fencebudget 1
 //dudelint:noalloc
 func (r *Recorder) Sync() {
 	r.mu.Lock()
-	r.flushLocked()
-	bytes := r.pendBytes
-	r.pendBytes = 0
+	lo, hi := r.flushed, r.seq
+	var bytes uint64
+	if hi-lo >= r.entries {
+		// The recorder lapped itself since the last Sync; every slot is
+		// pending.
+		bytes = r.dev.FlushRange(r.base, r.entries*SlotBytes)
+	} else {
+		for s := lo; s < hi; s++ {
+			bytes += r.dev.FlushRange(r.slotAddr(s), SlotBytes)
+		}
+	}
+	r.flushed = hi
 	r.mu.Unlock()
 	r.dev.Fence(bytes)
 }

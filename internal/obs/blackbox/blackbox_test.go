@@ -18,14 +18,13 @@ func newRing(t *testing.T, entries uint64) (*pmem.Device, *Recorder) {
 	return dev, r
 }
 
-func TestStampFlushDecode(t *testing.T) {
+func TestStampSyncDecode(t *testing.T) {
 	dev, r := newRing(t, 8)
 	r.Stamp(KindBoot, 0, 1, 0)
-	r.Stamp(KindRecycle, 1, 4, 4)
-	r.Stamp(KindDurable, 4, 0, 0)
-	r.Flush()
+	r.Stamp(KindStall, 1, 4, 4)
+	r.Stamp(KindStall, 2, 5, 4)
+	r.Sync()
 
-	// Flush alone (no fence) is enough to survive a power failure.
 	dev.Crash()
 	recs, torn, err := Decode(dev, 0)
 	if err != nil {
@@ -42,8 +41,8 @@ func TestStampFlushDecode(t *testing.T) {
 		a, b, c uint64
 	}{
 		{KindBoot, 0, 1, 0},
-		{KindRecycle, 1, 4, 4},
-		{KindDurable, 4, 0, 0},
+		{KindStall, 1, 4, 4},
+		{KindStall, 2, 5, 4},
 	}
 	for i, w := range want {
 		got := recs[i]
@@ -57,18 +56,18 @@ func TestStampFlushDecode(t *testing.T) {
 	}
 }
 
-func TestUnflushedStampLostOnCrash(t *testing.T) {
+func TestUnsyncedStampLostOnCrash(t *testing.T) {
 	dev, r := newRing(t, 8)
-	r.Stamp(KindRecycle, 1, 1, 1)
-	r.Flush()
-	r.Stamp(KindDurable, 1, 0, 0) // never flushed
+	r.Stamp(KindBoot, 1, 1, 1)
+	r.Sync()
+	r.Stamp(KindStall, 1, 0, 0) // never synced
 	dev.Crash()
 	recs, torn, err := Decode(dev, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Kind != KindRecycle {
-		t.Fatalf("decoded %v, want only the flushed recycle stamp", recs)
+	if len(recs) != 1 || recs[0].Kind != KindBoot {
+		t.Fatalf("decoded %v, want only the synced boot stamp", recs)
 	}
 	if torn != 0 {
 		t.Errorf("torn = %d, want 0 (lost line reverts to zero, not garbage)", torn)
@@ -78,9 +77,9 @@ func TestUnflushedStampLostOnCrash(t *testing.T) {
 func TestWrapKeepsNewestAndResumes(t *testing.T) {
 	dev, r := newRing(t, 4)
 	for i := uint64(1); i <= 10; i++ {
-		r.Stamp(KindDurable, i, 0, 0)
+		r.Stamp(KindStall, i, 0, 0)
 	}
-	r.Flush()
+	r.Sync()
 	recs, _, err := Decode(dev, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +99,7 @@ func TestWrapKeepsNewestAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2.Stamp(KindBoot, 0, 0, 0)
-	r2.Flush()
+	r2.Sync()
 	recs, _, _ = Decode(dev, 0)
 	last := recs[len(recs)-1]
 	if last.Seq != 11 || last.Kind != KindBoot {
@@ -110,13 +109,13 @@ func TestWrapKeepsNewestAndResumes(t *testing.T) {
 
 func TestTornSlotCounted(t *testing.T) {
 	dev, r := newRing(t, 8)
-	r.Stamp(KindDurable, 1, 0, 0)
-	r.Flush()
+	r.Stamp(KindStall, 1, 0, 0)
+	r.Sync()
 	// Corrupt one word of a second, half-written stamp: the slot CRC
 	// fails, so it must count as torn, not decode as an event.
-	r.Stamp(KindDurable, 2, 0, 0)
+	r.Stamp(KindStall, 2, 0, 0)
 	dev.Store8(HeaderBytes+2*SlotBytes+24, 0xdeadbeef)
-	r.Flush()
+	r.Sync()
 	recs, torn, err := Decode(dev, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -130,57 +129,57 @@ func TestTornSlotCounted(t *testing.T) {
 }
 
 // TestStampPathAllocs pins the acceptance criterion: zero allocations on
-// the steady-state stamp path, including the batched write-back. One lap
+// the steady-state stamp path, including the write-back. One lap
 // around the ring warms the device's per-line bookkeeping (the simulated
 // cache saves a persisted copy the first time each line is dirtied — a
 // cold-start cost with no real-hardware counterpart, recycled thereafter).
 func TestStampPathAllocs(t *testing.T) {
 	_, r := newRing(t, 64)
 	for i := 0; i < 64; i++ {
-		r.Stamp(KindDurable, 0, 0, 0)
+		r.Stamp(KindStall, 0, 0, 0)
 	}
-	r.Flush()
+	r.Sync()
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Stamp(KindDurable, 1, 2, 3)
+		r.Stamp(KindStall, 1, 2, 3)
 	}); n != 0 {
 		t.Errorf("Stamp allocates %.1f objects per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Stamp(KindRecycle, 1, 2, 3)
-		r.Flush()
+		r.Stamp(KindStall, 1, 2, 3)
+		r.Sync()
 	}); n != 0 {
-		t.Errorf("Stamp+Flush allocates %.1f objects per call, want 0", n)
+		t.Errorf("Stamp+Sync allocates %.1f objects per call, want 0", n)
 	}
 }
 
 // TestRetiredKindsKeepTheirNumbers pins the on-media compatibility rule:
-// kinds 2-4 (group-seal, fence-begin, persist-fence) are retired, not
-// renumbered, so the surviving kinds keep the values rings written before
-// the retirement used, and a retired stamp still decodes and says what it
-// is.
+// kinds 2-6 (group-seal, fence-begin, persist-fence, durable, recycle)
+// are retired, not renumbered, so the surviving kinds keep the values
+// rings written before the retirement used, and a retired stamp still
+// decodes and says what it is.
 func TestRetiredKindsKeepTheirNumbers(t *testing.T) {
 	for k, want := range map[Kind]string{
 		1: "boot", 2: "retired-2", 3: "retired-3", 4: "retired-4",
-		5: "durable", 6: "recycle", 7: "stall", 8: "kind-8",
+		5: "retired-5", 6: "retired-6", 7: "stall", 8: "kind-8",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", uint64(k), got, want)
 		}
 	}
-	if KindBoot != 1 || KindDurable != 5 || KindRecycle != 6 || KindStall != 7 {
-		t.Errorf("live kinds renumbered: boot %d durable %d recycle %d stall %d",
-			KindBoot, KindDurable, KindRecycle, KindStall)
+	if KindBoot != 1 || KindStall != 7 {
+		t.Errorf("live kinds renumbered: boot %d stall %d", KindBoot, KindStall)
 	}
 	dev, r := newRing(t, 8)
 	r.Stamp(Kind(2), 1, 4, 4) // a pre-retirement group-seal slot, byte for byte
-	r.Stamp(KindDurable, 4, 0, 0)
-	r.Flush()
+	r.Stamp(Kind(5), 4, 0, 0) // a pre-retirement durable-advance slot
+	r.Stamp(KindStall, 1, 4, 4)
+	r.Sync()
 	recs, torn, err := Decode(dev, 0)
-	if err != nil || torn != 0 || len(recs) != 2 {
-		t.Fatalf("Decode = %v, %d torn, %v; want both stamps", recs, torn, err)
+	if err != nil || torn != 0 || len(recs) != 3 {
+		t.Fatalf("Decode = %v, %d torn, %v; want all three stamps", recs, torn, err)
 	}
-	if recs[0].Kind != 2 || recs[0].A != 1 || recs[0].B != 4 || recs[1].Kind != KindDurable {
-		t.Errorf("decoded %+v, want the retired stamp then the durable one", recs)
+	if recs[0].Kind != 2 || recs[0].A != 1 || recs[0].B != 4 || recs[1].Kind != 5 || recs[1].A != 4 || recs[2].Kind != KindStall {
+		t.Errorf("decoded %+v, want the two retired stamps then the stall", recs)
 	}
 }
 

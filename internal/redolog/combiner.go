@@ -6,20 +6,26 @@ package redolog
 // and later replayed — atomically. Entries must be added in transaction
 // order.
 //
-// The index is an open-addressed table sized by the largest group seen,
-// not by the addresses ever seen: slots are epoch-stamped, Reset bumps
-// the epoch instead of clearing, and a slot left over from an earlier
-// group counts as empty. Nothing is deleted within a group, so linear
-// probing stays sound. Steady-state combination allocates nothing per
-// group (BenchmarkCombiner checks this), Reset is O(1), and the table
-// of a 1 K-entry group stays cache resident however many distinct
-// addresses the workload touches over its lifetime.
+// The index is an open-addressed table sized by the recent groups, not
+// by the addresses ever seen: slots are epoch-stamped, Reset bumps the
+// epoch instead of clearing, and a slot left over from an earlier group
+// counts as empty. Nothing is deleted within a group, so linear probing
+// stays sound. The table grows while a group fills more than half of it
+// and shrinks once combShrinkAfter consecutive groups have each used
+// less than an eighth, so one oversized group (a bulk load) does not
+// leave every later Add missing cache in a table sized for it.
+// Steady-state combination allocates nothing per group
+// (BenchmarkCombiner checks this), Reset is O(1) between resizes, and
+// the table of a 1 K-entry group stays cache resident however many
+// distinct addresses the workload touches over its lifetime.
 type Combiner struct {
 	slots   []combSlot // power-of-two length, at least twice the live entries
 	shift   uint       // 64 - log2(len(slots))
 	epoch   uint64
 	entries []Entry
 	raw     int // entries added before combination
+	sparse  int // consecutive groups that used < 1/8 of the slots
+	peak    int // largest of those groups
 }
 
 // combSlot is one index slot: addr's entry position, valid for epoch.
@@ -29,7 +35,10 @@ type combSlot struct {
 	i     int
 }
 
-const combMinSlots = 2048
+const (
+	combMinSlots    = 2048
+	combShrinkAfter = 256
+)
 
 // NewCombiner creates an empty combiner.
 func NewCombiner() *Combiner {
@@ -96,9 +105,26 @@ func (c *Combiner) RawCount() int { return c.raw }
 func (c *Combiner) Len() int { return len(c.entries) }
 
 // Reset clears the combiner for the next group by advancing the epoch;
-// stale index slots die lazily.
+// stale index slots die lazily. After combShrinkAfter sparse groups in a
+// row it reallocates the table, and the entry slice, at four times the
+// largest of them (at least combMinSlots).
 func (c *Combiner) Reset() {
+	if n := len(c.entries); len(c.slots) > combMinSlots && 8*n < len(c.slots) {
+		c.sparse++
+		c.peak = max(c.peak, n)
+	} else {
+		c.sparse, c.peak = 0, 0
+	}
 	c.epoch++
 	c.entries = c.entries[:0]
 	c.raw = 0
+	if c.sparse == combShrinkAfter {
+		n := combMinSlots
+		for n < 4*c.peak {
+			n *= 2
+		}
+		c.entries = make([]Entry, 0, n/2)
+		c.resize(n)
+		c.sparse, c.peak = 0, 0
+	}
 }

@@ -238,6 +238,70 @@ func TestCombinerIndexBoundedByGroup(t *testing.T) {
 	}
 }
 
+// TestCombinerIndexShrinksAfterOversizedGroup feeds one 70 K-entry
+// group (a bulk preload) and then small ones: the index grows for the
+// big group, keeps its size while fewer than combShrinkAfter sparse
+// groups have passed, then returns to combMinSlots, and combination
+// stays exact on both sides of the shrink. A table still half used by
+// its groups never shrinks.
+func TestCombinerIndexShrinksAfterOversizedGroup(t *testing.T) {
+	c := NewCombiner()
+	const big = 70_000
+	for i := uint64(0); i < big; i++ {
+		c.Add(i*8, i)
+	}
+	grown := len(c.slots)
+	if grown < 2*big {
+		t.Fatalf("index has %d slots after a %d-entry group", grown, big)
+	}
+	c.Reset()
+	small := func(g uint64) {
+		t.Helper()
+		for i := uint64(0); i < 100; i++ {
+			c.Add((g*100+i%50)*8, g<<32|i) // each address twice: last write wins
+		}
+		if c.Len() != 50 || c.RawCount() != 100 {
+			t.Fatalf("group %d: len=%d raw=%d", g, c.Len(), c.RawCount())
+		}
+		for i, e := range c.Entries() {
+			if want := (Entry{Addr: (g*100 + uint64(i)) * 8, Val: g<<32 | uint64(i+50)}); e != want {
+				t.Fatalf("group %d entry %d = %+v, want %+v", g, i, e, want)
+			}
+		}
+		c.Reset()
+	}
+	for g := uint64(0); g < combShrinkAfter-1; g++ {
+		small(g)
+	}
+	if len(c.slots) != grown {
+		t.Fatalf("index shrank to %d slots after %d sparse groups, want %d until %d", len(c.slots), combShrinkAfter-1, grown, combShrinkAfter)
+	}
+	small(combShrinkAfter)
+	if len(c.slots) != combMinSlots || cap(c.entries) > combMinSlots/2 {
+		t.Fatalf("after %d sparse groups: %d slots, entry capacity %d; want %d, <= %d",
+			combShrinkAfter, len(c.slots), cap(c.entries), combMinSlots, combMinSlots/2)
+	}
+	for g := uint64(combShrinkAfter + 1); g < 2*combShrinkAfter; g++ {
+		small(g)
+	}
+
+	// Groups that fill a quarter of a grown table keep it.
+	for i := uint64(0); i < 4*combMinSlots; i++ {
+		c.Add(i*8, i)
+	}
+	c.Reset()
+	grown = len(c.slots)
+	for g := 0; g < 2*combShrinkAfter; g++ {
+		for i := 0; i < grown/4; i++ {
+			c.Add(uint64(i)*8, uint64(g))
+		}
+		c.Reset()
+	}
+	if len(c.slots) != grown {
+		t.Fatalf("a table a quarter used by every group shrank from %d to %d slots", grown, len(c.slots))
+	}
+}
+
 // --- Writer / Scanner ---
 
 const (
