@@ -212,8 +212,8 @@ func TestBlackboxByteBudget(t *testing.T) {
 			}
 			s.Close() // quiesces the last write-back and the closing recycle
 			st := s.Stats()
-			if st.Groups < groups {
-				t.Fatalf("only %d groups persisted, want >= %d", st.Groups, groups)
+			if st.Persist.Groups < groups {
+				t.Fatalf("only %d groups persisted, want >= %d", st.Persist.Groups, groups)
 			}
 			bb := blackboxRegion(t, s)
 			if boot.BytesFlushed == 0 {
@@ -221,7 +221,7 @@ func TestBlackboxByteBudget(t *testing.T) {
 			}
 			if bb.BytesFlushed != boot.BytesFlushed || bb.Fences != boot.Fences {
 				t.Errorf("recorder flushed %d B with %d fence(s) over %d groups after boot, want none",
-					bb.BytesFlushed-boot.BytesFlushed, bb.Fences-boot.Fences, st.Groups)
+					bb.BytesFlushed-boot.BytesFlushed, bb.Fences-boot.Fences, st.Persist.Groups)
 			}
 			recs, _, err := blackbox.Decode(s.dev, s.lay.bbOff)
 			if err != nil {

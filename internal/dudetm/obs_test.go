@@ -349,20 +349,24 @@ func TestWatchdogFiresOnGenuineStall(t *testing.T) {
 	s.Drain()
 
 	s.persistGate.Lock() // wedge the coordinator, no pause flag
+	var last uint64
 	for i := 0; i < 5; i++ {
-		if _, err := s.Run(0, func(tx *Tx) error { tx.Store(8, 2); return nil }); err != nil {
+		if last, err = s.Run(0, func(tx *Tx) error { tx.Store(8, 2); return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// A slow first batch can already have raised a reproduce-lag report;
+	// the wedge's report is the one whose clock covers the wedged commits.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.LastStall() == nil {
+	r := s.LastStall()
+	for ; r == nil || r.Clock < last; r = s.LastStall() {
 		if time.Now().After(deadline) {
 			s.persistGate.Unlock()
 			t.Fatal("watchdog never fired on a wedged persist coordinator")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	rep := *s.LastStall()
+	rep := *r
 	s.persistGate.Unlock()
 
 	if rep.Stage != "persist" {

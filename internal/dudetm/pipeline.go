@@ -253,7 +253,6 @@ func (s *System) persistWorker(wi int) {
 		s.pm.busy.Add(uint64(endAt - startAt))
 		s.pm.groups.Add(1)
 		s.pm.fences.Add(1)
-		s.groups.Add(1)
 		if tid, ok := s.window.complete(m.seq, m.g.MaxTid); ok {
 			s.setDurable(tid)
 		}

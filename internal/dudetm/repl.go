@@ -423,7 +423,6 @@ func (s *System) IngestGroup(minTid, maxTid uint64, entries []redolog.Entry) err
 	s.pm.fences.Add(1)
 	s.rawEntries.Add(uint64(len(entries)))
 	s.combEntries.Add(uint64(len(entries)))
-	s.groups.Add(1)
 	s.setDurable(maxTid)
 	s.rm.enqueue()
 	s.reproCh <- repoMsg{g: g, w: w, wi: 0, ep: ep}

@@ -326,13 +326,13 @@ func TestIngestGroupDedupeAndGap(t *testing.T) {
 	if got := s.Durable(); got != base+2 {
 		t.Fatalf("durable = %d, want %d", got, base+2)
 	}
-	groups := s.Stats().Groups
+	groups := s.Stats().Persist.Groups
 	// A catch-up duplicate is skipped without re-appending (recovery's
 	// dense replay would stop at a repeated tid range).
 	if err := s.IngestGroup(base+1, base+2, entries); err != nil {
 		t.Fatalf("duplicate ingest: %v", err)
 	}
-	if got := s.Stats().Groups; got != groups {
+	if got := s.Stats().Persist.Groups; got != groups {
 		t.Fatalf("duplicate ingest re-appended: groups %d -> %d", groups, got)
 	}
 	if got := s.Durable(); got != base+2 {

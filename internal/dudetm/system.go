@@ -110,7 +110,6 @@ type System struct {
 	writes      atomic.Uint64 // dtmWrite count
 	rawEntries  atomic.Uint64 // log entries before combination
 	combEntries atomic.Uint64 // log entries after combination
-	groups      atomic.Uint64 // persisted groups
 	txCommitted atomic.Uint64 // committed write transactions
 }
 
@@ -567,7 +566,6 @@ func (s *System) syncCommit(th *thread, tid uint64) {
 	s.pm.fences.Add(1)
 	s.rawEntries.Add(uint64(len(th.entries)))
 	s.combEntries.Add(uint64(len(th.entries)))
-	s.groups.Add(1)
 	s.markDurable(tid)
 	s.rm.enqueue()
 	s.reproCh <- repoMsg{g: g, w: th.writer, wi: th.slot, ep: ep}
@@ -643,7 +641,6 @@ type Stats struct {
 	Committed   uint64 // committed write transactions
 	RawEntries  uint64 // log entries before combination
 	CombEntries uint64 // log entries after combination
-	Groups      uint64 // persisted groups
 	LogBytes    uint64 // serialized bytes appended to persistent logs
 	Durable     uint64
 	Reproduced  uint64
@@ -682,7 +679,6 @@ func (s *System) Stats() Stats {
 		Committed:   s.txCommitted.Load(),
 		RawEntries:  s.rawEntries.Load(),
 		CombEntries: s.combEntries.Load(),
-		Groups:      s.groups.Load(),
 		LogBytes:    logBytes,
 		Durable:     s.durable.Load(),
 		Reproduced:  s.reproduced.Load(),

@@ -572,8 +572,8 @@ func TestStatsCounters(t *testing.T) {
 	if st.Committed != 10 {
 		t.Errorf("committed = %d", st.Committed)
 	}
-	if st.Groups == 0 || st.LogBytes == 0 {
-		t.Errorf("groups=%d logbytes=%d", st.Groups, st.LogBytes)
+	if st.Persist.Groups == 0 || st.LogBytes == 0 {
+		t.Errorf("groups=%d logbytes=%d", st.Persist.Groups, st.LogBytes)
 	}
 	if st.Device.BytesFlushed == 0 {
 		t.Errorf("no NVM writes recorded")

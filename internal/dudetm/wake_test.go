@@ -241,7 +241,7 @@ func TestHeldAppendJoinsOneGroup(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if got := s.Stats().Groups; got != 2 {
+	if got := s.Stats().Persist.Groups; got != 2 {
 		t.Errorf("%d groups for 1 + 5 commits around one held append, want 2", got)
 	}
 }

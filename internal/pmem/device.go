@@ -5,9 +5,11 @@
 // CLFLUSHOPT) and ordered by a fence (SFENCE). Portable Go offers no control
 // over the CPU cache, so this package models the cache explicitly: every
 // store lands in a simulated volatile cache (per-line dirty tracking), and
-// only FlushRange followed by Fence makes data durable. Crash discards all
-// non-persisted lines, reverting them to their last persisted contents,
-// which makes crash-consistency protocols testable instead of assumed.
+// only FlushRange followed by Fence makes data durable. The first store to
+// a clean line copies the line into a device-sized array of persisted
+// contents, where it stays until the line is written back. Crash discards
+// all non-persisted lines, reverting them to those saved contents, which
+// makes crash-consistency protocols testable instead of assumed.
 //
 // The device also models the performance of persist barriers the same way
 // the DudeTM paper's evaluation does (§5.1): a synchronous persist of a
@@ -21,6 +23,7 @@ package pmem
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,8 +36,9 @@ const LineSize = 64
 
 const lineShift = 6
 
-// numShards shards the dirty-line bookkeeping to reduce contention.
-const numShards = 256
+// numLocks line locks (line % numLocks) serialize a line's clean->dirty
+// copy into the persisted image with its dirty->clean write-back.
+const numLocks = 256
 
 // Config describes a simulated device.
 type Config struct {
@@ -122,39 +126,20 @@ type regionCtr struct {
 	fences       atomic.Uint64
 }
 
-type shard struct {
-	mu    sync.Mutex
-	saved map[uint64][]byte // line index -> last persisted copy
-	// free recycles retired persisted-line copies: the steady-state
-	// pipeline dirties and flushes the same lines continuously, and
-	// allocating 64 bytes per clean->dirty transition would put the
-	// simulator's bookkeeping — which has no real-hardware counterpart —
-	// on the measured allocation profile of every persist path.
-	free [][]byte
-}
-
-// getLineCopy pops a recycled line buffer or allocates one. Caller holds
-// s.mu.
-func (s *shard) getLineCopy() []byte {
-	if n := len(s.free); n > 0 {
-		cp := s.free[n-1]
-		s.free = s.free[:n-1]
-		return cp
-	}
-	return make([]byte, LineSize)
-}
-
-// putLineCopy retires a saved-line buffer for reuse. Caller holds s.mu.
-func (s *shard) putLineCopy(cp []byte) { s.free = append(s.free, cp) }
-
 // Device is a simulated NVM device. All methods are safe for concurrent
 // use; concurrent stores to overlapping ranges race exactly as concurrent
 // unsynchronized stores to real memory would.
+//
+// data holds what a load sees. saved, as large as the device, holds the
+// persisted contents of every line whose dirty bit is set; its bytes for
+// clean lines are stale and never read. Only the pages of lines that were
+// ever dirtied become resident.
 type Device struct {
 	cfg   Config
 	data  []byte
+	saved []byte
 	dirty []uint32 // atomic bitset, one bit per line
-	sh    [numShards]shard
+	locks [numLocks]sync.Mutex
 
 	stores       atomic.Uint64
 	bytesStored  atomic.Uint64
@@ -225,15 +210,12 @@ func New(cfg Config) *Device {
 		panic("pmem: zero-size device")
 	}
 	cfg.Size = (cfg.Size + LineSize - 1) &^ uint64(LineSize-1)
-	d := &Device{
+	return &Device{
 		cfg:   cfg,
 		data:  word.Alloc(cfg.Size),
+		saved: make([]byte, cfg.Size),
 		dirty: make([]uint32, (cfg.Size>>lineShift+31)/32),
 	}
-	for i := range d.sh {
-		d.sh[i].saved = make(map[uint64][]byte)
-	}
-	return d
 }
 
 // Size returns the device capacity in bytes.
@@ -252,30 +234,52 @@ func (d *Device) lineDirty(line uint64) bool {
 	return atomic.LoadUint32(&d.dirty[line/32])&(1<<(line%32)) != 0
 }
 
+// cleanLine clears line's dirty bit. Caller holds the line's lock.
+func (d *Device) cleanLine(line uint64) {
+	atomic.AndUint32(&d.dirty[line/32], ^uint32(1<<(line%32)))
+}
+
+// dirtyWords is the length of the dirty bitset.
+func (d *Device) dirtyWords() uint64 { return (d.cfg.Size>>lineShift + 31) / 32 }
+
+// forEachDirty calls fn for every dirty line, holding the line's lock;
+// fn may clean the line.
+func (d *Device) forEachDirty(fn func(line uint64)) {
+	for w := uint64(0); w < d.dirtyWords(); w++ {
+		for set := atomic.LoadUint32(&d.dirty[w]); set != 0; set &= set - 1 {
+			line := w*32 + uint64(bits.TrailingZeros32(set))
+			mu := &d.locks[line%numLocks]
+			mu.Lock()
+			if d.lineDirty(line) {
+				fn(line)
+			}
+			mu.Unlock()
+		}
+	}
+}
+
 // markDirty ensures the persisted copy of line is saved before the caller
 // modifies it.
 func (d *Device) markDirty(line uint64) {
 	if d.lineDirty(line) {
 		return
 	}
-	s := &d.sh[line%numShards]
-	s.mu.Lock()
+	mu := &d.locks[line%numLocks]
+	mu.Lock()
 	if !d.lineDirty(line) {
 		// Copy word-atomically: a concurrent Store8 to another word of
 		// this line may be in flight (its dirty-bit check can race with
 		// a flush clearing the bit), and either snapshot is a legal
 		// "persisted" image for a store concurrent with a write-back.
-		cp := s.getLineCopy()
 		base := line << lineShift
-		for o := uint64(0); o < LineSize; o += 8 {
-			binary.LittleEndian.PutUint64(cp[o:], word.Load(d.data, base+o))
+		for o := base; o < base+LineSize; o += 8 {
+			binary.LittleEndian.PutUint64(d.saved[o:], word.Load(d.data, o))
 		}
-		s.saved[line] = cp
 		// Publish the bit only after the persisted copy is saved, so a
 		// concurrent fast-path store cannot modify the line first.
 		atomic.OrUint32(&d.dirty[line/32], 1<<(line%32))
 	}
-	s.mu.Unlock()
+	mu.Unlock()
 }
 
 // Store writes b at addr. The write is volatile until the covering lines
@@ -363,15 +367,13 @@ func (d *Device) FlushRange(addr, n uint64) uint64 {
 		if !d.lineDirty(line) {
 			continue
 		}
-		s := &d.sh[line%numShards]
-		s.mu.Lock()
+		mu := &d.locks[line%numLocks]
+		mu.Lock()
 		if d.lineDirty(line) {
-			s.putLineCopy(s.saved[line])
-			delete(s.saved, line)
-			atomic.AndUint32(&d.dirty[line/32], ^uint32(1<<(line%32)))
+			d.cleanLine(line)
 			bytes += LineSize
 		}
-		s.mu.Unlock()
+		mu.Unlock()
 	}
 	if bytes > 0 {
 		d.bytesFlushed.Add(bytes)
@@ -462,33 +464,26 @@ func (b *Batch) Fence() uint64 {
 // its last persisted contents. The caller must have quiesced all other
 // users of the device.
 func (d *Device) Crash() {
-	for i := range d.sh {
-		s := &d.sh[i]
-		s.mu.Lock()
-		for line, cp := range s.saved {
-			copy(d.data[line<<lineShift:], cp)
-			s.putLineCopy(cp)
-			delete(s.saved, line)
-			atomic.AndUint32(&d.dirty[line/32], ^uint32(1<<(line%32)))
-		}
-		s.mu.Unlock()
-	}
+	d.forEachDirty(func(line uint64) {
+		off := line << lineShift
+		copy(d.data[off:off+LineSize], d.saved[off:])
+		d.cleanLine(line)
+	})
 }
 
 // PersistedImage returns a copy of the durable contents of the device:
-// what a crash right now would leave behind. The caller must have
-// quiesced all other users of the device.
+// what a crash right now would leave behind. Stores may run concurrently,
+// as a replica's ingest can during a snapshot; the image is then exact
+// only for the lines they leave alone.
 func (d *Device) PersistedImage() []byte {
 	img := make([]byte, d.cfg.Size)
-	copy(img, d.data)
-	for i := range d.sh {
-		s := &d.sh[i]
-		s.mu.Lock()
-		for line, cp := range s.saved {
-			copy(img[line<<lineShift:], cp)
-		}
-		s.mu.Unlock()
+	for o := uint64(0); o < d.cfg.Size; o += 8 {
+		binary.LittleEndian.PutUint64(img[o:], word.Load(d.data, o))
 	}
+	d.forEachDirty(func(line uint64) {
+		off := line << lineShift
+		copy(img[off:off+LineSize], d.saved[off:])
+	})
 	return img
 }
 
@@ -499,29 +494,23 @@ func (d *Device) Restore(img []byte) {
 	if uint64(len(img)) != d.cfg.Size {
 		panic("pmem: restore image size mismatch")
 	}
-	for i := range d.sh {
-		d.sh[i].mu.Lock()
+	for i := range d.locks {
+		d.locks[i].Lock()
 	}
 	copy(d.data, img)
-	for i := range d.sh {
-		s := &d.sh[i]
-		for line, cp := range s.saved {
-			s.putLineCopy(cp)
-			delete(s.saved, line)
-			atomic.AndUint32(&d.dirty[line/32], ^uint32(1<<(line%32)))
-		}
-		d.sh[i].mu.Unlock()
+	for w := uint64(0); w < d.dirtyWords(); w++ {
+		atomic.StoreUint32(&d.dirty[w], 0)
+	}
+	for i := range d.locks {
+		d.locks[i].Unlock()
 	}
 }
 
 // DirtyLines reports the number of lines that would be lost on a crash.
 func (d *Device) DirtyLines() int {
 	n := 0
-	for i := range d.sh {
-		s := &d.sh[i]
-		s.mu.Lock()
-		n += len(s.saved)
-		s.mu.Unlock()
+	for w := uint64(0); w < d.dirtyWords(); w++ {
+		n += bits.OnesCount32(atomic.LoadUint32(&d.dirty[w]))
 	}
 	return n
 }
@@ -535,25 +524,6 @@ func (d *Device) Stats() Stats {
 		LinesFlushed: d.linesFlushed.Load(),
 		Fences:       d.fences.Load(),
 		DelayNanos:   d.delayNanos.Load(),
-	}
-}
-
-// ResetStats zeroes the activity counters.
-func (d *Device) ResetStats() {
-	d.stores.Store(0)
-	d.bytesStored.Store(0)
-	d.bytesFlushed.Store(0)
-	d.linesFlushed.Store(0)
-	d.fences.Store(0)
-	d.delayNanos.Store(0)
-	if rs := d.regions.Load(); rs != nil {
-		for _, r := range *rs {
-			r.stores.Store(0)
-			r.bytesStored.Store(0)
-			r.bytesFlushed.Store(0)
-			r.linesFlushed.Store(0)
-			r.fences.Store(0)
-		}
 	}
 }
 

@@ -159,25 +159,27 @@ func TestFlushCleanLineWritesNothing(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	d := newTestDev(4096)
+	d.Store(512, make([]byte, 100)) // earlier traffic the deltas exclude
+	d.Persist(512, 100)
+	before := d.Stats()
 	d.Store8(0, 1)
 	d.Store(100, []byte{1, 2, 3})
 	d.Persist(0, 8)
 	s := d.Stats()
-	if s.Stores != 2 {
-		t.Errorf("Stores = %d, want 2", s.Stores)
+	if n := s.Stores - before.Stores; n != 2 {
+		t.Errorf("Stores = %d, want 2", n)
 	}
-	if s.BytesStored != 11 {
-		t.Errorf("BytesStored = %d, want 11", s.BytesStored)
+	if n := s.BytesStored - before.BytesStored; n != 11 {
+		t.Errorf("BytesStored = %d, want 11", n)
 	}
-	if s.BytesFlushed != LineSize {
-		t.Errorf("BytesFlushed = %d, want %d", s.BytesFlushed, LineSize)
+	if n := s.BytesFlushed - before.BytesFlushed; n != LineSize {
+		t.Errorf("BytesFlushed = %d, want %d", n, LineSize)
 	}
-	if s.Fences != 1 {
-		t.Errorf("Fences = %d, want 1", s.Fences)
+	if n := s.LinesFlushed - before.LinesFlushed; n != 1 {
+		t.Errorf("LinesFlushed = %d, want 1", n)
 	}
-	d.ResetStats()
-	if s := d.Stats(); s != (Stats{}) {
-		t.Errorf("after reset: %+v", s)
+	if n := s.Fences - before.Fences; n != 1 {
+		t.Errorf("Fences = %d, want 1", n)
 	}
 }
 
@@ -351,6 +353,44 @@ func TestConcurrentSameLineFirstWriteRace(t *testing.T) {
 		d.Crash()
 		if d.Load8(0) != 0 || d.Load8(8) != 0 {
 			t.Fatal("crash restored non-persisted content")
+		}
+	}
+}
+
+// TestPersistedImageDuringStores takes persisted images while another
+// goroutine first-touches and writes back lines, as a replica's ingest
+// may during a snapshot. Every image word must be zero or a value the
+// writer stored at that address.
+func TestPersistedImageDuringStores(t *testing.T) {
+	const size, lines = 1 << 16, 1 << 16 / LineSize
+	d := newTestDev(size)
+	done := make(chan struct{})
+	defer func() { <-done }()
+	go func() {
+		defer close(done)
+		for i := uint64(1); i <= 20000; i++ {
+			addr := (i%lines)*LineSize + i%(LineSize/8)*8
+			d.Store8(addr, i)
+			if i%3 != 0 {
+				d.FlushRange(addr, 8)
+			}
+		}
+	}()
+	for snaps := 0; ; snaps++ {
+		select {
+		case <-done:
+			if snaps == 0 {
+				t.Fatal("the writer finished before the first snapshot")
+			}
+			return
+		default:
+		}
+		img := d.PersistedImage()
+		for addr := uint64(0); addr < size; addr += 8 {
+			v := binary.LittleEndian.Uint64(img[addr:])
+			if v != 0 && (v%lines)*LineSize+v%(LineSize/8)*8 != addr {
+				t.Fatalf("image word at %d holds %d, stored elsewhere", addr, v)
+			}
 		}
 	}
 }
