@@ -292,6 +292,10 @@ var (
 	// ErrReplGap: a group offered to IngestGroup does not extend the
 	// replica's dense transaction-ID stream.
 	ErrReplGap = idudetm.ErrReplGap
+	// ErrTxTooLarge: Update's transaction wrote more words than one
+	// persistent log record (or the volatile log) holds; it was rolled
+	// back and logged nothing.
+	ErrTxTooLarge = idudetm.ErrTxTooLarge
 )
 
 // WaitDurable blocks until the transaction with the given ID is durable

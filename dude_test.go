@@ -282,11 +282,13 @@ func TestPoolWaitDurableCrash(t *testing.T) {
 	}
 }
 
-// TestOldFormatImageRefusedByName pins the format bump that came with
-// the run-encoded log: an image whose header says DUDETM02 holds
-// (addr, val)-pair log records this build would mis-scan, so every
-// mount and decode path must refuse it with an error naming both the
-// image's format and the one this build mounts — never scan it.
+// TestOldFormatImageRefusedByName pins the format bumps of the log
+// records: an image whose header says DUDETM02 holds (addr, val)-pair
+// records, one that says DUDETM03 holds records under a 56-byte header
+// packed at word granularity, and this build would mis-scan either, so
+// every mount and decode path must refuse them with an error naming
+// both the image's format and the one this build mounts — never scan
+// them.
 func TestOldFormatImageRefusedByName(t *testing.T) {
 	opts := Options{DataSize: 1 << 20, Threads: 2}
 	pool, err := Create(opts)
@@ -304,40 +306,51 @@ func TestOldFormatImageRefusedByName(t *testing.T) {
 		t.Fatalf("current-format image: %v", err)
 	}
 
-	// Rewrite the header as a well-formed format-02 header: magic in
-	// word 0, CRC-32C of bytes [0,48) in word 6.
-	binary.LittleEndian.PutUint64(img[0:], 0x44554445544d3032) // "DUDETM02"
-	crc := crc32.Checksum(img[:48], crc32.MakeTable(crc32.Castagnoli))
-	binary.LittleEndian.PutUint64(img[48:], uint64(crc))
-	path := filepath.Join(t.TempDir(), "old.img")
-	if err := os.WriteFile(path, img, 0o600); err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(what string, err error) {
-		t.Helper()
-		if err == nil {
-			t.Fatalf("%s accepted a DUDETM02 image", what)
+	for _, old := range []struct {
+		name  string
+		magic uint64
+	}{
+		{"DUDETM02", 0x44554445544d3032},
+		{"DUDETM03", 0x44554445544d3033},
+	} {
+		// Rewrite the header as a well-formed old-format header: magic
+		// in word 0, CRC-32C of bytes [0,48) in word 6.
+		binary.LittleEndian.PutUint64(img[0:], old.magic)
+		crc := crc32.Checksum(img[:48], crc32.MakeTable(crc32.Castagnoli))
+		binary.LittleEndian.PutUint64(img[48:], uint64(crc))
+		path := filepath.Join(t.TempDir(), "old.img")
+		if err := os.WriteFile(path, img, 0o600); err != nil {
+			t.Fatal(err)
 		}
-		for _, name := range []string{"DUDETM02", "DUDETM03"} {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("%s: error %q does not name %s", what, err, name)
+
+		check := func(what string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s accepted a %s image", what, old.name)
+			}
+			for _, name := range []string{old.name, "DUDETM04"} {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("%s: error %q does not name %s", what, err, name)
+				}
 			}
 		}
+		_, err = OpenSnapshot(img, opts)
+		check("OpenSnapshot (Recover)", err)
+		_, err = OpenImage(path, opts)
+		check("OpenImage", err)
+		_, err = Forensics(img)
+		check("Forensics", err)
 	}
-	_, err = OpenSnapshot(img, opts)
-	check("OpenSnapshot (Recover)", err)
-	_, err = OpenImage(path, opts)
-	check("OpenImage", err)
-	_, err = Forensics(img)
-	check("Forensics", err)
 }
 
 // TestRecordOverwriteByteBudget pins the NVM write traffic of the
 // benchmark's tx-btree transaction: overwriting a Pool.Alloc'd 128 B
-// record writes back exactly its two data lines, and the flight
-// recorder writes nothing after boot. A record that straddles a third
-// line, or a per-group recorder write, fails here.
+// record writes back exactly its two data lines and three log lines
+// (a 32-byte header and a 136-byte run), two records in one transaction
+// five log lines, and the flight recorder writes nothing after boot. A
+// record that straddles a third data line, a log record that re-flushes
+// the line its predecessor ended in, or a per-group recorder write,
+// fails here.
 func TestRecordOverwriteByteBudget(t *testing.T) {
 	const records, words = 64, 16
 	pool, err := Create(Options{DataSize: 1 << 20, Threads: 1})
@@ -371,27 +384,55 @@ func TestRecordOverwriteByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.WaitDurable(last)
-	for deadline := time.Now().Add(5 * time.Second); pool.Reproduced() < last; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("preload not reproduced: %d < %d", pool.Reproduced(), last)
+	reproduced := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); pool.Reproduced() < last; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s not reproduced: %d < %d", what, pool.Reproduced(), last)
+			}
 		}
 	}
+	reproduced("preload")
 	dataBytes, _ := region("data")
 
-	for i, a := range addrs {
-		if _, err := pool.Update(0, func(tx *Tx) error {
-			for j := uint64(0); j < words; j++ {
-				tx.Store(a+j*8, uint64(i)<<8|j)
+	// overwrite runs one transaction over recs to durability and returns
+	// the log bytes it flushed.
+	overwrite := func(i int, recs ...uint64) uint64 {
+		t.Helper()
+		logBytes, _ := region("log")
+		last, err = pool.Update(0, func(tx *Tx) error {
+			for _, a := range recs {
+				for j := uint64(0); j < words; j++ {
+					tx.Store(a+j*8, uint64(i)<<8|j)
+				}
 			}
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if err := pool.WaitDurable(last); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := region("log")
+		return got - logBytes
+	}
+	for i, a := range addrs {
+		if got := overwrite(i, a); got != 192 {
+			t.Errorf("overwrite %d flushed %d B of log, want 192", i, got)
+		}
+	}
+	// No replay epoch may coalesce a record's two overwrites.
+	reproduced("single overwrites")
+	for i := 0; i+1 < records; i += 2 {
+		if got := overwrite(i, addrs[i], addrs[i+1]); got != 320 {
+			t.Errorf("overwrite of records %d and %d flushed %d B of log, want 320", i, i+1, got)
 		}
 	}
 	pool.Close() // reproduces every overwrite
-	if got, _ := region("data"); got-dataBytes != records*words*8 {
-		t.Errorf("data region flushed %d B for %d record overwrites (%.1f B/tx), want %d B/tx",
-			got-dataBytes, records, float64(got-dataBytes)/records, words*8)
+	if got, _ := region("data"); got-dataBytes != 2*records*words*8 {
+		t.Errorf("data region flushed %d B for %d record overwrites (%.1f B/record), want %d B/record",
+			got-dataBytes, 2*records, float64(got-dataBytes)/(2*records), words*8)
 	}
 	if b, f := region("blackbox"); b != bbBytes || f != bbFences {
 		t.Errorf("flight recorder flushed %d B with %d fence(s) after boot, want none", b-bbBytes, f-bbFences)

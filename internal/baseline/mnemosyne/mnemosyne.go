@@ -131,8 +131,12 @@ func Create(cfg Config) (*System, error) {
 		txs:     make([]mTx, cfg.Threads),
 	}
 	for i := 0; i < cfg.Threads; i++ {
-		s.writers[i] = redolog.NewWriter(dev, metaOff+uint64(i)*logMetaSlot,
+		w, err := redolog.NewWriter(dev, metaOff+uint64(i)*logMetaSlot,
 			logsOff+uint64(i)*cfg.LogBufBytes, cfg.LogBufBytes, false)
+		if err != nil {
+			return nil, err
+		}
+		s.writers[i] = w
 		s.txs[i] = mTx{
 			e:     s,
 			slot:  i,

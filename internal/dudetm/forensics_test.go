@@ -1,6 +1,7 @@
 package dudetm
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -236,11 +237,11 @@ func TestBlackboxByteBudget(t *testing.T) {
 
 // TestInFlightFenceFromTornTail is the deterministic crash inside a log
 // append: the last group's record on media only up to an 8-byte
-// boundary, for every boundary. The torn tail is the in-flight
-// signature — forensics names the interrupted group exactly when the
-// header's tid words (3 and 4) made it, never a range at or below the
-// frontier, and nothing for a clean log end; recovery restores the
-// frontier the report states either way.
+// boundary, for every boundary of the log space it takes. The torn tail
+// is the in-flight signature — forensics names the interrupted group
+// exactly when the header's tid words (2 and 3) made it, never a range
+// at or below the frontier, and nothing for a clean log end; recovery
+// restores the frontier the report states either way.
 func TestInFlightFenceFromTornTail(t *testing.T) {
 	cfg := testConfig()
 	cfg.PersistThreads, cfg.GroupSize = 1, 4
@@ -278,12 +279,14 @@ func TestInFlightFenceFromTornTail(t *testing.T) {
 	want := TidRange{frontier + 1, last}
 	start := s.lay.logAddr(0) + tail0
 	length := tail1 - tail0
-	if tail1 > s.lay.logSize || length%8 != 0 {
-		t.Fatalf("log wrapped or record unaligned: tail %d -> %d", tail0, tail1)
+	if tail1 > s.lay.logSize || tail0%64 != 0 || length%64 != 0 {
+		t.Fatalf("log wrapped or record off a line: tail %d -> %d", tail0, tail1)
 	}
 	for k := uint64(0); k <= length/8; k++ {
 		img := append([]byte(nil), before...)
 		copy(img[start:start+8*k], after[start:start+8*k])
+		// The padding past the record's last word is never stored.
+		whole := bytes.Equal(img[start:start+length], after[start:start+length])
 		dev := pmem.New(pmem.Config{Size: uint64(len(img))})
 		dev.Restore(img)
 		rep, err := Forensics(dev)
@@ -292,11 +295,11 @@ func TestInFlightFenceFromTornTail(t *testing.T) {
 		}
 		wantFrontier, wantTorn, wantFences := frontier, 0, []TidRange(nil)
 		switch {
-		case k == length/8:
+		case whole:
 			wantFrontier = last // the whole record: it is its own fence evidence
-		case k > 4:
+		case k > 3:
 			wantTorn, wantFences = 1, []TidRange{want}
-		case k > 2: // the sequence word is on media, the tid words are not
+		case k > 1: // the sequence word is on media, the tid words are not
 			wantTorn = 1
 		}
 		if rep.LogFrontier != wantFrontier || rep.TornLogs != wantTorn ||

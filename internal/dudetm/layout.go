@@ -24,9 +24,10 @@ import (
 const (
 	// poolMagic names the on-media format; its last two characters are
 	// the format version. 03 run-encoded the log records' payload
-	// (redolog.AppendEntries); an 02 image holds (addr, val) pairs this
-	// build would mis-scan, so readHeader refuses it by name.
-	poolMagic     = 0x44554445544d3033 // "DUDETM03"
+	// (redolog.AppendEntries); 04 starts every log record on a line
+	// under a 32-byte header. An older image holds records this build
+	// would mis-scan, so readHeader refuses it by name.
+	poolMagic     = 0x44554445544d3034 // "DUDETM04"
 	headerBytes   = 64
 	metaSlotBytes = 64
 )

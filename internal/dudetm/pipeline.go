@@ -31,8 +31,9 @@ type applyTask struct {
 }
 
 // persistLoop is the Persist-step coordinator (ModeAsync): it merges the
-// per-thread volatile rings in commit-ID order, groups GroupSize
-// consecutive transactions (combining overlapping writes), and deals
+// per-thread volatile rings in commit-ID order, groups up to GroupSize
+// consecutive transactions (combining overlapping writes) and no more
+// entries than one log record holds, and deals
 // each sealed group to the persist workers (§4.4 runs multiple persist
 // threads for exactly this reason). Each worker owns a disjoint
 // persistent log region and flushes its group with a single persist
@@ -122,8 +123,12 @@ func (s *System) persistLoop() {
 	}
 
 	// consume moves the transaction at the head of th's ring — the
-	// next ID — into the open group.
-	consume := func(th *thread) {
+	// next ID — into the open group, sealing the group first when the
+	// transaction could take it past the record limit (Run keeps every
+	// transaction within it on its own). It returns false if that seal
+	// found the system halted.
+	maxEntries := redolog.MaxGroupEntries(s.lay.logSize)
+	consume := func(th *thread) bool {
 		if s.cfg.GroupSize == 1 {
 			ep = getEntrySlice()
 			*ep, _ = th.ring.ConsumeTx((*ep)[:0])
@@ -131,6 +136,9 @@ func (s *System) persistLoop() {
 			s.combEntries.Add(uint64(len(*ep)))
 		} else {
 			th.scratch, _ = th.ring.ConsumeTx(th.scratch[:0])
+			if comb.Len()+len(th.scratch) > maxEntries && !seal() {
+				return false
+			}
 			comb.AddAll(th.scratch)
 		}
 		if gCount == 0 {
@@ -140,6 +148,7 @@ func (s *System) persistLoop() {
 		gCount++
 		nextTid++
 		yielded = false
+		return true
 	}
 
 	// ready reports whether some ring's head is the next ID.
@@ -178,8 +187,7 @@ func (s *System) persistLoop() {
 			if th == nil {
 				break
 			}
-			consume(th)
-			if gCount >= s.cfg.GroupSize && !seal() {
+			if !consume(th) || gCount >= s.cfg.GroupSize && !seal() {
 				s.persistGate.Unlock()
 				finish()
 				return

@@ -390,6 +390,9 @@ func (s *System) IngestGroup(minTid, maxTid uint64, entries []redolog.Entry) err
 	if minTid == 0 || maxTid < minTid {
 		return fmt.Errorf("dudetm: ingest group tid range [%d,%d]", minTid, maxTid)
 	}
+	if limit := redolog.MaxGroupEntries(s.lay.logSize); len(entries) > limit {
+		return fmt.Errorf("dudetm: ingest group of %d entries exceeds this pool's record limit of %d", len(entries), limit)
+	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	if s.stopping.Load() || s.closed.Load() {

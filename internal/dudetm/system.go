@@ -1,6 +1,7 @@
 package dudetm
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,6 +27,11 @@ type System struct {
 
 	threads []*thread
 	writers []*redolog.Writer
+
+	// maxTxWrites is the most writes one transaction may log: its ring
+	// entries plus end mark must fit the volatile ring (ModeAsync), and
+	// its group one log record (redolog.MaxGroupEntries).
+	maxTxWrites int
 
 	reproCh    chan repoMsg
 	durable    atomic.Uint64
@@ -121,12 +127,13 @@ type thread struct {
 	writer *redolog.Writer // ModeSync: this thread's persistent log
 
 	// Per-transaction state.
-	tx      Tx
-	wrote   bool
-	pages   []uint64        // pinned shadow pages (paged shadow only)
-	entries []redolog.Entry // ModeSync: current transaction's writes
-	burned  []uint64        // ModeSync: no-op commit IDs to flush
-	scratch []redolog.Entry
+	tx       Tx
+	writes   int             // dtmWrite calls of the current attempt
+	tooLarge bool            // the attempt aborted at maxTxWrites
+	pages    []uint64        // pinned shadow pages (paged shadow only)
+	entries  []redolog.Entry // ModeSync: current transaction's writes
+	burned   []uint64        // ModeSync: no-op commit IDs to flush
+	scratch  []redolog.Entry
 }
 
 // Tx is the durable transaction handle: the paper's dtmRead / dtmWrite /
@@ -141,15 +148,20 @@ type Tx struct {
 func (t *Tx) Load(addr uint64) uint64 { return t.inner.Load(addr) }
 
 // Store performs a transactional write (dtmWrite): append to the
-// volatile redo log, then write through to shadow memory.
+// volatile redo log, then write through to shadow memory. A write past
+// the transaction's limit aborts it, and Run returns ErrTxTooLarge.
 func (t *Tx) Store(addr, val uint64) {
 	th := t.th
+	if th.writes == th.sys.maxTxWrites {
+		th.tooLarge = true
+		t.inner.Abort()
+	}
+	th.writes++
 	if th.sys.cfg.Mode == ModeSync {
 		th.entries = append(th.entries, redolog.Entry{Addr: addr, Val: val})
 	} else {
 		th.ring.Append(addr, val)
 	}
-	th.wrote = true
 	th.sys.writes.Add(1)
 	if th.sys.paged() {
 		page := addr / th.sys.lay.pageSize
@@ -186,6 +198,9 @@ func Create(cfg Config) (*System, error) {
 		nlogs = cfg.PersistThreads
 	}
 	lay := computeLayout(uint64(nlogs), cfg.LogBufBytes, cfg.DataSize, pageSize, blackboxEntries)
+	if err := redolog.CheckRegion(lay.logsOff, lay.logSize); err != nil {
+		return nil, fmt.Errorf("dudetm: LogBufBytes: %w", err)
+	}
 	pc := cfg.Pmem
 	pc.Size = lay.total
 	dev := pmem.New(pc)
@@ -198,7 +213,9 @@ func Create(cfg Config) (*System, error) {
 		return nil, err
 	}
 	for i := range s.writers {
-		s.writers[i] = redolog.NewWriter(dev, lay.metaAddr(i), lay.logAddr(i), lay.logSize, cfg.Compress)
+		if s.writers[i], err = redolog.NewWriter(dev, lay.metaAddr(i), lay.logAddr(i), lay.logSize, cfg.Compress); err != nil {
+			return nil, err
+		}
 	}
 	s.bindWriters()
 	s.start()
@@ -218,10 +235,11 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 		cfg.PersistThreads = int(lay.nlogs)
 	}
 	s := &System{
-		cfg:     cfg,
-		dev:     dev,
-		lay:     lay,
-		writers: make([]*redolog.Writer, lay.nlogs),
+		cfg:         cfg,
+		dev:         dev,
+		lay:         lay,
+		writers:     make([]*redolog.Writer, lay.nlogs),
+		maxTxWrites: redolog.MaxGroupEntries(lay.logSize),
 		// The group channel is the volatile copy of the persisted log
 		// kept for Reproduce (§3.3). Its capacity bounds how far
 		// Persist can run ahead of Reproduce before back-pressure
@@ -294,6 +312,11 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 		th := &thread{sys: s, slot: i, ring: redolog.NewRing(cfg.VLogEntries)}
 		th.tx = Tx{th: th}
 		s.threads[i] = th
+	}
+	if cfg.Mode == ModeAsync {
+		// The ring frees a transaction's slots only once its end mark
+		// is in: one that fills the ring waits for itself.
+		s.maxTxWrites = min(s.maxTxWrites, s.threads[0].ring.Cap()-1)
 	}
 	return s, nil
 }
@@ -426,12 +449,19 @@ func (s *System) setDurable(f uint64) {
 	s.obs.DurableAdvanced(f)
 }
 
+// ErrTxTooLarge is returned by Run for a transaction that writes more
+// words than one log record, or in ModeAsync the volatile ring, can
+// hold. The transaction is rolled back and logs nothing.
+var ErrTxTooLarge = errors.New("dudetm: transaction writes more words than one log record can hold")
+
 // Run executes fn as a durable transaction on behalf of thread slot and
 // returns its transaction ID. In ModeAsync it returns right after the
 // Perform step — the transaction is durable once Durable() >= tid
 // (WaitDurable). In ModeSync it returns only after the transaction is
 // durable. Read-only transactions return the snapshot ID they observed;
-// they are durable once Durable() reaches it.
+// they are durable once Durable() reaches it. A transaction whose writes
+// would not fit one log record (redolog.MaxGroupEntries) or, in
+// ModeAsync, the volatile ring fails with ErrTxTooLarge.
 func (s *System) Run(slot int, fn func(*Tx) error) (tid uint64, err error) {
 	if s.closed.Load() {
 		panic("dudetm: Run on closed system")
@@ -446,16 +476,19 @@ func (s *System) Run(slot int, fn func(*Tx) error) (tid uint64, err error) {
 	}()
 	tid, err = s.engine.Run(slot, func(itx stm.Tx) error {
 		s.cleanupAttempt(th)
-		th.wrote = false
+		th.writes, th.tooLarge = 0, false
 		th.tx.inner = itx
 		return fn(&th.tx)
 	})
 	if err != nil {
 		s.cleanupAttempt(th)
 		s.flushBurned(th)
+		if th.tooLarge {
+			err = ErrTxTooLarge
+		}
 		return 0, err
 	}
-	if !th.wrote {
+	if th.writes == 0 {
 		s.flushBurned(th)
 		return tid, nil
 	}

@@ -73,6 +73,9 @@ func Measure(sys System, bench Bench, threads int, m MeasureOpts) (Result, error
 		return Result{}, fmt.Errorf("harness: %s has no static (NVML) driver", bench.Name())
 	}
 
+	// Setup's last transactions may still be in the pipeline; drain
+	// them so the counters below cover the measured transactions only.
+	sys.Drain()
 	before := sys.Stats()
 	perThread := m.TotalOps / threads
 	var latHist obs.Histogram

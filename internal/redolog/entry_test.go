@@ -265,13 +265,14 @@ func TestRunLen(t *testing.T) {
 // TestScanTornTailEveryWordBoundary is the deterministic version of the
 // crash the fuzzers might reach: the last record — several runs, one of
 // them straddling many words — persisted only up to an 8-byte boundary,
-// for every boundary, over both never-written space and the stale
-// records of a wrapped log. The record framing (sequence number + CRC
-// over header and payload) must hide every partial image: Scan returns
-// exactly the N-1 earlier groups, never a shortened or mis-addressed
-// run, and reports Torn as soon as the record's sequence word is on
-// media — and the torn record's claimed tid range exactly when the two
-// tid words behind it are too, never what a stale lap left under them.
+// for every boundary, over never-written space, over the stale records
+// of a wrapped log, and running past the end of a wrapped buffer. The
+// record framing (sequence number + CRC over header and payload) must
+// hide every partial image: Scan returns exactly the N-1 earlier groups,
+// never a shortened or mis-addressed run, and reports Torn as soon as
+// the record's sequence word (word 1) is on media — and the torn
+// record's claimed tid range exactly when the two tid words behind it
+// (words 2 and 3) are too, never what a stale lap left under them.
 func TestScanTornTailEveryWordBoundary(t *testing.T) {
 	last := func() []Entry {
 		var es []Entry
@@ -287,12 +288,12 @@ func TestScanTornTailEveryWordBoundary(t *testing.T) {
 		return es
 	}()
 	for _, compress := range []bool{false, true} {
-		for _, wrapped := range []bool{false, true} {
+		for _, layout := range []string{"fresh", "wrapped", "straddling"} {
 			dev := newLogDev()
-			w := NewWriter(dev, testMeta, testBase, testSize, compress)
+			w := newTestWriter(dev, compress)
 			// A pool this far into its life: tids dwarf a record's byte
-			// length, so a stale lap's length words under the tid words
-			// cannot pass for a range above the previous group.
+			// length, so a stale lap's words under the tid words cannot
+			// pass for a range above the previous group.
 			tid := uint64(1) << 20
 			appendSpan := func(entries []Entry, txns uint64) (*Group, uint64) {
 				g := &Group{MinTid: tid, MaxTid: tid + txns - 1, Entries: entries}
@@ -301,7 +302,7 @@ func TestScanTornTailEveryWordBoundary(t *testing.T) {
 			}
 			appendGroup := func(entries []Entry) (*Group, uint64) { return appendSpan(entries, 1) }
 			rng := rand.New(rand.NewSource(11))
-			if wrapped {
+			if layout != "fresh" {
 				// Fill and recycle the log until the tail has wrapped, so
 				// the records below land on stale ones.
 				for w.Tail() < 2*testSize {
@@ -310,6 +311,14 @@ func TestScanTornTailEveryWordBoundary(t *testing.T) {
 						es[i] = Entry{Addr: 8 * uint64(rng.Intn(1<<20)), Val: rng.Uint64()}
 					}
 					g, _ := appendGroup(es)
+					w.Recycle(g.EndPos, g.Seq+1, g.MaxTid)
+				}
+			}
+			if layout == "straddling" {
+				// One-line records until the three two-line records
+				// below leave the last one four lines before the end.
+				for w.Tail()%testSize != testSize-10*64 {
+					g, _ := appendGroup([]Entry{{Addr: 8, Val: 1}})
 					w.Recycle(g.EndPos, g.Seq+1, g.MaxTid)
 				}
 			}
@@ -323,29 +332,37 @@ func TestScanTornTailEveryWordBoundary(t *testing.T) {
 			before := dev.PersistedImage()
 			g, length := appendSpan(last, 3)
 			after := dev.PersistedImage()
-			start := testBase + (g.EndPos-length)%testSize // records never wrap
+			start := (g.EndPos - length) % testSize
+			if straddles := start+length > testSize; straddles != (layout == "straddling") {
+				t.Fatalf("%s layout: record at %d of %d bytes straddles the end: %v", layout, start, length, straddles)
+			}
+			word := func(j uint64) uint64 { return testBase + (start+8*j)%testSize }
 			for k := uint64(0); k <= length/8; k++ {
 				img := append([]byte(nil), after...)
-				copy(img[start+8*k:start+length], before[start+8*k:start+length])
-				whole := bytes.Equal(img[start:start+length], after[start:start+length])
+				whole := true
+				for j := k; j < length/8; j++ {
+					a := word(j)
+					copy(img[a:a+8], before[a:a+8])
+					whole = whole && bytes.Equal(before[a:a+8], after[a:a+8])
+				}
 				d2 := newLogDev()
 				d2.Restore(img)
 				res := scanAll(t, d2)
-				wantGroups, wantTorn := n-1, k > 2 // word 2 of the header is seq
+				wantGroups, wantTorn := n-1, k > 1 // word 1 of the header is seq
 				if whole {
 					wantGroups, wantTorn = n, false
 				}
 				if len(res.Groups) != wantGroups || res.Torn != wantTorn {
-					t.Fatalf("compress=%v wrapped=%v, %d of %d words persisted: %d groups torn=%v, want %d torn=%v",
-						compress, wrapped, k, length/8, len(res.Groups), res.Torn, wantGroups, wantTorn)
+					t.Fatalf("compress=%v %s, %d of %d words persisted: %d groups torn=%v, want %d torn=%v",
+						compress, layout, k, length/8, len(res.Groups), res.Torn, wantGroups, wantTorn)
 				}
 				var wantMin, wantMax uint64
-				if wantTorn && k > 4 { // words 3 and 4 are minTid and maxTid
+				if wantTorn && k > 3 { // words 2 and 3 hold minTid and maxTid's low word
 					wantMin, wantMax = g.MinTid, g.MaxTid
 				}
 				if res.TornMinTid != wantMin || res.TornMaxTid != wantMax {
-					t.Fatalf("compress=%v wrapped=%v, %d of %d words persisted: torn claim [%d,%d], want [%d,%d]",
-						compress, wrapped, k, length/8, res.TornMinTid, res.TornMaxTid, wantMin, wantMax)
+					t.Fatalf("compress=%v %s, %d of %d words persisted: torn claim [%d,%d], want [%d,%d]",
+						compress, layout, k, length/8, res.TornMinTid, res.TornMaxTid, wantMin, wantMax)
 				}
 				for i, es := range want {
 					if !reflect.DeepEqual(res.Groups[i].Entries, es) {

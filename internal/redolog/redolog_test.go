@@ -314,6 +314,15 @@ func newLogDev() *pmem.Device {
 	return pmem.New(pmem.Config{Size: testBase + testSize})
 }
 
+// newTestWriter formats the test log on dev.
+func newTestWriter(dev *pmem.Device, compress bool) *Writer {
+	w, err := NewWriter(dev, testMeta, testBase, testSize, compress)
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
 func scanAll(t *testing.T, dev *pmem.Device) ScanResult {
 	t.Helper()
 	res, err := Scan(dev, testMeta, testBase, testSize)
@@ -326,7 +335,7 @@ func scanAll(t *testing.T, dev *pmem.Device) ScanResult {
 func TestWriterScanRoundTrip(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		dev := newLogDev()
-		w := NewWriter(dev, testMeta, testBase, testSize, compress)
+		w := newTestWriter(dev, compress)
 		var want [][]Entry
 		for i := 0; i < 5; i++ {
 			g := &Group{MinTid: uint64(i*10 + 1), MaxTid: uint64(i*10 + 9)}
@@ -357,7 +366,7 @@ func TestWriterScanRoundTrip(t *testing.T) {
 
 func TestScanEmptyLog(t *testing.T) {
 	dev := newLogDev()
-	NewWriter(dev, testMeta, testBase, testSize, false)
+	newTestWriter(dev, false)
 	dev.Crash()
 	res := scanAll(t, dev)
 	if len(res.Groups) != 0 || res.NextPos != 0 || res.NextSeq != 1 {
@@ -377,7 +386,7 @@ func TestScanCorruptMetaErrors(t *testing.T) {
 
 func TestScanDropsTornRecord(t *testing.T) {
 	dev := newLogDev()
-	w := NewWriter(dev, testMeta, testBase, testSize, false)
+	w := newTestWriter(dev, false)
 	g1 := &Group{MinTid: 1, MaxTid: 1, Entries: []Entry{{8, 1}}}
 	w.AppendGroup(g1)
 	// Simulate a torn append: write a record but corrupt its payload
@@ -385,8 +394,9 @@ func TestScanDropsTornRecord(t *testing.T) {
 	// payload byte of the second record.
 	g2 := &Group{MinTid: 2, MaxTid: 2, Entries: []Entry{{16, 2}}}
 	w.AppendGroup(g2)
-	// Corrupt g2's payload directly (persisted).
-	addr := testBase + g2.EndPos - 8
+	// Corrupt g2's payload directly (persisted): its one value word,
+	// behind the header and the run's header word.
+	addr := testBase + g1.EndPos + headerSize + 8
 	dev.Store8(addr, dev.Load8(addr)^1)
 	dev.Persist(addr, 8)
 	dev.Crash()
@@ -402,7 +412,7 @@ func TestScanDropsTornRecord(t *testing.T) {
 
 func TestWriterWrapAround(t *testing.T) {
 	dev := newLogDev()
-	w := NewWriter(dev, testMeta, testBase, testSize, false)
+	w := newTestWriter(dev, false)
 	// Each group ~ 56 + 10*16 = 216 bytes; push enough to wrap several
 	// times, recycling as we go.
 	entries := make([]Entry, 10)
@@ -430,7 +440,7 @@ func TestWriterWrapAround(t *testing.T) {
 
 func TestWrapWithLiveRecords(t *testing.T) {
 	dev := newLogDev()
-	w := NewWriter(dev, testMeta, testBase, testSize, false)
+	w := newTestWriter(dev, false)
 	entries := make([]Entry, 20) // record ~ 56+320 = 376 bytes
 	for i := range entries {
 		entries[i] = Entry{Addr: uint64(i * 8), Val: uint64(i)}
@@ -462,16 +472,17 @@ func TestWrapWithLiveRecords(t *testing.T) {
 	}
 }
 
-// TestAppendParksOnFullLog fills the log so the next record must wrap
-// and wait for space, then releases the parked append with a Recycle
-// or with Halt. A halted append writes nothing, not even the wrap
-// marker, so the log scans exactly as it stood.
+// TestAppendParksOnFullLog fills the log so the next record must wait
+// for space, and would run past the end of the buffer, then releases
+// the parked append with a Recycle or with Halt. The recycled append
+// continues at the buffer's start and scans back whole; a halted append
+// writes nothing, so the log scans exactly as it stood.
 func TestAppendParksOnFullLog(t *testing.T) {
 	for _, release := range []string{"recycle", "halt"} {
 		t.Run(release, func(t *testing.T) {
 			dev := newLogDev()
-			w := NewWriter(dev, testMeta, testBase, testSize, false)
-			entries := make([]Entry, 20)
+			w := newTestWriter(dev, false)
+			entries := make([]Entry, 30) // 280 B in 320 B of log: 25.6 records per lap
 			for i := range entries {
 				entries[i] = Entry{Addr: uint64(i * 8), Val: uint64(i)}
 			}
@@ -483,7 +494,7 @@ func TestAppendParksOnFullLog(t *testing.T) {
 				groups = append(groups, g)
 			}
 			if w.size-w.tail%w.size >= rec {
-				t.Fatalf("record of %d bytes fits before the end (tail %d): the test no longer wraps", rec, w.tail)
+				t.Fatalf("record of %d bytes fits before the end (tail %d): the parked append would not straddle it", rec, w.tail)
 			}
 			n := uint64(len(groups))
 			next := &Group{MinTid: n + 1, MaxTid: n + 1, Entries: entries}
@@ -536,7 +547,7 @@ func TestStaleRecordNotReplayed(t *testing.T) {
 	// After recycling, old records remain as persisted bytes. A scan
 	// must not resurrect them (their seq is stale).
 	dev := newLogDev()
-	w := NewWriter(dev, testMeta, testBase, testSize, false)
+	w := newTestWriter(dev, false)
 	g1 := &Group{MinTid: 1, MaxTid: 1, Entries: []Entry{{8, 111}}}
 	w.AppendGroup(g1)
 	g2 := &Group{MinTid: 2, MaxTid: 2, Entries: []Entry{{16, 222}}}
@@ -551,7 +562,7 @@ func TestStaleRecordNotReplayed(t *testing.T) {
 
 func TestResumeAfterScan(t *testing.T) {
 	dev := newLogDev()
-	w := NewWriter(dev, testMeta, testBase, testSize, false)
+	w := newTestWriter(dev, false)
 	g := &Group{MinTid: 1, MaxTid: 3, Entries: []Entry{{8, 1}, {16, 2}}}
 	w.AppendGroup(g)
 	dev.Crash()
@@ -577,7 +588,7 @@ func TestResumeAfterScan(t *testing.T) {
 func TestCompressedGroupsSmaller(t *testing.T) {
 	mk := func(compress bool) uint64 {
 		dev := newLogDev()
-		w := NewWriter(dev, testMeta, testBase, testSize, compress)
+		w := newTestWriter(dev, compress)
 		entries := make([]Entry, 100)
 		for i := range entries {
 			entries[i] = Entry{Addr: uint64(i%10) * 8, Val: 7} // highly compressible
@@ -597,7 +608,7 @@ func TestQuickWriterScanRoundTrip(t *testing.T) {
 	f := func(seed int64, compress bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dev := newLogDev()
-		w := NewWriter(dev, testMeta, testBase, testSize, compress)
+		w := newTestWriter(dev, compress)
 		n := 1 + rng.Intn(6)
 		var want [][]Entry
 		tid := uint64(1)

@@ -46,113 +46,108 @@ const maxTornSpan = 1 << 12
 // meta, returning every valid group that has not been recycled. It stops
 // at the first record that is torn (bad checksum), stale (wrong sequence
 // number), or malformed — everything after that point was not part of
-// the durable prefix.
+// the durable prefix. It refuses a region CheckRegion refuses and
+// metadata that fails its checksum or puts the head off a line.
 func Scan(dev *pmem.Device, meta, base, size uint64) (ScanResult, error) {
+	if err := CheckRegion(base, size); err != nil {
+		return ScanResult{}, err
+	}
 	var mb [MetaSize]byte
 	dev.Load(meta, mb[:])
 	headPos := binary.LittleEndian.Uint64(mb[0:])
 	headSeq := binary.LittleEndian.Uint64(mb[8:])
 	reproTid := binary.LittleEndian.Uint64(mb[16:])
 	crc := binary.LittleEndian.Uint64(mb[24:])
-	if uint64(crc32.Checksum(mb[:24], crcTable)) != crc {
+	if uint64(crc32.Checksum(mb[:24], crcTable)) != crc || headPos%pmem.LineSize != 0 {
 		return ScanResult{}, fmt.Errorf("redolog: corrupt log metadata at %#x", meta)
 	}
 
 	res := ScanResult{NextPos: headPos, NextSeq: headSeq, ReproTid: reproTid}
 	pos, seq := headPos, headSeq
-	hdr := make([]byte, headerSize)
-	var minTid, maxTid uint64 // of the record the walk is on
+	var hdr [headerSize]byte
+	var minTid, span uint64 // of the record the walk is on
 	// The log holds at most size bytes of live records; bound the walk.
 	for scanned := uint64(0); scanned < size; {
-		idx := pos % size
-		if size-idx < 8 {
-			break // cannot even hold a wrap marker; malformed
-		}
-		first := dev.Load8(base + idx)
-		if first == wrapMarker {
-			skip := size - idx
-			pos += skip
-			scanned += skip
-			continue
-		}
-		if size-idx < headerSize {
-			break
-		}
-		dev.Load(base+idx, hdr)
-		payloadLen := binary.LittleEndian.Uint64(hdr[0:])
-		uncomp := binary.LittleEndian.Uint64(hdr[8:])
-		recSeq := binary.LittleEndian.Uint64(hdr[16:])
-		minTid = binary.LittleEndian.Uint64(hdr[24:])
-		maxTid = binary.LittleEndian.Uint64(hdr[32:])
-		flags := binary.LittleEndian.Uint64(hdr[40:])
-		wantCRC := binary.LittleEndian.Uint64(hdr[48:])
-
-		// Bound fields before arithmetic: a torn header can hold garbage.
-		if payloadLen >= size || uncomp > size<<8 || uncomp%8 != 0 {
-			res.Torn = recSeq == seq
-			break
-		}
-		padded := (payloadLen + 7) &^ 7
+		idx := pos % size // line-aligned: the header never straddles the end
+		dev.Load(base+idx, hdr[:])
+		payloadLen := uint64(binary.LittleEndian.Uint32(hdr[0:]))
+		rawLen := uint64(binary.LittleEndian.Uint32(hdr[4:]))
+		recSeq := binary.LittleEndian.Uint64(hdr[8:])
+		minTid = binary.LittleEndian.Uint64(hdr[16:])
+		span = uint64(binary.LittleEndian.Uint32(hdr[24:]) - uint32(minTid))
+		wantCRC := binary.LittleEndian.Uint32(hdr[28:])
 		if recSeq != seq {
-			break // stale record: clean end of the durable prefix
+			break // stale record or never-written space: clean end of the durable prefix
 		}
-		if headerSize+padded > size-idx {
+		// From here on the record claims to be the next one, so any
+		// failure is a torn append. Bound the lengths before reading:
+		// a torn header can hold garbage.
+		n := headerSize + payloadLen
+		if n > size-scanned || rawLen > maxPayload(size) || rawLen < payloadLen || rawLen%8 != 0 {
 			res.Torn = true
 			break
 		}
+		// Records are disjoint, so the walk's payloads together take at
+		// most size bytes, whatever their headers claim.
 		payload := make([]byte, payloadLen)
-		dev.Load(base+idx+headerSize, payload)
-		crc := crc32.Checksum(hdr[:48], crcTable)
-		crc = crc32.Update(crc, crcTable, payload)
-		if uint64(crc) != wantCRC {
+		loadWrapped(dev, base, size, idx+headerSize, payload)
+		crc := crc32.Update(crc32.Checksum(hdr[:28], crcTable), crcTable, payload)
+		if crc != wantCRC {
 			res.Torn = true
 			break
 		}
 		body := payload
-		if flags&flagCompressed != 0 {
-			dec, err := lz4.Decompress(body, int(uncomp))
+		if rawLen != payloadLen {
+			dec, err := lz4.Decompress(body, int(rawLen))
 			if err != nil {
 				res.Torn = true
 				break
 			}
 			body = dec
-		} else if uncomp != payloadLen {
-			res.Torn = true
-			break
 		}
 		entries, ok := DecodeEntries(body)
 		if !ok {
 			res.Torn = true
 			break
 		}
-		recSize := headerSize + padded
+		pos += lineUp(n)
+		scanned += lineUp(n)
 		res.Groups = append(res.Groups, Group{
 			Seq:     recSeq,
 			MinTid:  minTid,
-			MaxTid:  maxTid,
+			MaxTid:  minTid + span,
 			Entries: entries,
-			EndPos:  pos + recSize,
+			EndPos:  pos,
 		})
-		pos += recSize
-		scanned += recSize
 		seq++
 	}
 	if res.Torn {
-		// The walk stopped on the torn record, so minTid/maxTid are its
-		// header's. A log's records ascend, so a genuine claim starts
+		// The walk stopped on the torn record, so minTid and span are
+		// its header's. A log's records ascend, so a genuine claim starts
 		// above the previous live group (or the log's persisted reproduce
-		// watermark) and spans at most a group.
+		// watermark) and spans at most a group. A tid word that a stale
+		// lap left or that was never written pairs with a genuine one
+		// into a span far past that (minTid's low word is above any older
+		// maxTid's, and never-written space reads zero).
 		prev := reproTid
 		if n := len(res.Groups); n > 0 {
 			prev = res.Groups[n-1].MaxTid
 		}
-		if minTid > prev && minTid <= maxTid && maxTid-minTid < maxTornSpan {
-			res.TornMinTid, res.TornMaxTid = minTid, maxTid
+		if minTid > prev && span < maxTornSpan {
+			res.TornMinTid, res.TornMaxTid = minTid, minTid+span
 		}
 	}
 	res.NextPos = pos
 	res.NextSeq = seq
 	return res, nil
+}
+
+// loadWrapped fills b from the log buffer dev[base:base+size) starting
+// at offset idx, continuing at the buffer's start past its end.
+func loadWrapped(dev *pmem.Device, base, size, idx uint64, b []byte) {
+	first := min(uint64(len(b)), size-idx)
+	dev.Load(base+idx, b[:first])
+	dev.Load(base, b[first:])
 }
 
 // Resume creates a writer that continues an existing log after Scan: the

@@ -155,6 +155,10 @@ func (c *conn) writeLoop(pending <-chan wire.Request) {
 			}
 		}
 		frontier := c.srv.pool.AckFrontier()
+		// One deadline bounds every socket write of the batch and its
+		// flush: setting it takes the runtime's timer lock, too dear
+		// once per response.
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		for i := range batch {
 			p := &batch[i]
 			if p.tid != 0 {
@@ -174,7 +178,6 @@ func (c *conn) writeLoop(pending <-chan wire.Request) {
 				return
 			}
 		}
-		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if bw.Flush() != nil {
 			return
 		}
@@ -192,7 +195,6 @@ func (c *conn) writeResponse(bw *bufio.Writer, resp *wire.Response) bool {
 		// rather than desynchronize the stream.
 		return false
 	}
-	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if wire.WriteFrame(bw, payload) != nil {
 		return false
 	}

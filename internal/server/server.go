@@ -41,7 +41,7 @@ const (
 	// idleTimeout closes a connection with no complete request for this
 	// long.
 	idleTimeout = 2 * time.Minute
-	// writeTimeout bounds one response flush.
+	// writeTimeout bounds writing one batch of responses, flush included.
 	writeTimeout = 10 * time.Second
 )
 

@@ -657,3 +657,89 @@ func TestStrandedAckNamesTheCause(t *testing.T) {
 		})
 	}
 }
+
+// deadlineConn counts a server connection's write deadlines and socket
+// writes, and whether a write ever ran with no deadline set.
+type deadlineConn struct {
+	net.Conn
+	mu                sync.Mutex
+	deadlines, writes int
+	undeadlined       bool
+}
+
+func (c *deadlineConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadlines++
+	c.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *deadlineConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	c.undeadlined = c.undeadlined || c.deadlines == 0
+	c.mu.Unlock()
+	return c.Conn.Write(b)
+}
+
+// deadlineListener hands the server deadlineConns.
+type deadlineListener struct {
+	net.Listener
+	conns chan *deadlineConn
+}
+
+func (l deadlineListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	dc := &deadlineConn{Conn: nc}
+	l.conns <- dc
+	return dc, nil
+}
+
+// TestWriteDeadlinePerBatch pins the write path's timer cost: the
+// server sets one write deadline per batch of responses, not one per
+// response plus one per flush, and never writes to the socket before a
+// deadline bounds it. A batch flushes with at least one socket write,
+// so there are never more deadlines than writes.
+func TestWriteDeadlinePerBatch(t *testing.T) {
+	pool, err := dudetm.Create(dudetm.Options{DataSize: 16 << 20, GroupSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	srv, err := New(pool, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(5 * time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl := deadlineListener{Listener: ln, conns: make(chan *deadlineConn, 1)}
+	go srv.Serve(dl)
+	c := dial(t, ln.Addr().String())
+	defer c.Close()
+	const n = 200
+	futs := make([]*Future, n)
+	for i := range futs {
+		if futs[i], err = c.Go([]wire.Op{{Kind: wire.OpPut, Key: uint64(i), Val: []byte{byte(i)}}}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, f := range futs {
+		if _, err := f.Wait(); err != nil {
+			t.Fatalf("req %d: %v", i, err)
+		}
+	}
+	sc := <-dl.conns
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.undeadlined || sc.deadlines > sc.writes {
+		t.Fatalf("%d responses: %d write deadlines for %d socket writes (a write before any deadline: %v)",
+			n, sc.deadlines, sc.writes, sc.undeadlined)
+	}
+	t.Logf("%d responses: %d write deadlines, %d socket writes", n, sc.deadlines, sc.writes)
+}
