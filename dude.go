@@ -97,14 +97,6 @@ type Options struct {
 	// GroupSize combines this many consecutive transactions into one
 	// persist group (cross-transaction write combination).
 	GroupSize int
-	// PersistThreads is the Persist-stage worker count: sealed groups
-	// are dealt round-robin to this many log writers (0 = default,
-	// min(2, GOMAXPROCS) or DUDETM_STAGE_THREADS).
-	PersistThreads int
-	// ReproThreads is the Reproduce-stage applier count: large groups
-	// are split by address shard and applied concurrently under one
-	// persist barrier (0 = same default).
-	ReproThreads int
 	// TraceSampleEvery enables lifecycle tracing for every N-th
 	// transaction: sampled transactions are stamped at commit,
 	// group-seal, persist-fence and reproduce-apply (TraceOf
@@ -146,8 +138,6 @@ func (o Options) config() idudetm.Config {
 		DataSize:         o.DataSize,
 		Threads:          o.Threads,
 		GroupSize:        o.GroupSize,
-		PersistThreads:   o.PersistThreads,
-		ReproThreads:     o.ReproThreads,
 		TraceSampleEvery: o.TraceSampleEvery,
 		Watchdog:         o.Watchdog,
 		ReplFactor:       o.ReplFactor,

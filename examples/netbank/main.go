@@ -73,7 +73,7 @@ func main() {
 		return
 	}
 
-	opts := dudetm.Options{DataSize: 16 << 20, Threads: 4, GroupSize: 64, PersistThreads: 2, ReproThreads: 4}
+	opts := dudetm.Options{DataSize: 16 << 20, Threads: 4, GroupSize: 64}
 	pool, err := dudetm.Create(opts)
 	if err != nil {
 		log.Fatal(err)
@@ -221,7 +221,7 @@ func (n *replicaNode) stopIngest() {
 // mid-load, recovery and the client invariants checked on the
 // promoted replica's crash image.
 func runReplicated(n int, crashImage string) {
-	opts := dudetm.Options{DataSize: 16 << 20, Threads: 4, GroupSize: 64, PersistThreads: 2, ReproThreads: 4,
+	opts := dudetm.Options{DataSize: 16 << 20, Threads: 4, GroupSize: 64,
 		ReplFactor: n, ReplQuorum: n}
 
 	// Replicas are created with the same options as the primary so the

@@ -24,7 +24,6 @@ package dudetm
 
 import (
 	"os"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -109,27 +108,6 @@ type Config struct {
 	GroupSize int
 	// Compress enables lz4 compression of persisted groups.
 	Compress bool
-	// PersistThreads is the number of Persist-step log writers in
-	// ModeAsync (§4.4): a coordinator merges the volatile rings in
-	// commit-ID order and deals sealed groups round-robin to workers,
-	// each owning its own persistent log region. Default
-	// min(2, GOMAXPROCS), overridable with DUDETM_STAGE_THREADS.
-	PersistThreads int
-	// ReproThreads is the number of Reproduce-step appliers: each
-	// group's combined entries are split by address shard
-	// (cache line % N, so a line never spans shards) and applied
-	// concurrently under one fence. Default min(2, GOMAXPROCS),
-	// overridable with DUDETM_STAGE_THREADS.
-	ReproThreads int
-	// ReplayEpochGroups caps how many consecutive groups the Reproduce
-	// step may coalesce into one replay epoch when it has fallen behind
-	// (a dense backlog is buffered). Within an epoch duplicate
-	// addresses collapse last-writer-wins and a single fence covers the
-	// whole epoch, amortizing replay ordering across the backlog (only
-	// per-address last-writer order matters — MOD). 1 disables
-	// coalescing; default 16. Epochs form only under backlog, so light
-	// load always takes the per-group fast path.
-	ReplayEpochGroups int
 	// TraceSampleEvery enables lifecycle tracing for every N-th
 	// transaction ID: sampled transactions are stamped at commit,
 	// group-seal, persist-fence and reproduce-apply (TraceOf
@@ -179,15 +157,6 @@ func (c *Config) applyDefaults() {
 	if c.GroupSize == 0 {
 		c.GroupSize = 1
 	}
-	if c.PersistThreads == 0 {
-		c.PersistThreads = defaultStageThreads()
-	}
-	if c.ReproThreads == 0 {
-		c.ReproThreads = defaultStageThreads()
-	}
-	if c.ReplayEpochGroups == 0 {
-		c.ReplayEpochGroups = 16
-	}
 	if c.TraceSampleEvery == 0 {
 		c.TraceSampleEvery = defaultTraceSample()
 	}
@@ -201,19 +170,6 @@ func (c *Config) applyDefaults() {
 		c.ReplQuorum = c.ReplFactor
 	}
 	c.DataSize = (c.DataSize + pageSize - 1) &^ (pageSize - 1)
-}
-
-// defaultStageThreads resolves the default worker count for the two
-// background stages: DUDETM_STAGE_THREADS when set (the CI knob that
-// forces the parallel paths even in configs that don't ask for them),
-// otherwise min(2, GOMAXPROCS).
-func defaultStageThreads() int {
-	if v := os.Getenv("DUDETM_STAGE_THREADS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return min(2, runtime.GOMAXPROCS(0))
 }
 
 // defaultTraceSample resolves the default trace-sampling period:

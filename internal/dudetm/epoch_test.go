@@ -15,25 +15,30 @@ import (
 // the same shared words with values tagged by its index, so a
 // first-writer or unordered merge would surface immediately; a unique
 // per-transaction word checks that non-duplicated entries survive
-// coalescing untouched.
+// coalescing untouched. The per-group path runs the same workload with
+// each transaction reproduced before the next commits, so no dense
+// successor is ever queued.
 func TestEpochCoalesceLastWriterWins(t *testing.T) {
 	const (
 		txs    = 256
 		shared = 8
 		unique = 0x4000
 	)
-	for _, epochs := range []int{64, 1} {
+	for _, backlog := range []bool{true, false} {
 		cfg := testConfig()
 		cfg.GroupSize = 1 // one group per transaction: a deep dense run
-		cfg.ReplayEpochGroups = epochs
 		s, err := Create(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Freeze Reproduce so the whole workload queues as a dense
-		// backlog, then release it: epoch formation slurps the backlog
-		// and coalesces it (or replays group-by-group when disabled).
-		s.PauseReproduce()
+		path := "per-group"
+		if backlog {
+			// Freeze Reproduce so the whole workload queues as a dense
+			// backlog, then release it: epoch formation slurps the
+			// backlog and coalesces it.
+			path = "coalesced"
+			s.PauseReproduce()
+		}
 		var last uint64
 		for i := uint64(0); i < txs; i++ {
 			last, err = s.Run(0, func(tx *Tx) error {
@@ -46,32 +51,43 @@ func TestEpochCoalesceLastWriterWins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !backlog {
+				s.reproduced.Wait(last, nil)
+			}
 		}
 		s.WaitDurable(last)
-		s.ResumeReproduce()
+		if backlog {
+			// The coordinator publishes a group's durability just before
+			// handing it to Reproduce, inside its gated pass: taking the
+			// gate waits out the last hand-off, so the whole backlog is
+			// queued when Reproduce resumes.
+			s.PausePersist()
+			s.ResumePersist()
+			s.ResumeReproduce()
+		}
 		s.Drain()
 
 		st := s.Stats()
-		if epochs > 1 {
+		if backlog {
 			if st.Reproduce.Epochs == 0 {
-				t.Errorf("epochs=%d: dense %d-group backlog formed no replay epochs", epochs, txs)
+				t.Errorf("%s: dense %d-group backlog formed no replay epochs", path, txs)
 			}
 			if st.Reproduce.CoalesceOut >= st.Reproduce.CoalesceIn {
-				t.Errorf("epochs=%d: coalescing removed nothing: in=%d out=%d",
-					epochs, st.Reproduce.CoalesceIn, st.Reproduce.CoalesceOut)
+				t.Errorf("%s: coalescing removed nothing: in=%d out=%d",
+					path, st.Reproduce.CoalesceIn, st.Reproduce.CoalesceOut)
 			}
-			// The epoch economy: one replay fence per epoch, not per
-			// group.
-			if st.Reproduce.Fences > txs/16 {
-				t.Errorf("epochs=%d: %d replay fences for %d groups, want at most %d",
-					epochs, st.Reproduce.Fences, txs, txs/16)
+			// The epoch economy: one replay fence per epoch of
+			// replayEpochGroups groups, not one per group.
+			if want := uint64(txs / replayEpochGroups); st.Reproduce.Fences > want {
+				t.Errorf("%s: %d replay fences for %d groups, want at most %d",
+					path, st.Reproduce.Fences, txs, want)
 			}
 		} else {
 			if st.Reproduce.Epochs != 0 {
-				t.Errorf("epochs=1: replay epochs formed with coalescing disabled: %d", st.Reproduce.Epochs)
+				t.Errorf("%s: replay epochs formed with no backlog queued: %d", path, st.Reproduce.Epochs)
 			}
 			if st.Reproduce.Fences != txs {
-				t.Errorf("epochs=1: %d replay fences for %d groups, want one per group", st.Reproduce.Fences, txs)
+				t.Errorf("%s: %d replay fences for %d groups, want one per group", path, st.Reproduce.Fences, txs)
 			}
 		}
 
@@ -86,13 +102,13 @@ func TestEpochCoalesceLastWriterWins(t *testing.T) {
 		s2.Run(0, func(tx *Tx) error {
 			for j := uint64(0); j < shared; j++ {
 				if got, want := tx.Load(j*8), uint64(txs-1)<<8|j; got != want {
-					t.Errorf("epochs=%d: shared word %d = %#x, want %#x (not last writer)",
-						epochs, j, got, want)
+					t.Errorf("%s: shared word %d = %#x, want %#x (not last writer)",
+						path, j, got, want)
 				}
 			}
 			for i := uint64(0); i < txs; i++ {
 				if got := tx.Load(unique + i*8); got != i+1 {
-					t.Errorf("epochs=%d: unique word of tx %d = %d, want %d", epochs, i, got, i+1)
+					t.Errorf("%s: unique word of tx %d = %d, want %d", path, i, got, i+1)
 				}
 			}
 			return nil
@@ -125,8 +141,6 @@ func TestCrashMidEpochRecovery(t *testing.T) {
 	cfg := testConfig()
 	cfg.Threads = workers
 	cfg.GroupSize = 1
-	cfg.ReplayEpochGroups = 64
-	cfg.ReproThreads = 2 // exercise the sharded fan-out mid-crash
 	// One group per transaction with Reproduce frozen means nothing
 	// recycles until the release below: size the logs for a whole
 	// phase's backlog so Persist never blocks on space.

@@ -164,7 +164,7 @@ func TestBlackboxFenceBudget(t *testing.T) {
 }
 
 // TestBlackboxByteBudget pins the recorder's write traffic on every path
-// that persists or recycles a group — the async workers, syncCommit,
+// that persists or recycles a group — the async coordinator, syncCommit,
 // replica ingest and Reproduce: after the boot stamp, none. A per-group
 // stamp creeping back in fails here, not in a benchmark.
 func TestBlackboxByteBudget(t *testing.T) {
@@ -174,12 +174,11 @@ func TestBlackboxByteBudget(t *testing.T) {
 		replica bool
 	}
 	var variants []variant
-	for _, pt := range []int{1, 2} {
-		for _, gs := range []int{1, 4} {
-			cfg := testConfig()
-			cfg.PersistThreads, cfg.GroupSize = pt, gs
-			variants = append(variants, variant{name: fmt.Sprintf("async/persist%d/group%d", pt, gs), cfg: cfg})
-		}
+	for _, gs := range []int{1, 4} {
+		cfg := testConfig()
+		cfg.GroupSize = gs
+		// persist1: the one Persist goroutine appends every group.
+		variants = append(variants, variant{name: fmt.Sprintf("async/persist1/group%d", gs), cfg: cfg})
 	}
 	syncCfg := testConfig()
 	syncCfg.Mode = ModeSync
@@ -244,7 +243,7 @@ func TestBlackboxByteBudget(t *testing.T) {
 // restores the frontier the report states either way.
 func TestInFlightFenceFromTornTail(t *testing.T) {
 	cfg := testConfig()
-	cfg.PersistThreads, cfg.GroupSize = 1, 4
+	cfg.GroupSize = 4
 	s, err := Create(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -29,15 +29,6 @@ func TestCrashRecoveryFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	cfg := testConfig()
 	cfg.Threads = workers
-	// The random schedule also varies the stage worker counts and the
-	// replay-epoch group cap across rounds (1 = per-group replay, the
-	// pre-epoch behavior); lay the pool out for the widest persist
-	// configuration so every remount fits the persistent geometry.
-	stageChoices := []int{1, 2, 4}
-	epochChoices := []int{1, 4, 64}
-	cfg.PersistThreads = 4
-	cfg.ReproThreads = 4
-	cfg.ReplayEpochGroups = epochChoices[rng.Intn(len(epochChoices))]
 	s, err := Create(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +40,9 @@ func TestCrashRecoveryFuzz(t *testing.T) {
 
 	for round := 0; round < rounds; round++ {
 		// Optionally freeze a pipeline stage before the workload so the
-		// crash catches the system at different depths.
+		// crash catches the system at different depths. A frozen
+		// Reproduce resumes on a dense backlog and replays it in
+		// coalesced epochs; an unfrozen one mostly replays per group.
 		freeze := rng.Intn(3) // 0: none, 1: reproduce, 2: persist+reproduce
 		if freeze >= 1 {
 			s.PauseReproduce()
@@ -108,11 +101,7 @@ func TestCrashRecoveryFuzz(t *testing.T) {
 
 		dev := pmem.New(pmem.Config{Size: s.Device().Size()})
 		dev.Restore(img)
-		cfg.PersistThreads = stageChoices[rng.Intn(len(stageChoices))]
-		cfg.ReproThreads = stageChoices[rng.Intn(len(stageChoices))]
-		cfg.ReplayEpochGroups = epochChoices[rng.Intn(len(epochChoices))]
-		t.Logf("round %d: freeze=%d persist=%d repro=%d epochs=%d",
-			round, freeze, cfg.PersistThreads, cfg.ReproThreads, cfg.ReplayEpochGroups)
+		t.Logf("round %d: freeze=%d", round, freeze)
 		s, err = Recover(dev, cfg)
 		if err != nil {
 			t.Fatalf("round %d: recover: %v", round, err)
@@ -161,8 +150,6 @@ func TestCrashRecoveryFuzzSyncMode(t *testing.T) {
 	cfg.Mode = ModeSync
 	cfg.Threads = 3
 	s, err := Create(cfg)
-	stageChoices := []int{1, 2, 4}
-	epochChoices := []int{1, 4, 64}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +189,6 @@ func TestCrashRecoveryFuzzSyncMode(t *testing.T) {
 
 		dev := pmem.New(pmem.Config{Size: s.Device().Size()})
 		dev.Restore(img)
-		// ModeSync persists inline on the Perform threads; only the
-		// Reproduce applier count and the replay-epoch cap vary.
-		cfg.ReproThreads = stageChoices[round%len(stageChoices)]
-		cfg.ReplayEpochGroups = epochChoices[round%len(epochChoices)]
 		s, err = Recover(dev, cfg)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -264,11 +247,9 @@ func TestInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pool lays out one log per Perform thread or persist worker,
-	// whichever is larger (the worker count may come from
-	// DUDETM_STAGE_THREADS).
-	if info.NLogs < uint64(cfg.Threads) {
-		t.Errorf("nlogs = %d, want >= %d", info.NLogs, cfg.Threads)
+	// The pool lays out one log per Perform thread.
+	if info.NLogs != uint64(cfg.Threads) {
+		t.Errorf("nlogs = %d, want %d", info.NLogs, cfg.Threads)
 	}
 	if info.Frontier != last {
 		t.Errorf("frontier = %d, want %d", info.Frontier, last)

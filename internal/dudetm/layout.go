@@ -145,10 +145,9 @@ func (p pmSource) WaitReproduced(tid uint64) bool {
 }
 
 // repoMsg carries one persisted group to the Reproduce step, along with
-// the writer whose log space it occupies.
+// the index of the writer whose log space it occupies.
 type repoMsg struct {
 	g  *redolog.Group
-	w  *redolog.Writer
 	wi int
 	ep *[]redolog.Entry // pooled backing slice, returned after replay
 }

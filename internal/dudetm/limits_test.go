@@ -34,7 +34,7 @@ func runWithin(t *testing.T, s *System, fn func(*Tx) error) (uint64, error) {
 // TestGroupSealsAtRecordLimit commits eight transactions that each fit
 // a log record while Persist is paused, so the coordinator finds them
 // all ready at once: sealing on GroupSize alone would put 16 K entries,
-// twice the log, in one group and panic in the persist worker. It must
+// twice the log, in one group and panic in its append. It must
 // seal by the record limit instead — here one transaction per group —
 // and every write must reach the durable image.
 func TestGroupSealsAtRecordLimit(t *testing.T) {
@@ -89,7 +89,7 @@ func TestGroupSealsAtRecordLimit(t *testing.T) {
 // TestOversizedTxFails holds Run to its per-transaction limit on every
 // mode and engine. A transaction one write past the limit fails with
 // ErrTxTooLarge — it neither waits forever for ring space only its own
-// end mark could free nor hands the persist worker a group larger than
+// end mark could free nor hands the Persist step a group larger than
 // the log — and is rolled back with nothing logged, while the pool
 // keeps serving; one of exactly the limit's writes commits and
 // recovers. Two limits are driven: the volatile ring's (64 entries,

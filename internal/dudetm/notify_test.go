@@ -23,11 +23,6 @@ func TestWaitDurableCrashRace(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.Mode = mode.mode
-			// Pin the stage worker counts so the race runs against the
-			// parallel pipeline (per-acceptance: PersistThreads=2,
-			// ReproThreads=4), independent of host defaults.
-			cfg.PersistThreads = 2
-			cfg.ReproThreads = 4
 			s, err := Create(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -422,26 +422,3 @@ func TestStallVerdict(t *testing.T) {
 		}
 	}
 }
-
-// TestWindowDepthStat checks the lock-free window gauge: zero when the
-// pipeline has drained, and wired into PersistStats.
-func TestWindowDepthStat(t *testing.T) {
-	cfg := testConfig()
-	s, err := Create(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 50; i++ {
-		if _, err := s.Run(0, func(tx *Tx) error { tx.Store(i*8, i); return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Drain()
-	s.Close()
-	if d := s.PersistStats().WindowDepth; d != 0 {
-		t.Fatalf("window depth = %d after drain, want 0", d)
-	}
-	if s.window.next.Load() == 0 {
-		t.Fatal("window never reserved a sequence")
-	}
-}

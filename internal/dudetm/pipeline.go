@@ -3,43 +3,19 @@ package dudetm
 import (
 	"container/heap"
 	"runtime"
-	"sync"
 	"time"
 
 	"dudetm/internal/pmem"
 	"dudetm/internal/redolog"
+	"dudetm/internal/wire"
 )
 
-// persistMsg is one sealed group in flight from the Persist coordinator
-// to a persist worker. seq is the coordinator's dense dispatch sequence;
-// the worker completes it in the seqWindow so the durable frontier
-// advances only over a contiguous prefix of appended groups.
-type persistMsg struct {
-	seq    uint64
-	g      *redolog.Group
-	ep     *[]redolog.Entry
-	sealAt int64 // obs seal timestamp, for the queue-dwell measurement
-}
-
-// applyTask is one pre-partitioned address shard of a replay run fanned
-// out to a Reproduce applier. Appliers share the run's flush batch; the
-// ordering loop joins wg and issues the single fence.
-type applyTask struct {
-	entries []redolog.Entry
-	b       *pmem.Batch
-	wg      *sync.WaitGroup
-}
-
-// persistLoop is the Persist-step coordinator (ModeAsync): it merges the
-// per-thread volatile rings in commit-ID order, groups up to GroupSize
-// consecutive transactions (combining overlapping writes) and no more
-// entries than one log record holds, and deals
-// each sealed group to the persist workers (§4.4 runs multiple persist
-// threads for exactly this reason). Each worker owns a disjoint
-// persistent log region and flushes its group with a single persist
-// barrier; the global durable ID advances through the
-// contiguous-completion window, so out-of-order appends never publish a
-// durable frontier with holes behind it.
+// persistLoop is the Persist step (ModeAsync), one goroutine as in the
+// paper: it merges the per-thread volatile rings in commit-ID order,
+// groups up to GroupSize consecutive transactions (combining
+// overlapping writes) and no more entries than one log record — or,
+// with replication attached, one REPL frame — holds, and appends each
+// sealed group itself (persistGroup), advancing the global durable ID.
 //
 // Merging across all rings by ID is what makes cross-transaction
 // combination sound: every group covers a globally contiguous ID range,
@@ -47,20 +23,20 @@ type applyTask struct {
 //
 // The loop is event-driven. Each pass drains every transaction
 // committed before it took persistGate, sealing full groups as they
-// fill (dealt seq % PersistThreads). A partial group seals as soon as
-// no committed ID is pending and no earlier group is still waiting for
-// its log append — group commit: transactions that commit while an
-// append is in flight join the next group instead of waiting for a
-// timer — after one yield of the processor, so committers that are
-// already runnable join it too. Partial groups go to worker 0, so at
-// light load one log head moves and one recycle covers it. With
-// nothing to do the loop parks on coord (see coordWake); the committer
-// publishing an end mark, the worker draining the persist queue, Close
-// and Crash wake it. No timer sits on this path: on an idle processor a
-// Go timer fires at about millisecond granularity, which would be the
+// fill. A partial group seals as soon as no committed ID is pending its
+// end mark — group commit: transactions that commit while an append is
+// in flight join the next group instead of waiting for a timer — after
+// one yield of the processor, so committers that are already runnable
+// join it too. With nothing to do the loop parks on coord (see
+// coordWake); the committer publishing an end mark, Close and Crash
+// wake it. No timer sits on this path: on an idle processor a Go timer
+// fires at about millisecond granularity, which would be the
 // acknowledgement latency of every light-load commit.
 func (s *System) persistLoop() {
 	defer s.wg.Done()
+	// Once the last group is appended (or Crash dropped it), Reproduce
+	// has everything it will get.
+	defer close(s.reproCh)
 	comb := redolog.NewCombiner()
 	nextTid := s.startTid + 1
 	var gMin, gMax uint64
@@ -68,26 +44,14 @@ func (s *System) persistLoop() {
 	var ep *[]redolog.Entry
 	yielded := false // since the last consume
 
-	// finish retires the worker pool: after the dispatch queues close
-	// and the last in-flight append drains, reproCh can close too.
-	finish := func() {
-		for _, ch := range s.dispatch {
-			close(ch)
-		}
-		s.persistWG.Wait()
-		close(s.reproCh)
-	}
-
-	// seal hands the accumulated group to a worker: a full group to
-	// seq % PersistThreads, a partial one to worker 0. It returns false
-	// if the system halted while waiting for window space (Crash during
+	// seal appends the accumulated group. It returns false if the
+	// system halted before the append (Crash during log-space
 	// back-pressure): the group is discarded, like power failing before
 	// its log append.
 	seal := func() bool {
 		if gCount == 0 {
 			return true
 		}
-		full := gCount >= s.cfg.GroupSize
 		if s.cfg.GroupSize > 1 {
 			ep = getEntrySlice()
 			*ep = append((*ep)[:0], comb.Entries()...)
@@ -100,34 +64,18 @@ func (s *System) persistLoop() {
 		// exist in dense tid order. The sink copies synchronously; the
 		// slice stays owned by the pipeline (pooled after Reproduce).
 		s.shipGroup(gMin, gMax, *ep)
-		// Sealed before the window reservation, so queue dwell includes
-		// time spent blocked on window back-pressure.
 		sealAt := s.obs.GroupSealed(s.srcCoord(), gMin, gMax, gCount, len(*ep))
-		seq, ok := s.window.reserve(&s.halted)
-		if !ok {
-			putEntrySlice(ep)
-			ep = nil
-			gCount = 0
-			return false
-		}
-		s.pm.enqueue()
-		wi := uint64(0)
-		if full {
-			wi = seq % uint64(len(s.dispatch))
-		}
-		// The queue has window capacity, so this send never blocks.
-		s.dispatch[wi] <- persistMsg{seq: seq, g: g, ep: ep, sealAt: sealAt}
+		ok := s.persistGroup(g, ep, sealAt)
 		ep = nil
 		gCount = 0
-		return true
+		return ok
 	}
 
 	// consume moves the transaction at the head of th's ring — the
 	// next ID — into the open group, sealing the group first when the
-	// transaction could take it past the record limit (Run keeps every
-	// transaction within it on its own). It returns false if that seal
-	// found the system halted.
-	maxEntries := redolog.MaxGroupEntries(s.lay.logSize)
+	// transaction could take it past the entry limit (Run keeps every
+	// transaction within one log record on its own). It returns false
+	// if that seal found the system halted.
 	consume := func(th *thread) bool {
 		if s.cfg.GroupSize == 1 {
 			ep = getEntrySlice()
@@ -136,7 +84,7 @@ func (s *System) persistLoop() {
 			s.combEntries.Add(uint64(len(*ep)))
 		} else {
 			th.scratch, _ = th.ring.ConsumeTx(th.scratch[:0])
-			if comb.Len()+len(th.scratch) > maxEntries && !seal() {
+			if comb.Len()+len(th.scratch) > s.groupEntryLimit() && !seal() {
 				return false
 			}
 			comb.AddAll(th.scratch)
@@ -164,23 +112,19 @@ func (s *System) persistLoop() {
 	// wakeReady is park's re-check, run after the parked state is
 	// published: anything a waker may have published before it loaded
 	// that state.
-	wakeReady := func() bool {
-		return s.stopping.Load() || ready() != nil ||
-			(gCount > 0 && s.pm.queue.Load() == 0)
-	}
+	wakeReady := func() bool { return s.stopping.Load() || ready() != nil }
 
 	for {
 		// Crash halts the step where it is: in-flight volatile rings are
 		// lost, exactly like power failing between persist barriers.
 		if s.halted.Load() {
-			finish()
 			return
 		}
-		// The gate is held for the whole pass so PausePersist blocks
-		// until the coordinator is quiescent (crash drills and snapshots
-		// rely on this; the workers have their own gates). The pass is
-		// bounded by the clock at entry, so a steady commit stream
-		// cannot keep the gate from a pauser.
+		// The gate is held for the whole pass, appends included, so
+		// PausePersist blocks until the step is quiescent (crash drills
+		// and snapshots rely on this). The pass is bounded by the clock
+		// at entry, so a steady commit stream cannot keep the gate from
+		// a pauser.
 		s.persistGate.Lock()
 		for limit := s.engine.Clock(); nextTid <= limit; {
 			th := ready()
@@ -189,7 +133,6 @@ func (s *System) persistLoop() {
 			}
 			if !consume(th) || gCount >= s.cfg.GroupSize && !seal() {
 				s.persistGate.Unlock()
-				finish()
 				return
 			}
 		}
@@ -197,7 +140,7 @@ func (s *System) persistLoop() {
 		// commit and AppendTxEnd will join the open group; its committer
 		// wakes the coordinator once it is published.
 		pending := s.engine.Clock() >= nextTid
-		if !pending && gCount > 0 && (s.pm.queue.Load() == 0 || s.stopping.Load()) {
+		if !pending && gCount > 0 {
 			if !yielded {
 				// Let committers that are already runnable publish
 				// first and join the group; on an idle processor this
@@ -209,31 +152,40 @@ func (s *System) persistLoop() {
 			}
 			if !seal() {
 				s.persistGate.Unlock()
-				finish()
 				return
 			}
 		}
-		if !pending && s.stopping.Load() {
-			s.persistGate.Unlock()
-			finish()
+		s.persistGate.Unlock()
+		// Close raises stopping only once every Run has returned, so a
+		// clock read after it is final: with nothing left to consume,
+		// the step is drained. The clock is read again because commits
+		// may have landed while the seal above was appending.
+		if s.stopping.Load() && s.engine.Clock() < nextTid {
 			return
 		}
-		s.persistGate.Unlock()
-		st := coordIdle
-		if gCount > 0 {
-			st = coordHolding
-		}
-		if s.coord.park(st, wakeReady) {
+		if s.coord.park(wakeReady) {
 			s.pm.wakes.Add(1)
 		}
 	}
 }
 
-// persistWorker owns one persistent log region: it appends each
-// dispatched group with one persist barrier, completes its sequence in
-// the window (advancing the global durable ID when the completed prefix
-// grows), and forwards the group to Reproduce. Its gate makes
-// PausePersist wait out an in-flight append.
+// groupEntryLimit is the most combined entries one sealed group may
+// carry: what one log record holds, and with replication attached no
+// more than one REPL frame carries at the run encoding's worst case, so
+// the sender never has to drop a group it cannot frame.
+func (s *System) groupEntryLimit() int {
+	n := redolog.MaxGroupEntries(s.lay.logSize)
+	if s.repl.Load() != nil {
+		n = min(n, wire.MaxReplGroupPayload/redolog.MaxEntryBytes)
+	}
+	return n
+}
+
+// persistGroup appends one sealed group to log 0 with one persist
+// barrier, advances the global durable ID to its last transaction and
+// forwards it to Reproduce. It returns false if Crash halted the writer,
+// possibly while the append waited for log space: the group is dropped
+// on the floor — power failed before its append.
 //
 // The budget pins the paper's fence economy: one persist barrier per
 // group (AppendGroup's). The flight recorder writes nothing per group:
@@ -241,37 +193,24 @@ func (s *System) persistLoop() {
 // the in-flight signature (see buildCrashReport).
 //
 //dudelint:fencebudget 1
-func (s *System) persistWorker(wi int) {
-	defer s.persistWG.Done()
-	w := s.writers[wi]
-	for m := range s.dispatch[wi] {
-		s.workerGates[wi].Lock()
-		startAt := s.obs.Now()
-		if w.AppendGroup(m.g) == 0 {
-			// Crash halted the writer, possibly while it waited for log
-			// space: drop the group on the floor — power failed before
-			// its append. Later sequences can no longer complete the
-			// prefix, so the durable frontier stays behind this group.
-			s.workerGates[wi].Unlock()
-			s.pm.dequeue()
-			continue
-		}
-		endAt := s.obs.Now()
-		s.obs.GroupPersisted(s.srcWorker(wi), m.g.MinTid, m.g.MaxTid, m.sealAt, startAt, endAt)
-		s.pm.busy.Add(uint64(endAt - startAt))
-		s.pm.groups.Add(1)
-		s.pm.fences.Add(1)
-		if tid, ok := s.window.complete(m.seq, m.g.MaxTid); ok {
-			s.setDurable(tid)
-		}
-		if s.pm.dequeue() == 0 {
-			// A partial group may be held behind this append.
-			s.coord.wakeHeld()
-		}
-		s.rm.enqueue()
-		s.reproCh <- repoMsg{g: m.g, w: w, wi: wi, ep: m.ep}
-		s.workerGates[wi].Unlock()
+func (s *System) persistGroup(g *redolog.Group, ep *[]redolog.Entry, sealAt int64) bool {
+	s.pm.enqueue()
+	startAt := s.obs.Now()
+	appended := s.writers[0].AppendGroup(g) != 0
+	endAt := s.obs.Now()
+	s.pm.dequeue()
+	if !appended {
+		putEntrySlice(ep)
+		return false
 	}
+	s.obs.GroupPersisted(s.srcCoord(), g.MinTid, g.MaxTid, sealAt, startAt, endAt)
+	s.pm.busy.Add(uint64(endAt - startAt))
+	s.pm.groups.Add(1)
+	s.pm.fences.Add(1)
+	s.setDurable(g.MaxTid)
+	s.rm.enqueue()
+	s.reproCh <- repoMsg{g: g, wi: 0, ep: ep}
+	return true
 }
 
 // runChunk caps the words one StoreRun carries: applyRuns stages a
@@ -280,10 +219,10 @@ const runChunk = 64
 
 // applyRuns stores entries into the persistent data region at base and
 // writes the stored lines back into b — the one replay primitive shared
-// by recovery, the inline Reproduce path and the sharded appliers. It
-// cuts entries into the same contiguous runs the log encoded
-// (redolog.RunLen) and issues one Device.StoreRun and one Batch.Flush
-// per run: words are stored single-copy atomically and in entry order
+// by recovery and the Reproduce step. It cuts entries into the same
+// contiguous runs the log encoded (redolog.RunLen) and issues one
+// Device.StoreRun and one Batch.Flush per run: words are stored
+// single-copy atomically and in entry order
 // (so a duplicate address keeps last-writer-wins), dirty marking is
 // per line and accounting per run. All stores precede all flushes, so
 // a line two runs share is written back once — the second flush finds
@@ -308,28 +247,6 @@ func applyRuns(dev *pmem.Device, b *pmem.Batch, base uint64, entries []redolog.E
 	}
 }
 
-// reproApplier is one Reproduce-stage applier: it applies the
-// contiguous bucket the ordering loop's counting partition handed it,
-// flushing into the run's shared batch. A cache line never spans
-// shards, so no two appliers store or flush the same line. The fence
-// stays with the ordering loop — one barrier per replay run, issued
-// only after every shard has joined.
-//
-//dudelint:noalloc
-//dudelint:fencebudget 0
-func (s *System) reproApplier() {
-	defer s.wg.Done()
-	for t := range s.applyCh {
-		applyRuns(s.dev, t.b, s.lay.dataOff, t.entries)
-		t.wg.Done()
-	}
-}
-
-// minShardEntries gates the Reproduce fan-out: below this, one thread
-// applies the run inline — the wakeup and join cost would exceed the
-// parallel win.
-const minShardEntries = 64
-
 // recycleInterval bounds how long a batched recycle can be deferred
 // once one is pending.
 const recycleInterval = 500 * time.Microsecond
@@ -339,112 +256,42 @@ const recycleInterval = 500 * time.Microsecond
 // bounds the deferral).
 const recycleEvery = 64
 
+// replayEpochGroups caps how many consecutive groups the Reproduce
+// step coalesces into one replay epoch once it has fallen behind (a
+// dense backlog is buffered).
+const replayEpochGroups = 16
+
 // replayEpochEntries bounds the combined (pre-coalesce) entry count of
 // one replay epoch, so huge groups don't pile into unbounded epoch
 // buffers.
 const replayEpochEntries = 1 << 16
 
 // reproState owns the Reproduce loop's pooled replay buffers: the
-// loop-lifetime flush batch (Fence resets it for reuse), the epoch
-// combiner and the counting-partition backing arrays. Everything here
-// is allocated once (or grown to a high-water mark by ensure, outside
-// the annotated replay path), so steady-state replay — per-group or
-// per-epoch — allocates nothing.
+// loop-lifetime flush batch (Fence resets it for reuse) and the epoch
+// combiner. Everything here is allocated once, so steady-state replay —
+// per-group or per-epoch — allocates nothing.
 type reproState struct {
 	batch *pmem.Batch
-	wg    sync.WaitGroup
 	comb  *redolog.Combiner
 	epoch []repoMsg // dense run being coalesced, in ascending tid order
-
-	// Counting-partition state: flat holds every entry, bucketed
-	// contiguously per shard; buckets are reslices of flat.
-	flat    []redolog.Entry
-	buckets [][]redolog.Entry
-	counts  []int
-	fill    []int
 }
 
-// newReproState sizes the replay buffers for the configured fan-out.
+// newReproState allocates the replay buffers.
 func newReproState(s *System) *reproState {
-	r := s.cfg.ReproThreads
 	return &reproState{
-		batch:   s.dev.NewBatch(),
-		comb:    redolog.NewCombiner(),
-		epoch:   make([]repoMsg, 0, s.cfg.ReplayEpochGroups),
-		buckets: make([][]redolog.Entry, r),
-		counts:  make([]int, r),
-		fill:    make([]int, r),
-	}
-}
-
-// ensure grows the partition backing array to hold n entries. Growth
-// happens here, outside the annotated replay path, so replay itself
-// stays allocation-free once the high-water mark is reached.
-func (rs *reproState) ensure(n int) {
-	if len(rs.flat) < n {
-		rs.flat = make([]redolog.Entry, n+n/2)
-	}
-}
-
-// lineRunLen returns the length of the leading run of entries that
-// stays inside one cache line of the data region at base — the unit the
-// partition deals to a shard.
-//
-//dudelint:noalloc
-func lineRunLen(base uint64, entries []redolog.Entry) int {
-	a := base + entries[0].Addr
-	return redolog.RunLen(entries, int((pmem.LineSize-a%pmem.LineSize)/8))
-}
-
-// partition buckets a combined entry run by cache-line shard
-// (line % ReproThreads, so a line never spans shards) with a two-pass
-// counting sort into rs.flat. It moves whole within-line runs, not
-// words: a run that straddles lines is cut at each line boundary and
-// its pieces dealt to their shards in order, so every bucket keeps the
-// entry order (last-writer-wins survives) and each applier still sees
-// contiguous runs to store and flush.
-//
-//dudelint:noalloc
-//dudelint:fencebudget 0
-func (s *System) partition(rs *reproState, entries []redolog.Entry) {
-	base := s.lay.dataOff
-	nsh := uint64(s.cfg.ReproThreads)
-	for i := range rs.counts {
-		rs.counts[i] = 0
-	}
-	for rest := entries; len(rest) > 0; {
-		n := lineRunLen(base, rest)
-		rs.counts[((base+rest[0].Addr)/pmem.LineSize)%nsh] += n
-		rest = rest[n:]
-	}
-	off := 0
-	for i := range rs.counts {
-		rs.fill[i] = off
-		off += rs.counts[i]
-	}
-	for rest := entries; len(rest) > 0; {
-		n := lineRunLen(base, rest)
-		sh := ((base + rest[0].Addr) / pmem.LineSize) % nsh
-		copy(rs.flat[rs.fill[sh]:], rest[:n])
-		rs.fill[sh] += n
-		rest = rest[n:]
-	}
-	start := 0
-	for i := range rs.counts {
-		rs.buckets[i] = rs.flat[start:rs.fill[i]]
-		start += rs.counts[i]
+		batch: s.dev.NewBatch(),
+		comb:  redolog.NewCombiner(),
+		epoch: make([]repoMsg, 0, replayEpochGroups),
 	}
 }
 
 // replayEntries stores one combined, ID-ordered entry run into the
 // persistent data region and writes it back at cache-line granularity
-// under a single fence — the epoch apply path. Large runs are
-// partitioned once and fanned out to the appliers; small runs and
-// single-applier configs apply inline on the ordering loop. Either way
-// every dirty line is written back exactly once — the return value
-// counts them off the volume the fence ordered — and the only persist
-// ordering Reproduce needs is data-before-recycle (§3.4), enforced by
-// the one fence here before any Recycle the caller issues.
+// under a single fence. Every dirty line is written back exactly once —
+// the return value counts them off the volume the fence ordered — and
+// the only persist ordering Reproduce needs is data-before-recycle
+// (§3.4), enforced by the one fence here before any Recycle the caller
+// issues.
 //
 // The budget pins the epoch fence economy: exactly one barrier per
 // replay run, whether the run is one group or a whole coalesced epoch.
@@ -452,31 +299,18 @@ func (s *System) partition(rs *reproState, entries []redolog.Entry) {
 //dudelint:noalloc
 //dudelint:fencebudget 1
 func (s *System) replayEntries(rs *reproState, entries []redolog.Entry) (lines uint64) {
-	if r := s.cfg.ReproThreads; r > 1 && len(entries) >= minShardEntries {
-		s.partition(rs, entries)
-		rs.wg.Add(r)
-		for sh := 0; sh < r; sh++ {
-			s.applyCh <- applyTask{
-				entries: rs.buckets[sh],
-				b:       rs.batch,
-				wg:      &rs.wg,
-			}
-		}
-		rs.wg.Wait()
-	} else {
-		applyRuns(s.dev, rs.batch, s.lay.dataOff, entries)
-	}
+	applyRuns(s.dev, rs.batch, s.lay.dataOff, entries)
 	return rs.batch.Fence() / pmem.LineSize
 }
 
 // reproduceLoop is the Reproduce step: replay persisted groups in
 // transaction-ID order into the persistent data region, then recycle
 // their log space. Groups may arrive out of order (per-thread flushes in
-// ModeSync, out-of-order persist workers in ModeAsync), so a min-heap
-// buffers them until the next dense ID range is available.
+// ModeSync), so a min-heap buffers them until the next dense ID range is
+// available.
 //
 // When Reproduce has fallen behind — a dense backlog is buffered — up
-// to ReplayEpochGroups consecutive groups are coalesced into one replay
+// to replayEpochGroups consecutive groups are coalesced into one replay
 // epoch: duplicate addresses collapse last-writer-wins (only
 // per-address last-writer order matters during replay — MOD), each
 // dirty cache line is written back once, and a single fence covers the
@@ -489,7 +323,6 @@ func (s *System) replayEntries(rs *reproState, entries []redolog.Entry) (lines u
 // unchanged.
 func (s *System) reproduceLoop() {
 	defer s.wg.Done()
-	defer close(s.applyCh)
 	var h msgHeap
 	next := s.startTid + 1
 	rs := newReproState(s)
@@ -544,7 +377,6 @@ func (s *System) reproduceLoop() {
 	apply := func(m repoMsg) {
 		if n := len(m.g.Entries); n > 0 {
 			t0 := time.Now()
-			rs.ensure(n)
 			s.rm.lines.Add(s.replayEntries(rs, m.g.Entries))
 			s.rm.fences.Add(1)
 			s.rm.busy.Add(uint64(time.Since(t0)))
@@ -562,7 +394,6 @@ func (s *System) reproduceLoop() {
 		}
 		in, out := rs.comb.RawCount(), rs.comb.Len()
 		if out > 0 {
-			rs.ensure(out)
 			s.rm.lines.Add(s.replayEntries(rs, rs.comb.Entries()))
 			s.rm.fences.Add(1)
 		}
@@ -584,10 +415,10 @@ func (s *System) reproduceLoop() {
 			// Backlog-adaptive epoch formation: coalesce only while the
 			// heap already holds the dense successor, up to the group
 			// cap and the combined entry budget.
-			if s.cfg.ReplayEpochGroups > 1 && h.Len() > 0 && h[0].g.MinTid == m.g.MaxTid+1 {
+			if h.Len() > 0 && h[0].g.MinTid == m.g.MaxTid+1 {
 				rs.epoch = append(rs.epoch[:0], m)
 				budget := len(m.g.Entries)
-				for len(rs.epoch) < s.cfg.ReplayEpochGroups && h.Len() > 0 &&
+				for len(rs.epoch) < replayEpochGroups && h.Len() > 0 &&
 					h[0].g.MinTid == rs.epoch[len(rs.epoch)-1].g.MaxTid+1 &&
 					budget+len(h[0].g.Entries) <= replayEpochEntries {
 					mm := heap.Pop(&h).(repoMsg)
@@ -636,9 +467,7 @@ func (s *System) reproduceLoop() {
 		select {
 		case m, ok := <-s.reproCh:
 			// The gate is held around every device mutation so
-			// PauseReproduce blocks until the step is quiescent (the
-			// sharded appliers only run inside replayEntries, under this
-			// gate).
+			// PauseReproduce blocks until the step is quiescent.
 			s.reproduceGate.Lock()
 			open := ok
 			if ok {
@@ -667,8 +496,8 @@ func (s *System) reproduceLoop() {
 			if !open && s.halted.Load() {
 				// Crash: stop where we are. Durable-but-unreproduced
 				// groups stay in the persistent log; recovery replays
-				// them (gaps are possible when per-thread flushes or
-				// persist workers raced the crash).
+				// them (gaps are possible when ModeSync's per-thread
+				// flushes raced the crash).
 				s.reproduceGate.Unlock()
 				return
 			}

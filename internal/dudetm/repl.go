@@ -369,8 +369,8 @@ func storeMax(a *atomic.Uint64, v uint64) {
 }
 
 // IngestGroup appends one replicated group to this (replica) pool: the
-// entries are fenced into the local NVM log exactly like a
-// coordinator-sealed group, the durable frontier advances, and the
+// entries are fenced into the local NVM log by the same persistGroup a
+// coordinator-sealed group takes, the durable frontier advances, and the
 // group flows into Reproduce for replay and log recycling. Groups must
 // arrive in dense tid order: a group at or below the durable frontier
 // is a catch-up duplicate and is skipped (idempotent — it may be
@@ -408,26 +408,14 @@ func (s *System) IngestGroup(minTid, maxTid uint64, entries []redolog.Entry) err
 	ep := getEntrySlice()
 	*ep = append((*ep)[:0], entries...)
 	g := &redolog.Group{MinTid: minTid, MaxTid: maxTid, Entries: *ep}
-	w := s.writers[0]
-	txns := int(maxTid - minTid + 1)
 	// The fenced record is the same forensic evidence a locally sealed
 	// group leaves, so dudectl forensics reads a promoted replica's log
 	// exactly like a primary's.
-	sealAt := s.obs.GroupSealed(s.srcCoord(), minTid, maxTid, txns, len(entries))
-	startAt := s.obs.Now()
-	if w.AppendGroup(g) == 0 {
-		putEntrySlice(ep)
+	sealAt := s.obs.GroupSealed(s.srcCoord(), minTid, maxTid, int(maxTid-minTid+1), len(entries))
+	if !s.persistGroup(g, ep, sealAt) {
 		return ErrCrashed // halted while waiting for log space
 	}
-	endAt := s.obs.Now()
-	s.obs.GroupPersisted(s.srcCoord(), minTid, maxTid, sealAt, startAt, endAt)
-	s.pm.busy.Add(uint64(endAt - startAt))
-	s.pm.groups.Add(1)
-	s.pm.fences.Add(1)
 	s.rawEntries.Add(uint64(len(entries)))
 	s.combEntries.Add(uint64(len(entries)))
-	s.setDurable(maxTid)
-	s.rm.enqueue()
-	s.reproCh <- repoMsg{g: g, w: w, wi: 0, ep: ep}
 	return nil
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // replayShapes is one combined group whose runs hit every boundary the
-// run-wise replay cuts at: cache lines, the line%ReproThreads shards,
-// the runChunk staging buffer, plus the orders only a GroupSize-1 group
+// run-wise replay cuts at: cache lines, the runChunk staging buffer, plus the orders only a GroupSize-1 group
 // can hold (descending and duplicate addresses).
 func replayShapes() []redolog.Entry {
 	var es []redolog.Entry
@@ -20,17 +19,17 @@ func replayShapes() []redolog.Entry {
 			es = append(es, redolog.Entry{Addr: addr + 8*uint64(i), Val: 0xc0de_0000_0000 | uint64(len(es)+1)})
 		}
 	}
-	add(0x1000, 16)                // a 128-byte record: two whole lines, two shards
-	add(0x2038, 2)                 // straddles a line (and shard) boundary mid-run
+	add(0x1000, 16)                // a 128-byte record: two whole lines
+	add(0x2038, 2)                 // straddles a line boundary mid-run
 	add(0x3008, 3)                 // inside one line
 	add(0x40f8, 10)                // last word of a line, then the next line and a bit
-	add(0x5000, 4*runChunk+5)      // longer than the staging buffer, every shard several times
+	add(0x5000, 4*runChunk+5)      // longer than the staging buffer
 	add(0x3020, 1)                 // a lone write into a line an earlier run dirtied
 	add(0x1010, 2)                 // duplicates of the first run: last writer must win
 	add(0x9040, 1)                 // descending lone writes
 	add(0x9038, 1)                 //   (adjacent, but not a run: wrong order)
 	add(0x9030, 1)                 //
-	add(0xa000+3*pmem.LineSize, 8) // one whole line per shard, shards out of order
+	add(0xa000+3*pmem.LineSize, 8) // whole lines, out of order
 	add(0xa000+1*pmem.LineSize, 8) //
 	add(0xa000+2*pmem.LineSize, 8) //
 	add(0xa000+0*pmem.LineSize, 8) //
@@ -41,74 +40,65 @@ func replayShapes() []redolog.Entry {
 
 // TestRunWiseReplayMatchesWordWise holds the run-wise replay primitive
 // to the word-at-a-time semantics it replaced: for a group whose runs
-// straddle cache lines, shard boundaries and the staging buffer, the
-// persisted data image and the number of lines written back must be
-// exactly what one Store8 per entry followed by one write-back per
-// dirty line leaves — inline (ReproThreads 1) and fanned out across
-// appliers (ReproThreads 4).
+// straddle cache lines and the staging buffer, the persisted data image
+// and the number of lines written back must be exactly what one Store8
+// per entry followed by one write-back per dirty line leaves.
 func TestRunWiseReplayMatchesWordWise(t *testing.T) {
 	entries := replayShapes()
-	if len(entries) < minShardEntries {
-		t.Fatalf("group of %d entries would not fan out", len(entries))
+	s, err := Create(testConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, threads := range []int{1, 4} {
-		cfg := testConfig()
-		cfg.ReproThreads = threads
-		s, err := Create(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Hold the Reproduce gate, as the loop itself does around every
-		// replay: the appliers stay available, nothing else touches data.
-		s.PauseReproduce()
-		base, size := s.lay.dataOff, s.lay.dataSize
+	// Hold the Reproduce gate, as the loop itself does around every
+	// replay: nothing else touches data.
+	s.PauseReproduce()
+	base, size := s.lay.dataOff, s.lay.dataSize
 
-		// Reference: word-wise on a bare device of the same geometry.
-		ref := pmem.New(pmem.Config{Size: s.dev.Size()})
-		for _, e := range entries {
-			ref.Store8(base+e.Addr, e.Val)
-		}
-		rb := ref.NewBatch()
-		for _, e := range entries {
-			rb.Flush(base+e.Addr, 8)
-		}
-		rb.Fence()
-		want := ref.PersistedImage()[base : base+size]
-		wantLines := ref.Stats().LinesFlushed
+	// Reference: word-wise on a bare device of the same geometry.
+	ref := pmem.New(pmem.Config{Size: s.dev.Size()})
+	for _, e := range entries {
+		ref.Store8(base+e.Addr, e.Val)
+	}
+	rb := ref.NewBatch()
+	for _, e := range entries {
+		rb.Flush(base+e.Addr, 8)
+	}
+	rb.Fence()
+	want := ref.PersistedImage()[base : base+size]
+	wantLines := ref.Stats().LinesFlushed
 
-		dataLines := func() uint64 {
-			for _, r := range s.dev.RegionStats() {
-				if r.Name == "data" {
-					return r.LinesFlushed
-				}
-			}
-			t.Fatal("no data region")
-			return 0
-		}
-		before := dataLines()
-		rs := newReproState(s)
-		rs.ensure(len(entries))
-		reported := s.replayEntries(rs, entries)
-		gotLines := dataLines() - before
-		got := s.dev.PersistedImage()[base : base+size]
-		s.ResumeReproduce()
-		s.Close()
-
-		if !bytes.Equal(got, want) {
-			for off := 0; off < len(got); off += 8 {
-				if !bytes.Equal(got[off:off+8], want[off:off+8]) {
-					t.Fatalf("ReproThreads=%d: persisted data differs from word-wise replay at %#x: %x, want %x",
-						threads, off, got[off:off+8], want[off:off+8])
-				}
+	dataLines := func() uint64 {
+		for _, r := range s.dev.RegionStats() {
+			if r.Name == "data" {
+				return r.LinesFlushed
 			}
 		}
-		if gotLines != wantLines {
-			t.Errorf("ReproThreads=%d: %d lines flushed, word-wise replay flushes %d", threads, gotLines, wantLines)
-		}
-		if reported != wantLines {
-			t.Errorf("ReproThreads=%d: replay reported %d lines, want %d", threads, reported, wantLines)
+		t.Fatal("no data region")
+		return 0
+	}
+	before := dataLines()
+	rs := newReproState(s)
+	reported := s.replayEntries(rs, entries)
+	gotLines := dataLines() - before
+	got := s.dev.PersistedImage()[base : base+size]
+	s.ResumeReproduce()
+	s.Close()
+
+	if !bytes.Equal(got, want) {
+		for off := 0; off < len(got); off += 8 {
+			if !bytes.Equal(got[off:off+8], want[off:off+8]) {
+				t.Fatalf("persisted data differs from word-wise replay at %#x: %x, want %x",
+					off, got[off:off+8], want[off:off+8])
+			}
 		}
 	}
+	if gotLines != wantLines {
+		t.Errorf("%d lines flushed, word-wise replay flushes %d", gotLines, wantLines)
+	}
+	if reported != wantLines {
+		t.Errorf("replay reported %d lines, want %d", reported, wantLines)
+	}
+
 }
 
 // TestEntryCountersStillCountWords: the run encoding changed how

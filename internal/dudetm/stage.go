@@ -1,95 +1,18 @@
 package dudetm
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"dudetm/internal/park"
 )
-
-// persistWindow bounds how many sealed groups may be in flight across
-// the persist workers at once. The coordinator reserves a dense sequence
-// number per group and blocks when the window is full, so a stalled
-// worker back-pressures the whole stage instead of letting completions
-// accumulate without bound.
-const persistWindow = 1024
-
-// seqWindow tracks out-of-order completion of densely numbered groups
-// and exposes the contiguous-completion frontier: sequence s is "done"
-// only once every sequence <= s has completed. It is a fixed-size bitmap
-// ring (one bit and one saved MaxTid per in-flight group), not a heap —
-// completion and frontier advance are O(groups completed), with no
-// per-group allocation. next and done are written only under mu but
-// read with atomics, so depth is lock-free and observers (stats,
-// watchdog) never contend with the coordinator or the workers.
-type seqWindow struct {
-	mu   sync.Mutex
-	next atomic.Uint64 // next sequence to reserve
-	done park.Frontier // frontier: every sequence < done has completed
-	bits [persistWindow / 64]uint64
-	tids [persistWindow]uint64 // MaxTid per slot, read when the frontier passes it
-}
-
-// reserve hands out the next sequence number, blocking while the window
-// is full. It returns false if the system halts (Crash) while waiting.
-// Only the coordinator reserves.
-func (w *seqWindow) reserve(halted *atomic.Bool) (uint64, bool) {
-	seq := w.next.Load()
-	if seq >= persistWindow && !w.done.Wait(seq-persistWindow+1, halted) {
-		return 0, false
-	}
-	w.mu.Lock()
-	w.next.Store(seq + 1)
-	w.mu.Unlock()
-	return seq, true
-}
-
-// complete marks seq done with the given group MaxTid. When seq extends
-// the contiguous prefix it advances the frontier over every completed
-// slot and returns (largest MaxTid passed, true); otherwise the
-// completion is parked in the bitmap and it returns (0, false).
-func (w *seqWindow) complete(seq, maxTid uint64) (uint64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	slot := seq % persistWindow
-	w.tids[slot] = maxTid
-	w.bits[slot/64] |= 1 << (slot % 64)
-	done := w.done.Load()
-	if seq != done {
-		return 0, false
-	}
-	next := w.next.Load()
-	var last uint64
-	for done < next {
-		s := done % persistWindow
-		if w.bits[s/64]&(1<<(s%64)) == 0 {
-			break
-		}
-		w.bits[s/64] &^= 1 << (s % 64)
-		last = w.tids[s]
-		done++
-	}
-	w.done.Store(done)
-	return last, true
-}
-
-// depth returns the number of reserved-but-not-yet-retired sequences,
-// lock-free. done is loaded first: both counters are monotonic, so a
-// racing advance can only make the result conservative, never negative.
-func (w *seqWindow) depth() uint64 {
-	done := w.done.Load()
-	return w.next.Load() - done
-}
 
 // coordWake is the Persist coordinator's park/wake handshake: a parked
 // coordinator blocks on a 1-slot channel, never on a timer, and the
 // waker that moves state back to coordRunning owns the one token it
 // sends. The ordering is Dekker's: the coordinator stores its parked
 // state and then re-checks for work; a waker publishes its work (a
-// ring end mark, a drained persist queue, stopping/halted) and then
-// loads the state. Go's atomics are sequentially consistent, so one of
-// the two always sees the other and no wakeup is lost.
+// ring end mark, stopping) and then loads the state. Go's atomics are
+// sequentially consistent, so one of the two always sees the other and
+// no wakeup is lost.
 //
 // It is not a park.Frontier: the coordinator waits on N rings at once,
 // and folding them into one shared counter would cost every commit an
@@ -103,35 +26,23 @@ const (
 	// coordRunning: the coordinator is scanning or sealing; a wake
 	// costs the waker one atomic load.
 	coordRunning int32 = iota
-	// coordIdle: parked with no group open, waiting for a commit.
+	// coordIdle: parked, waiting for a commit's end mark (or Close,
+	// Crash).
 	coordIdle
-	// coordHolding: parked with a partial group held behind an
-	// in-flight log append, waiting for a commit or for the persist
-	// queue to drain.
-	coordHolding
 )
 
 // wake unparks the coordinator if it is parked (committers, Close,
 // Crash).
 func (w *coordWake) wake() {
-	if st := w.state.Load(); st != coordRunning && w.state.CompareAndSwap(st, coordRunning) {
+	if w.state.Load() == coordIdle && w.state.CompareAndSwap(coordIdle, coordRunning) {
 		w.ch <- struct{}{}
 	}
 }
 
-// wakeHeld unparks the coordinator only if it holds a partial group:
-// the persist worker that drains the queue calls it, and an idle
-// coordinator has nothing to seal.
-func (w *coordWake) wakeHeld() {
-	if w.state.Load() == coordHolding && w.state.CompareAndSwap(coordHolding, coordRunning) {
-		w.ch <- struct{}{}
-	}
-}
-
-// park blocks the coordinator in state st unless ready reports work
-// after the state is published. It reports whether it actually slept.
-func (w *coordWake) park(st int32, ready func() bool) bool {
-	w.state.Store(st)
+// park blocks the coordinator unless ready reports work after the
+// parked state is published. It reports whether it actually slept.
+func (w *coordWake) park(ready func() bool) bool {
+	w.state.Store(coordIdle)
 	if ready() {
 		if w.state.Swap(coordRunning) == coordRunning {
 			<-w.ch // a waker won the race: take its token
@@ -175,14 +86,12 @@ func (m *stageMetrics) enqueue() {
 	}
 }
 
-// dequeue retires one queued group and returns the remaining depth.
-func (m *stageMetrics) dequeue() int64 { return m.queue.Add(-1) }
+// dequeue retires one queued group.
+func (m *stageMetrics) dequeue() { m.queue.Add(-1) }
 
-// snapshot renders the counters as a StageStats with the given worker
-// count and busy-time divisor (1 for a stage whose busy time is wall
-// time of a single ordering loop, workers for a stage that sums busy
-// time across workers).
-func (m *stageMetrics) snapshot(workers, busyDiv int) StageStats {
+// snapshot renders the counters as a StageStats for a stage run by
+// workers goroutines, whose busy time the counters sum.
+func (m *stageMetrics) snapshot(workers int) StageStats {
 	st := StageStats{
 		Workers:       workers,
 		Groups:        m.groups.Load(),
@@ -199,24 +108,25 @@ func (m *stageMetrics) snapshot(workers, busyDiv int) StageStats {
 	if s := m.start.Load(); s != 0 {
 		st.WallNanos = uint64(time.Now().UnixNano() - s)
 	}
-	if st.WallNanos > 0 && busyDiv > 0 {
-		st.Utilization = float64(st.BusyNanos) / float64(busyDiv) / float64(st.WallNanos)
+	if st.WallNanos > 0 && workers > 0 {
+		st.Utilization = float64(st.BusyNanos) / float64(workers) / float64(st.WallNanos)
 	}
 	return st
 }
 
 // StageStats is a utilization snapshot of one background stage.
 type StageStats struct {
-	// Workers is the configured worker count (PersistThreads or
-	// ReproThreads).
+	// Workers is the number of goroutines doing the stage's work: 1
+	// for Reproduce and for the ModeAsync Persist coordinator, Threads
+	// for ModeSync Persist (each Perform thread appends its own log).
 	Workers int
 	// Groups is the number of groups the stage has processed.
 	Groups uint64
 	// Fences is the number of persist barriers the stage has issued.
 	Fences uint64
-	// BusyNanos is time spent doing stage work: summed across workers
-	// for Persist (log appends), wall time of the apply+fence section
-	// for Reproduce.
+	// BusyNanos is time spent doing stage work: log appends for
+	// Persist (summed across Perform threads in ModeSync), the
+	// apply+fence sections for Reproduce.
 	BusyNanos uint64
 	// WallNanos is elapsed time since the stage started.
 	WallNanos uint64
@@ -229,19 +139,12 @@ type StageStats struct {
 	// MaxQueueDepth is the backlog high-water mark.
 	MaxQueueDepth int64
 	// Wakes counts the stage loop's returns from an idle park: for
-	// Persist, the coordinator woken by a commit, a drained persist
-	// queue, Close or Crash; for Reproduce, recycle-timer fires. Both
+	// Persist, the coordinator woken by a commit, Close or Crash; for Reproduce, recycle-timer fires. Both
 	// stay flat while the pool is idle — neither loop polls, and the
 	// recycle timer is armed only when a recycle is pending.
 	Wakes uint64
-	// WindowDepth is the Persist stage's reserved-but-unretired
-	// dispatch-sequence count (ModeAsync only; 0 elsewhere). It differs
-	// from QueueDepth near the completion scan: a group leaves the
-	// queue when its append finishes but leaves the window only when
-	// the contiguous prefix passes it.
-	WindowDepth uint64
 	// Epochs counts coalesced replay epochs (Reproduce only): dense
-	// backlog runs of 2..ReplayEpochGroups groups replayed under one
+	// backlog runs of 2..replayEpochGroups groups replayed under one
 	// fence. It stays 0 under light load, when every group takes the
 	// per-group fast path.
 	Epochs uint64

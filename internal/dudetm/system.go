@@ -39,22 +39,7 @@ type System struct {
 	recycled   park.Frontier // reproduced ID whose log space is all recycled; Drain waits on it
 	startTid   uint64
 
-	// Persist-stage parallelism (ModeAsync): the coordinator reserves a
-	// dense sequence per sealed group in window and deals it to
-	// dispatch[seq%PersistThreads]; workers complete out of order and
-	// the durable frontier advances through the window's
-	// contiguous-completion scan. persistWG tracks the workers so the
-	// coordinator can close reproCh only after the last in-flight
-	// append.
-	window    seqWindow
-	dispatch  []chan persistMsg
-	persistWG sync.WaitGroup
-	coord     coordWake // the coordinator's park/wake handshake
-
-	// Reproduce-stage parallelism: the ordering loop fans each large
-	// group out to ReproThreads appliers over applyCh, sharded by
-	// address, and joins them before the group's single fence.
-	applyCh chan applyTask
+	coord coordWake // the Persist coordinator's park/wake handshake
 
 	// Stage-utilization instrumentation.
 	pm stageMetrics // Persist
@@ -62,11 +47,10 @@ type System struct {
 
 	// Lifecycle tracing and latency histograms. Source-ring ownership:
 	// [0, Threads) the Perform threads, Threads the Persist
-	// coordinator, then the persist workers, then the Reproduce loop
-	// (srcCoord / srcWorker / srcRepro), then two multi-writer
-	// replication rings serialized inside the Observer (srcReplTrace
-	// for ship/sent/replica-fence stamps, srcAckTrace for the
-	// acked-frontier stamps).
+	// coordinator, then the Reproduce loop (srcCoord / srcRepro), then
+	// two multi-writer replication rings serialized inside the Observer
+	// (srcReplTrace for ship/sent/replica-fence stamps, srcAckTrace for
+	// the acked-frontier stamps).
 	obs *obs.Observer
 
 	// Persistent flight recorder: stamped and synced at boot and on a
@@ -105,11 +89,8 @@ type System struct {
 
 	// Pause points for crash-consistency tests and operational control:
 	// the Persist coordinator and the Reproduce loop acquire these per
-	// iteration; each persist worker additionally acquires its own
-	// workerGates entry per group, so PausePersist quiesces the whole
-	// worker pool, not just the coordinator.
+	// pass.
 	persistGate   sync.Mutex
-	workerGates   []sync.Mutex
 	reproduceGate sync.Mutex
 
 	// Statistics.
@@ -190,14 +171,10 @@ func (s *System) paged() bool { return s.cfg.Shadow != ShadowFlat }
 // starts the pipeline.
 func Create(cfg Config) (*System, error) {
 	cfg.applyDefaults()
-	// ModeAsync lays out one log per persist worker (each worker owns a
-	// disjoint log region); ModeSync one per Perform thread. A pool
-	// sized for the larger of the two mounts under either mode.
-	nlogs := cfg.Threads
-	if cfg.PersistThreads > nlogs {
-		nlogs = cfg.PersistThreads
-	}
-	lay := computeLayout(uint64(nlogs), cfg.LogBufBytes, cfg.DataSize, pageSize, blackboxEntries)
+	// One log per Perform thread: ModeSync appends each thread's
+	// transactions to its own log, ModeAsync's coordinator appends to
+	// log 0, so the pool mounts under either mode.
+	lay := computeLayout(uint64(cfg.Threads), cfg.LogBufBytes, cfg.DataSize, pageSize, blackboxEntries)
 	if err := redolog.CheckRegion(lay.logsOff, lay.logSize); err != nil {
 		return nil, fmt.Errorf("dudetm: LogBufBytes: %w", err)
 	}
@@ -229,11 +206,6 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 	if uint64(cfg.Threads) > lay.nlogs {
 		return nil, fmt.Errorf("dudetm: pool has %d logs, config wants %d threads", lay.nlogs, cfg.Threads)
 	}
-	if uint64(cfg.PersistThreads) > lay.nlogs {
-		// The pool was created with fewer logs than the mount asks
-		// persist workers for; the persistent geometry wins (Recover).
-		cfg.PersistThreads = int(lay.nlogs)
-	}
 	s := &System{
 		cfg:         cfg,
 		dev:         dev,
@@ -248,19 +220,11 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 		startTid: startTid,
 	}
 	if cfg.Mode == ModeAsync {
-		// Per-worker dispatch queues sized to the reservation window, so
-		// a send after a successful reserve never blocks.
-		s.dispatch = make([]chan persistMsg, cfg.PersistThreads)
-		for i := range s.dispatch {
-			s.dispatch[i] = make(chan persistMsg, persistWindow)
-		}
 		s.coord.ch = make(chan struct{}, 1)
-		s.workerGates = make([]sync.Mutex, cfg.PersistThreads)
 	}
-	s.applyCh = make(chan applyTask, cfg.ReproThreads)
 	s.obs = obs.New(obs.Config{
 		SampleEvery: cfg.TraceSampleEvery,
-		Sources:     cfg.Threads + 1 + cfg.PersistThreads + 3,
+		Sources:     cfg.Threads + 4,
 	})
 	s.durable.Store(startTid)
 	s.acked.Store(startTid)
@@ -325,11 +289,10 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 // stamp comes from exactly one goroutine, the ring's single writer —
 // except the last two, whose several writers (per-peer sender
 // goroutines, frontier publishers) are serialized by the Observer.
-func (s *System) srcCoord() int        { return s.cfg.Threads }
-func (s *System) srcWorker(wi int) int { return s.cfg.Threads + 1 + wi }
-func (s *System) srcRepro() int        { return s.cfg.Threads + 1 + s.cfg.PersistThreads }
-func (s *System) srcReplTrace() int    { return s.srcRepro() + 1 }
-func (s *System) srcAckTrace() int     { return s.srcRepro() + 2 }
+func (s *System) srcCoord() int     { return s.cfg.Threads }
+func (s *System) srcRepro() int     { return s.cfg.Threads + 1 }
+func (s *System) srcReplTrace() int { return s.cfg.Threads + 2 }
+func (s *System) srcAckTrace() int  { return s.cfg.Threads + 3 }
 
 func (s *System) bindWriters() {
 	for i, th := range s.threads {
@@ -347,17 +310,7 @@ func (s *System) start() {
 	s.rm.markStart()
 	s.wg.Add(1)
 	go s.reproduceLoop()
-	if s.cfg.ReproThreads > 1 {
-		for i := 0; i < s.cfg.ReproThreads; i++ {
-			s.wg.Add(1)
-			go s.reproApplier()
-		}
-	}
 	if s.cfg.Mode == ModeAsync {
-		for i := range s.dispatch {
-			s.persistWG.Add(1)
-			go s.persistWorker(i)
-		}
 		s.wg.Add(1)
 		go s.persistLoop()
 	}
@@ -571,7 +524,7 @@ func (s *System) flushBurned(th *thread) {
 		s.pm.fences.Add(1)
 		s.markDurable(b)
 		s.rm.enqueue()
-		s.reproCh <- repoMsg{g: g, w: th.writer, wi: th.slot}
+		s.reproCh <- repoMsg{g: g, wi: th.slot}
 	}
 	th.burned = th.burned[:0]
 }
@@ -601,7 +554,7 @@ func (s *System) syncCommit(th *thread, tid uint64) {
 	s.combEntries.Add(uint64(len(th.entries)))
 	s.markDurable(tid)
 	s.rm.enqueue()
-	s.reproCh <- repoMsg{g: g, w: th.writer, wi: th.slot, ep: ep}
+	s.reproCh <- repoMsg{g: g, wi: th.slot, ep: ep}
 	th.entries = th.entries[:0]
 	s.WaitDurable(tid)
 }
@@ -638,9 +591,8 @@ func (s *System) Crash() []byte {
 		panic("dudetm: Crash on closed system")
 	}
 	s.halted.Store(true)
-	// A coordinator waiting for window space, or a worker waiting for
-	// log space Reproduce will no longer recycle, gives up.
-	s.window.done.Wake()
+	// A coordinator waiting for log space Reproduce will no longer
+	// recycle gives up.
 	for _, w := range s.writers {
 		w.Halt()
 	}
@@ -748,19 +700,15 @@ func (s *System) CritpathOf(tid uint64) (obs.Critpath, bool) { return s.obs.Crit
 // LastStall returns the most recent watchdog stall report, or nil.
 func (s *System) LastStall() *StallReport { return s.lastStall.Load() }
 
-// PersistStats returns the Persist stage's utilization snapshot. Busy
-// time is summed across the worker pool, so Utilization is normalized
-// per worker.
+// PersistStats returns the Persist stage's utilization snapshot. In
+// ModeSync the appends run inline on the Perform threads, so busy time
+// is summed across them and Utilization is normalized per thread.
 func (s *System) PersistStats() StageStats {
-	n := s.cfg.PersistThreads
+	n := 1
 	if s.cfg.Mode == ModeSync {
-		// Appends happen inline on the Perform threads.
 		n = s.cfg.Threads
 	}
-	st := s.pm.snapshot(n, n)
-	if s.cfg.Mode == ModeAsync {
-		st.WindowDepth = s.window.depth()
-	}
+	st := s.pm.snapshot(n)
 	if rs := s.repl.Load(); rs != nil {
 		st.ReplRawBytes, st.ReplWireBytes = rs.sink.ShipStats()
 	}
@@ -768,34 +716,22 @@ func (s *System) PersistStats() StageStats {
 }
 
 // ReproduceStats returns the Reproduce stage's utilization snapshot.
-// Busy time is the wall time of the ordering loop's apply+fence
-// sections (the sharded appliers run inside it), so the divisor is 1.
-func (s *System) ReproduceStats() StageStats {
-	return s.rm.snapshot(s.cfg.ReproThreads, 1)
-}
+func (s *System) ReproduceStats() StageStats { return s.rm.snapshot(1) }
 
 // PausePersist freezes the Persist step: transactions keep committing
 // but stop becoming durable. It returns only once the step is quiescent
-// (the coordinator between passes and no worker in-flight on a log
-// append), so a Device snapshot taken afterwards is coherent.
-// ResumePersist releases it; the step must be resumed before Close.
-// Lock order is coordinator gate first, then worker gates in index
-// order.
+// (the coordinator between passes, so no log append in flight), so a
+// Device snapshot taken afterwards is coherent. ResumePersist releases
+// it; the step must be resumed before Close.
 func (s *System) PausePersist() {
-	// The flag is raised before the gates so the watchdog never sees a
+	// The flag is raised before the gate so the watchdog never sees a
 	// frozen frontier without the pause that explains it.
 	s.persistPaused.Store(true)
 	s.persistGate.Lock()
-	for i := range s.workerGates {
-		s.workerGates[i].Lock()
-	}
 }
 
 // ResumePersist releases PausePersist.
 func (s *System) ResumePersist() {
-	for i := len(s.workerGates) - 1; i >= 0; i-- {
-		s.workerGates[i].Unlock()
-	}
 	s.persistGate.Unlock()
 	s.persistPaused.Store(false)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dudetm/internal/pmem"
+	"dudetm/internal/redolog"
 	"dudetm/internal/stm"
 )
 
@@ -289,6 +290,89 @@ func TestCrashDurableNotReproduced(t *testing.T) {
 		}
 		s2.Close()
 	}
+}
+
+// TestRecoverGroupsSpanningLogs recovers an image whose acked groups
+// were appended to logs 0 and 1 alternately, as a pool that dealt full
+// groups to two persist writers laid them out. Recovery merges every
+// log, so the whole dense run must come back, and audit clean; the
+// remounted pool, which appends to log 0 only, must then survive a
+// second crash with the older groups still in log 1.
+func TestRecoverGroupsSpanningLogs(t *testing.T) {
+	const groups, perGroup = 10, 3
+	cfg := testConfig()
+	s, err := Create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Freeze both steps so only the appends below touch the logs.
+	s.PausePersist()
+	s.PauseReproduce()
+	val := func(tid uint64) uint64 { return tid<<8 | 0xab }
+	// Log 1 takes the odd groups, and they land first: completion order
+	// across logs is not tid order.
+	for _, wi := range []int{1, 0} {
+		for g := uint64(wi); g < groups; g += 2 {
+			grp := &redolog.Group{MinTid: g*perGroup + 1, MaxTid: (g + 1) * perGroup}
+			for tid := grp.MinTid; tid <= grp.MaxTid; tid++ {
+				grp.Entries = append(grp.Entries, redolog.Entry{Addr: tid * 8, Val: val(tid)})
+			}
+			s.writers[wi].AppendGroup(grp)
+		}
+	}
+	img := s.Device().PersistedImage()
+	s.ResumeReproduce()
+	s.ResumePersist()
+	s.Close()
+
+	const acked = groups * perGroup
+	remount := func(img []byte) *System {
+		t.Helper()
+		dev := pmem.New(pmem.Config{Size: uint64(len(img))})
+		dev.Restore(img)
+		r, err := Recover(dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AuditRecovery(acked); err != nil {
+			t.Fatal(err)
+		}
+		r.Run(0, func(tx *Tx) error {
+			for tid := uint64(1); tid <= acked; tid++ {
+				if got := tx.Load(tid * 8); got != val(tid) {
+					t.Errorf("tid %d: word = %#x after recovery, want %#x", tid, got, val(tid))
+				}
+			}
+			return nil
+		})
+		return r
+	}
+	r := remount(img)
+	if got := r.Stats().Recovery.GroupsReplayed; got != groups {
+		t.Errorf("replayed %d groups, want %d from both logs", got, groups)
+	}
+	var last uint64
+	for i := uint64(1); i <= 20; i++ {
+		if last, err = r.Run(0, func(tx *Tx) error { tx.Store(0x8000+i*8, i); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.WaitDurable(last); err != nil {
+		t.Fatal(err)
+	}
+	r2 := remount(r.Crash())
+	defer r2.Close()
+	if err := r2.AuditRecovery(last); err != nil {
+		t.Fatal(err)
+	}
+	r2.Run(0, func(tx *Tx) error {
+		for i := uint64(1); i <= 20; i++ {
+			if got := tx.Load(0x8000 + i*8); got != i {
+				t.Errorf("post-remount write %d = %d after the second recovery", i, got)
+			}
+		}
+		return nil
+	})
 }
 
 func TestCrashCommittedNotPersisted(t *testing.T) {

@@ -40,11 +40,11 @@ func within(t *testing.T, what string, f func()) {
 	}
 }
 
-// parkedWith reports whether the coordinator is parked in state st with
-// slot 0's ring fully consumed. Call it only from slot 0's goroutine.
-func parkedWith(s *System, st int32) func() bool {
+// parkedIdle reports whether the coordinator is parked with slot 0's
+// ring fully consumed. Call it only from slot 0's goroutine.
+func parkedIdle(s *System) func() bool {
 	return func() bool {
-		return s.coord.state.Load() == st && s.threads[0].ring.Len() == 0
+		return s.coord.state.Load() == coordIdle && s.threads[0].ring.Len() == 0
 	}
 }
 
@@ -81,7 +81,7 @@ func TestIdleCoordinatorNoWakes(t *testing.T) {
 		})
 	}
 	s.Drain()
-	waitUntil(t, "the coordinator to park", parkedWith(s, coordIdle))
+	waitUntil(t, "the coordinator to park", parkedIdle(s))
 	before := s.PersistStats().Wakes
 	if before == 0 {
 		t.Fatal("no coordinator wake counted across 200 commits")
@@ -152,9 +152,40 @@ func TestNoLostWakeup(t *testing.T) {
 	}
 }
 
-// TestStopWhileParked checks that Close and Crash wake a parked
-// coordinator, both with empty rings and with a partial group held
-// behind an append blocked on the worker's gate.
+// fillLog pauses Reproduce, so nothing recycles, and commits 1000-word
+// transactions one at a time until the coordinator's append of one of
+// them parks waiting for log space. It returns every transaction's tid
+// and first word address, in commit order; all but the last are
+// durable.
+func fillLog(t *testing.T, s *System) (tids, addrs []uint64) {
+	t.Helper()
+	const words = 1000
+	s.PauseReproduce()
+	for base := uint64(0); ; base += words {
+		tid, err := s.Run(0, func(tx *Tx) error {
+			for i := uint64(0); i < words; i++ {
+				tx.Store((base+i)*8, uint64(len(tids)+1))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tids, addrs = append(tids, tid), append(addrs, base*8)
+		waitUntil(t, "the append to finish or park", func() bool {
+			return s.Durable() >= tid || s.writers[0].Waiting()
+		})
+		if s.writers[0].Waiting() {
+			return tids, addrs
+		}
+	}
+}
+
+// TestStopWhileParked checks that Close and Crash stop the coordinator
+// both when it is parked idle with empty rings and when it is parked in
+// an append waiting for log space, with later commits held behind it.
+// Close drains the held commits once Reproduce frees space; Crash
+// releases the parked append without it.
 func TestStopWhileParked(t *testing.T) {
 	for _, stop := range []string{"close", "crash"} {
 		for _, held := range []bool{false, true} {
@@ -164,47 +195,43 @@ func TestStopWhileParked(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				cfg := testConfig()
-				cfg.GroupSize, cfg.PersistThreads = 4, 1
+				cfg.GroupSize = 4
 				s, err := Create(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var last uint64
 				if held {
-					// The first commit seals alone (nothing else queued)
-					// and blocks in its append; the next two are held.
-					s.workerGates[0].Lock()
+					fillLog(t, s)
 					store(t, s, 0, 1)
-					waitUntil(t, "the first group's append", func() bool { return s.pm.queue.Load() == 1 })
-					store(t, s, 0, 2)
-					last = store(t, s, 0, 3)
-					waitUntil(t, "the coordinator to hold a group", parkedWith(s, coordHolding))
+					last = store(t, s, 0, 2)
 				} else {
 					last = store(t, s, 0, 1)
 					s.Drain()
-					waitUntil(t, "the coordinator to park", parkedWith(s, coordIdle))
+					waitUntil(t, "the coordinator to park", parkedIdle(s))
 				}
-				do := s.Close
 				if stop == "crash" {
-					do = func() { s.Crash() }
+					done := crashWhileParked(t, s)
+					if held {
+						// Reproduce is still paused, so only Crash can
+						// release the parked append.
+						waitUntil(t, "Crash to release the parked append", func() bool { return !s.writers[0].Waiting() })
+						s.ResumeReproduce()
+					}
+					within(t, "Close", recoverAudited(t, s, cfg, done).Close)
+					return
 				}
-				if !held {
-					within(t, stop, do)
-				} else {
-					done := make(chan struct{})
-					go func() {
-						defer close(done)
-						do()
-					}()
-					// The stop must wake the coordinator; the worker it
-					// then waits out is released only after that.
-					waitUntil(t, stop+" to wake the coordinator", func() bool {
-						return s.coord.state.Load() == coordRunning
-					})
-					s.workerGates[0].Unlock()
-					within(t, stop, func() { <-done })
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					s.Close()
+				}()
+				if held {
+					waitUntil(t, "Close to stop the pipeline", s.stopping.Load)
+					s.ResumeReproduce()
 				}
-				if stop == "close" && s.Durable() != last {
+				within(t, stop, func() { <-done })
+				if s.Durable() != last {
 					t.Errorf("durable %d after Close, want %d", s.Durable(), last)
 				}
 			})
@@ -213,36 +240,34 @@ func TestStopWhileParked(t *testing.T) {
 }
 
 // TestHeldAppendJoinsOneGroup is group commit: transactions committed
-// while the previous group's append is in flight are held and sealed
-// together, as one group, once that append completes.
+// while the coordinator's append is parked on log space are held and
+// sealed together, as one group, once that append completes.
 func TestHeldAppendJoinsOneGroup(t *testing.T) {
 	cfg := testConfig()
-	cfg.GroupSize, cfg.PersistThreads = 16, 2
+	cfg.GroupSize = 16
 	s, err := Create(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer within(t, "Close", s.Close)
-	s.workerGates[0].Lock()
-	store(t, s, 0, 1)
-	waitUntil(t, "the first group's append", func() bool { return s.pm.queue.Load() == 1 })
+	tids, _ := fillLog(t, s)
+	parked := tids[len(tids)-1]
+	groups := s.Stats().Persist.Groups
 	var last uint64
-	for i := uint64(2); i <= 6; i++ {
+	for i := uint64(1); i <= 5; i++ {
 		last = store(t, s, 0, i)
 	}
-	waitUntil(t, "the coordinator to hold a group", parkedWith(s, coordHolding))
-	if d := s.Durable(); d != 0 {
-		t.Fatalf("durable %d while the first append is blocked", d)
+	if d := s.Durable(); d >= parked {
+		t.Fatalf("durable %d while the append of tid %d is parked", d, parked)
 	}
-	s.workerGates[0].Unlock()
-	// The worker that finishes the first append must wake the holder.
+	s.ResumeReproduce()
 	within(t, "WaitDurable", func() {
 		if err := s.WaitDurable(last); err != nil {
 			t.Error(err)
 		}
 	})
-	if got := s.Stats().Persist.Groups; got != 2 {
-		t.Errorf("%d groups for 1 + 5 commits around one held append, want 2", got)
+	if got := s.Stats().Persist.Groups - groups; got != 2 {
+		t.Errorf("%d groups for the parked append + 5 commits held behind it, want 2", got)
 	}
 }
 
@@ -275,78 +300,35 @@ func recoverAudited(t *testing.T, s *System, cfg Config, done <-chan []byte) *Sy
 	return s2
 }
 
-// TestCrashWithFullWindow crashes the pool while the coordinator is
-// parked on a full persist window behind a blocked append: Crash must
-// wake it, since nothing completes a sequence once the pool halts.
-func TestCrashWithFullWindow(t *testing.T) {
-	cfg := testConfig()
-	cfg.PersistThreads, cfg.GroupSize = 1, 1
-	s, err := Create(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.workerGates[0].Lock()
-	for i := uint64(0); i <= persistWindow; i++ {
-		store(t, s, 0, i)
-	}
-	waitUntil(t, "the coordinator to park on the full window", func() bool { return s.window.done.Parked() > 0 })
-	done := crashWhileParked(t, s)
-	s.workerGates[0].Unlock()
-	s2 := recoverAudited(t, s, cfg, done)
-	within(t, "Close", s2.Close)
-}
-
-// TestCrashWithFullLog crashes the pool while a persist worker is
-// parked waiting for log space that Reproduce can no longer recycle:
-// worker 1 holds tid 2, so Reproduce stops at tid 1 and worker 0's log
-// (odd tids, GroupSize 1) fills up behind it. Crash must halt the
-// parked append instead of waiting for it forever, and the image must
-// recover every acknowledged transaction.
+// TestCrashWithFullLog crashes the pool while the coordinator is parked
+// in an append waiting for log space that Reproduce (paused) can no
+// longer recycle. Crash must halt the parked append instead of waiting
+// for it forever, and the image must recover every acknowledged
+// transaction.
 func TestCrashWithFullLog(t *testing.T) {
 	cfg := testConfig()
-	cfg.PersistThreads, cfg.ReproThreads, cfg.GroupSize = 2, 1, 1
-	cfg.VLogEntries = 1 << 16
+	cfg.GroupSize = 1
 	s, err := Create(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.workerGates[1].Lock()
-	words := func(n int, base, val uint64) {
-		t.Helper()
-		if _, err := s.Run(0, func(tx *Tx) error {
-			for i := uint64(0); i < uint64(n); i++ {
-				tx.Store((base+i)*8, val)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	words(1, 0, 1)
-	words(1, 1, 2)
-	for i := uint64(0); i < 44; i++ {
-		words(256, 2+256*i, 3+i)
-	}
-	// 22 records of 256 words leave under 20 KiB of worker 0's 64 KiB
-	// log; this ~32 KiB record must wrap and wait for recycles.
-	words(4000, 2+256*44, 47)
-	waitUntil(t, "worker 0 to park on log space", s.writers[0].Waiting)
+	tids, addrs := fillLog(t, s)
 	done := crashWhileParked(t, s)
-	s.workerGates[1].Unlock()
+	waitUntil(t, "Crash to release the parked append", func() bool { return !s.writers[0].Waiting() })
+	s.ResumeReproduce()
 	s2 := recoverAudited(t, s, cfg, done)
 	defer within(t, "Close", s2.Close)
 	acked := s.Durable()
-	if acked < 1 || acked >= 47 {
-		t.Fatalf("durable %d at crash, want the frontier stopped in [1, 47)", acked)
+	if acked != tids[len(tids)-2] {
+		t.Fatalf("durable %d at crash, want %d: every append but the parked one", acked, tids[len(tids)-2])
 	}
 	s2.Run(0, func(tx *Tx) error {
-		for tid := uint64(1); tid <= acked; tid++ {
-			addr := tid - 1 // tids 1 and 2 wrote one word each
-			if tid > 2 {
-				addr = 2 + 256*(tid-3)
+		for i, tid := range tids {
+			if tid > acked {
+				break
 			}
-			if got := tx.Load(addr * 8); got != tid {
-				t.Errorf("acked tid %d: word %d = %d after recovery", tid, addr, got)
+			if got := tx.Load(addrs[i]); got != uint64(i+1) {
+				t.Errorf("acked tid %d: word %#x = %d after recovery, want %d", tid, addrs[i], got, i+1)
 			}
 		}
 		return nil

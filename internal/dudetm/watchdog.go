@@ -25,8 +25,6 @@ type StallReport struct {
 	// PersistQueue and ReproQueue are the stage backlogs (sealed
 	// groups awaiting append; persisted groups awaiting replay).
 	PersistQueue, ReproQueue int64
-	// WindowDepth is the persist dispatch window's in-flight count.
-	WindowDepth uint64
 	// Trace is the tail of the lifecycle trace rings — the last
 	// stamps the pipeline managed before it stopped moving.
 	Trace []obs.Record
@@ -35,8 +33,8 @@ type StallReport struct {
 // String renders the report as a multi-line diagnostic dump.
 func (r StallReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s stage stalled for %v: clock=%d durable=%d reproduced=%d persistQ=%d reproQ=%d window=%d",
-		r.Stage, r.Interval, r.Clock, r.Durable, r.Reproduced, r.PersistQueue, r.ReproQueue, r.WindowDepth)
+	fmt.Fprintf(&b, "%s stage stalled for %v: clock=%d durable=%d reproduced=%d persistQ=%d reproQ=%d",
+		r.Stage, r.Interval, r.Clock, r.Durable, r.Reproduced, r.PersistQueue, r.ReproQueue)
 	for _, rec := range r.Trace {
 		fmt.Fprintf(&b, "\n  %-15s tids [%d,%d] at +%v", rec.Kind, rec.MinTid, rec.MaxTid, time.Duration(rec.At))
 	}
@@ -154,7 +152,6 @@ func (s *System) fireStall(stage string, interval time.Duration, cur watchSample
 		Reproduced:   cur.reproduced,
 		PersistQueue: max(s.pm.queue.Load(), 0),
 		ReproQueue:   max(s.rm.queue.Load(), 0),
-		WindowDepth:  s.window.depth(),
 		Trace:        s.obs.TraceTail(stallTraceTail),
 	}
 	s.stalls.Add(1)

@@ -84,9 +84,6 @@ type Options struct {
 	VLogEntries int
 	Shadow      dudetm.ShadowKind
 	ShadowBytes uint64
-	// Background-stage worker counts (0 = dudetm defaults).
-	PersistThreads int
-	ReproThreads   int
 	// TraceSampleEvery enables lifecycle tracing for every N-th
 	// transaction (DudeTM only; 0 = default / DUDETM_TRACE_SAMPLE).
 	TraceSampleEvery int
@@ -207,8 +204,6 @@ func dudeConfig(kind SysKind, o Options, pc pmem.Config) dudetm.Config {
 		VLogEntries:      o.VLogEntries,
 		Shadow:           o.Shadow,
 		ShadowBytes:      o.ShadowBytes,
-		PersistThreads:   o.PersistThreads,
-		ReproThreads:     o.ReproThreads,
 		TraceSampleEvery: o.TraceSampleEvery,
 		Pmem:             pc,
 	}

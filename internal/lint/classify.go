@@ -228,9 +228,9 @@ func localBatchObjs(pkg *Package, scope funcScope) map[types.Object]bool {
 }
 
 // isForeignBatchCall reports whether call is a method on a pmem.Batch
-// the scope did not create: its fence is the batch owner's duty (the
-// sharded Reproduce appliers flush per-shard into the group's batch;
-// the ordering loop fences once at the join barrier). Requires resolved
+// the scope did not create: its fence is the batch owner's duty
+// (applyRuns flushes into the Reproduce loop's batch; the loop fences
+// once per replay run). Requires resolved
 // type information — name-fallback receivers are never foreign, so the
 // exemption can only relax a call the types prove is a Batch.
 func isForeignBatchCall(pkg *Package, call *ast.CallExpr, local map[types.Object]bool) bool {

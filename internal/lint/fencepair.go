@@ -26,12 +26,12 @@ import (
 // becomes an obligation at the call site. A //dudelint:ignore on the
 // helper's flush stops the obligation from propagating.
 //
-// Batch ownership splits the rules across the sharded apply path: a
-// Batch.Flush on a batch the function did not create (a parameter,
-// struct field, or channel-received value — e.g. a Reproduce applier
-// flushing its address shard into the group's shared batch) is exempt
-// from the following-fence rule, because the fence is the batch owner's
-// duty at the join barrier; conversely, handing a locally created batch
+// Batch ownership splits the rules between a batch's owner and the
+// code it hands the batch to: a Batch.Flush on a batch the function did
+// not create (a parameter, struct field, or channel-received value —
+// e.g. dudetm's applyRuns flushing a replay run into the Reproduce
+// loop's batch) is exempt from the following-fence rule, because the
+// fence is the batch owner's duty; conversely, handing a locally created batch
 // to other code (as a call argument, composite-literal field, or
 // channel send) counts as flush-like evidence, so the owner's fence
 // after the join is not a "wasted barrier". The pmem package itself,

@@ -31,12 +31,12 @@ import (
 // substrate: Stamp stores a slot that a later Sync writes back, by
 // design) and test files are exempt.
 //
-// The sharded Reproduce apply path needs no suppression: an applier
-// that stores its address shard and flushes it into the group's shared
-// batch satisfies rule 1 (Batch.Flush covers the stores regardless of
-// who owns the batch — the owner fences at the join barrier), and rule
-// 2 still fires if the applier publishes completion atomically before
-// its flushes, which is the crash bug the barrier exists to prevent.
+// A helper that stores a run and flushes it into a caller's batch (the
+// Reproduce path's applyRuns) needs no suppression: it satisfies rule 1
+// (Batch.Flush covers the stores regardless of who owns the batch — the
+// owner fences), and rule 2 still fires if the helper publishes
+// completion atomically before its flushes, which is the crash bug the
+// barrier exists to prevent.
 var analyzerPersistOrder = &Analyzer{
 	Name: "persistorder",
 	Doc:  "pmem stores must be flushed before return and before any atomic publish",

@@ -37,9 +37,9 @@ import (
 const (
 	headerSize = 32
 
-	// maxEntryBytes is the most one entry adds to a run-encoded
+	// MaxEntryBytes is the most one entry adds to a run-encoded
 	// payload: a lone write's header word and value word.
-	maxEntryBytes = 16
+	MaxEntryBytes = 16
 
 	// minLogSize and maxLogSize bound a log region: one 4 KiB page at
 	// least, and no more than the 32-bit length fields can describe.
@@ -83,7 +83,7 @@ func maxPayload(size uint64) uint64 { return size - headerSize }
 // bytes per entry (compression only ever shrinks a record). Run refuses
 // a transaction past it and the Persist coordinator seals a group
 // before it would cross it.
-func MaxGroupEntries(size uint64) int { return int(maxPayload(size) / maxEntryBytes) }
+func MaxGroupEntries(size uint64) int { return int(maxPayload(size) / MaxEntryBytes) }
 
 // lineUp rounds n up to whole lines: the log space a record of n bytes
 // occupies.

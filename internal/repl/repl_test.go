@@ -2,6 +2,7 @@ package repl_test
 
 import (
 	"errors"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -306,6 +307,53 @@ func TestReplicationQuorumLossFailsWaiters(t *testing.T) {
 	}
 	if ev := pri.ReplStats().DegradedEvents; ev == 0 {
 		t.Fatal("degraded events not counted")
+	}
+}
+
+// TestBacklogSealsWithinOneFrame: a Persist backlog whose transactions
+// each fit a REPL frame must never be sealed into one group that does
+// not. Three ≈400 KB transactions of random (incompressible) values
+// queue behind a paused Persist step; released, they would combine
+// into one ≈1.2 MB group that the sender can only drop, killing the
+// stream and failing every waiter with ErrQuorumLost. Sealed at the
+// frame limit instead, they ship as three groups and are quorum-acked.
+func TestBacklogSealsWithinOneFrame(t *testing.T) {
+	const words = 50_000
+	cfg := testConfig()
+	cfg.ReplFactor, cfg.ReplQuorum = 1, 1
+	cfg.GroupSize = 64
+	cfg.DataSize = 2 << 20
+	cfg.LogBufBytes = 8 << 20
+	cfg.VLogEntries = 1 << 18 // the whole backlog waits in slot 0's ring
+	r := startReplica(t, cfg)
+	defer r.close()
+	pri, snd := startPrimary(t, cfg, r)
+	defer pri.Close()
+	defer snd.Close()
+	if !snd.WaitConnected(1, 10*time.Second) {
+		t.Fatal("replica never connected")
+	}
+	rng := rand.New(rand.NewSource(1))
+	pri.PausePersist()
+	var last uint64
+	for i := uint64(0); i < 3; i++ {
+		tid, err := pri.Run(0, func(tx *dudetm.Tx) error {
+			for j := uint64(0); j < words; j++ {
+				tx.Store((i*words+j)*8, rng.Uint64())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = tid
+	}
+	pri.ResumePersist()
+	if err := pri.WaitDurable(last); err != nil {
+		t.Fatalf("WaitDurable: %v", err)
+	}
+	if st := snd.Stats(); st.OversizeDrops != 0 || st.DeadPeers != 0 {
+		t.Fatalf("sender dropped %d oversized group(s) and abandoned %d peer(s)", st.OversizeDrops, st.DeadPeers)
 	}
 }
 

@@ -57,7 +57,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		"stage", stageNames, func(i int) float64 { return float64(stages[i].QueueDepth) })
 	p.Family("dudetm_stage_utilization", "gauge", "Per-worker stage utilization in [0,1] over the process lifetime.",
 		"stage", stageNames, func(i int) float64 { return stages[i].Utilization })
-	p.Gauge("dudetm_persist_window_depth", "Reserved-but-unretired persist dispatch sequences.", float64(st.Persist.WindowDepth))
 	p.Counter("dudetm_persist_wakes_total", "Persist coordinator wakes from an idle park (a commit, a drained persist queue, Close or Crash); divided by dudetm_stage_groups_total{stage=\"persist\"} it is wakes per group.", float64(st.Persist.Wakes))
 
 	// Replay-epoch coalescing (Reproduce stage). The counters exist (at

@@ -329,9 +329,7 @@ func TestGroupCommitBatching(t *testing.T) {
 // the server mid-load with a simulated power failure, remount the
 // image, and verify every write that was acknowledged durable.
 func TestServerCrashDrill(t *testing.T) {
-	// The drill runs against the parallel pipeline: 2 persist workers,
-	// 4 sharded repro appliers.
-	opts := dudetm.Options{DataSize: 16 << 20, GroupSize: 16, Threads: 4, PersistThreads: 2, ReproThreads: 4}
+	opts := dudetm.Options{DataSize: 16 << 20, GroupSize: 16, Threads: 4}
 	srv, _, addr := startServer(t, opts, Config{})
 
 	const conns = 8

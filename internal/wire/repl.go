@@ -72,6 +72,12 @@ const ReplVersion = 3
 
 const replGroupFlagCompressed = 1 << 0
 
+// MaxReplGroupPayload is the largest group payload, raw or compressed,
+// one REPL frame carries: the frame's MaxPayload less room for the
+// group message's own fields. A primary seals its groups small enough
+// that their worst-case encoding fits it.
+const MaxReplGroupPayload = MaxPayload - 64
+
 // ReplMsg is one decoded replication message. Fields beyond Kind are
 // populated per kind: Epoch for ReplHello; Frontier for ReplHelloAck
 // and ReplAck; MinTid/MaxTid/Compressed/RawLen/PayloadCRC/Payload for
@@ -145,8 +151,8 @@ func AppendReplAck(dst []byte, frontier, minTid, maxTid uint64, ingestNanos int6
 // the wire payload (compressed when compressed is true), rawLen the
 // uncompressed length, and crc the CRC-32C of the uncompressed bytes.
 func AppendReplGroup(dst []byte, minTid, maxTid uint64, payload []byte, compressed bool, rawLen, crc uint32) ([]byte, error) {
-	if len(payload) > MaxPayload-64 {
-		return dst, fmt.Errorf("wire: repl group payload is %d bytes (max %d)", len(payload), MaxPayload-64)
+	if len(payload) > MaxReplGroupPayload {
+		return dst, fmt.Errorf("wire: repl group payload is %d bytes (max %d)", len(payload), MaxReplGroupPayload)
 	}
 	dst = append(dst, byte(ReplGroup))
 	dst = binary.LittleEndian.AppendUint64(dst, minTid)

@@ -42,29 +42,26 @@ rm -f /tmp/dudelint.check.json
 echo "== go test"
 go test ./...
 
-echo "== go test -race (pmem, stm, redolog, dudetm, server, obs, repl; 4 stage threads)"
-# DUDETM_STAGE_THREADS=4 forces the parallel Persist/Reproduce paths in
-# every test that does not pin its own worker counts, and
-# DUDETM_TRACE_SAMPLE=4 turns the lifecycle tracer on underneath them,
-# so the race pass exercises the sharded pipeline with trace stamps and
-# stat scrapes racing it — not the single-worker, tracing-off
-# degenerate case. internal/pmem because every stage stores into the
-# device and its line locks guard the persisted image against concurrent
-# first touches, write-backs and snapshots; internal/obs rides along for
-# the concurrent histogram-merge and trace-ring reader tests;
-# internal/repl because its sender/receiver goroutines race real TCP
-# reconnects.
-DUDETM_STAGE_THREADS=4 DUDETM_TRACE_SAMPLE=4 go test -race -count=1 ./internal/pmem ./internal/stm ./internal/redolog ./internal/dudetm ./internal/server ./internal/obs ./internal/repl
+echo "== go test -race (pmem, stm, redolog, dudetm, server, obs, repl; tracing on)"
+# DUDETM_TRACE_SAMPLE=4 turns the lifecycle tracer on underneath every
+# test that does not pin its own sampling, so the race pass exercises
+# the pipeline with trace stamps and stat scrapes racing it — not the
+# tracing-off degenerate case. internal/pmem because every stage stores
+# into the device and its line locks guard the persisted image against
+# concurrent first touches, write-backs and snapshots; internal/obs
+# rides along for the concurrent histogram-merge and trace-ring reader
+# tests; internal/repl because its sender/receiver goroutines race real
+# TCP reconnects.
+DUDETM_TRACE_SAMPLE=4 go test -race -count=1 ./internal/pmem ./internal/stm ./internal/redolog ./internal/dudetm ./internal/server ./internal/obs ./internal/repl
 
-echo "== park/wake: coordinator, park.Frontier, Crash on a full log or window, fence budget (GOMAXPROCS=1, -race)"
+echo "== park/wake: coordinator, park.Frontier, Crash on a full log, fence budget (GOMAXPROCS=1, -race)"
 # One processor: a coordinator that spins instead of parking starves
 # its committers, and a lost wakeup hangs a WaitDurable or a
-# park.Frontier handoff; a persist worker parked on log space, or the
-# coordinator parked on the persist window, must not hang Crash (each
-# wait is bounded at 5 s inside the tests). TestCritpathFenceBudget's
-# replay-fence bound must hold however one processor interleaves the
-# stages.
-GOMAXPROCS=1 go test -race -count=3 -run 'TestIdleCoordinatorNoWakes|TestNoLostWakeup|TestStopWhileParked|TestHeldAppendJoinsOneGroup|TestCrashWithFullLog|TestCrashWithFullWindow|TestCritpathFenceBudget' ./internal/dudetm
+# park.Frontier handoff; a coordinator parked in an append on log space
+# must not hang Close or Crash (each wait is bounded at 5 s inside the
+# tests). TestCritpathFenceBudget's replay-fence bound must hold however
+# one processor interleaves the stages.
+GOMAXPROCS=1 go test -race -count=3 -run 'TestIdleCoordinatorNoWakes|TestNoLostWakeup|TestStopWhileParked|TestHeldAppendJoinsOneGroup|TestCrashWithFullLog|TestCritpathFenceBudget' ./internal/dudetm
 GOMAXPROCS=1 go test -race -count=3 ./internal/park
 
 echo "== no sleep-polling in internal/"
