@@ -283,8 +283,8 @@ var (
 	// replica's dense transaction-ID stream.
 	ErrReplGap = idudetm.ErrReplGap
 	// ErrTxTooLarge: Update's transaction wrote more words than one
-	// persistent log record (or the volatile log) holds; it was rolled
-	// back and logged nothing.
+	// persistent log record (or the volatile log, or on a replicated
+	// pool one REPL frame) holds; it was rolled back and logged nothing.
 	ErrTxTooLarge = idudetm.ErrTxTooLarge
 )
 
@@ -398,13 +398,12 @@ func Forensics(img []byte) (*CrashReport, error) {
 
 // TraceOf reconstructs the lifecycle timeline of a sampled transaction
 // (Options.TraceSampleEvery): commit → group-seal → persist-fence →
-// reproduce-apply, ordered by timestamp. Transactions old enough to
-// have been overwritten in the trace rings return a partial or empty
-// timeline.
+// reproduce-apply, ordered by timestamp. A transaction whose sample row
+// a later sampled transaction has claimed returns an empty timeline.
 func (p *Pool) TraceOf(tid uint64) []TraceRecord { return p.sys.TraceOf(tid) }
 
 // TraceTail returns the most recent n trace records across the pool's
-// trace rings (all of them when n <= 0), oldest first.
+// sample table (all of them when n <= 0), oldest first.
 func (p *Pool) TraceTail(n int) []TraceRecord { return p.sys.TraceTail(n) }
 
 // Critpath is one sampled transaction's critical-path decomposition:
@@ -417,9 +416,9 @@ type Critpath = obs.Critpath
 type CritSegment = obs.CritSegment
 
 // CritpathOf decomposes a sampled transaction's commit→acknowledged
-// latency into critical-path segments from the live trace rings. ok is
-// false when the timeline is incomplete: the transaction was not
-// sampled, its records were overwritten, or it is not yet quorum-acked.
+// latency into critical-path segments from its sample row. ok is false
+// when the timeline is incomplete: the transaction was not sampled, its
+// row was reused, or it is not yet quorum-acked.
 func (p *Pool) CritpathOf(tid uint64) (Critpath, bool) { return p.sys.CritpathOf(tid) }
 
 // LastStall returns the most recent watchdog stall report, or nil.

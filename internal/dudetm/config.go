@@ -115,7 +115,7 @@ type Config struct {
 	// commit→reproduced latencies feed the obs histograms. 1 traces
 	// everything; 0 disables per-transaction tracing (the default,
 	// overridable with DUDETM_TRACE_SAMPLE). Per-group metrics (fence
-	// duration, group size, queue dwell) are always recorded.
+	// duration, group size) are always recorded.
 	TraceSampleEvery int
 	// Watchdog enables the stall watchdog: when > 0, a background
 	// goroutine samples the pipeline every Watchdog interval and

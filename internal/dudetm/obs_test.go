@@ -125,9 +125,9 @@ func TestObsStatsHistograms(t *testing.T) {
 	}
 }
 
-// TestTraceCrashRecovery crashes a system while the trace rings are
-// active (sampling every transaction) and checks that recovery is
-// unaffected and the recovered system traces cleanly: the rings are
+// TestTraceCrashRecovery crashes a system while tracing is active
+// (sampling every transaction) and checks that recovery is unaffected
+// and the recovered system traces cleanly: the sample table is
 // volatile observability state and must never leak into the durable
 // image or the replay.
 func TestTraceCrashRecovery(t *testing.T) {
@@ -143,7 +143,7 @@ func TestTraceCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash mid-pipeline: no drain, rings torn down wherever they are.
+	// Crash mid-pipeline: no drain, rows torn down wherever they are.
 	img := s.Crash()
 	dev := s.Device()
 	dev.Restore(img)
@@ -180,9 +180,9 @@ func TestTraceCrashRecovery(t *testing.T) {
 // tracing and critpath paths: an identical deterministic workload run
 // with sampling off and with sampling 1-in-1 issues exactly the same
 // number of device persist barriers, and the persist stage spends one
-// fence per group in both. The critpath collector fully settles before
-// the counters are read, so its work is proven to never touch the
-// device.
+// fence per group in both. Every sampled transaction is decomposed
+// before the counters are read, so the critpath work is proven to never
+// touch the device.
 func TestCritpathFenceBudget(t *testing.T) {
 	const n = 100
 	run := func(sample int) (regions map[string]uint64, stageFences, groups uint64) {
@@ -212,8 +212,8 @@ func TestCritpathFenceBudget(t *testing.T) {
 		s.ResumeReproduce()
 		s.Drain()
 		if sample > 0 {
-			// Wait for every sampled transaction to flow through the
-			// background decomposition before reading the fence counters.
+			// Every sampled transaction must be decomposed before the
+			// fence counters are read.
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				crit := s.Stats().Obs.Crit

@@ -7,7 +7,6 @@ import (
 
 	"dudetm/internal/pmem"
 	"dudetm/internal/redolog"
-	"dudetm/internal/wire"
 )
 
 // persistLoop is the Persist step (ModeAsync), one goroutine as in the
@@ -64,8 +63,8 @@ func (s *System) persistLoop() {
 		// exist in dense tid order. The sink copies synchronously; the
 		// slice stays owned by the pipeline (pooled after Reproduce).
 		s.shipGroup(gMin, gMax, *ep)
-		sealAt := s.obs.GroupSealed(s.srcCoord(), gMin, gMax, gCount, len(*ep))
-		ok := s.persistGroup(g, ep, sealAt)
+		s.obs.GroupSealed(gMin, gMax, gCount, len(*ep))
+		ok := s.persistGroup(g, ep)
 		ep = nil
 		gCount = 0
 		return ok
@@ -176,7 +175,7 @@ func (s *System) persistLoop() {
 func (s *System) groupEntryLimit() int {
 	n := redolog.MaxGroupEntries(s.lay.logSize)
 	if s.repl.Load() != nil {
-		n = min(n, wire.MaxReplGroupPayload/redolog.MaxEntryBytes)
+		n = min(n, replGroupEntries)
 	}
 	return n
 }
@@ -193,7 +192,7 @@ func (s *System) groupEntryLimit() int {
 // the in-flight signature (see buildCrashReport).
 //
 //dudelint:fencebudget 1
-func (s *System) persistGroup(g *redolog.Group, ep *[]redolog.Entry, sealAt int64) bool {
+func (s *System) persistGroup(g *redolog.Group, ep *[]redolog.Entry) bool {
 	s.pm.enqueue()
 	startAt := s.obs.Now()
 	appended := s.writers[0].AppendGroup(g) != 0
@@ -203,7 +202,7 @@ func (s *System) persistGroup(g *redolog.Group, ep *[]redolog.Entry, sealAt int6
 		putEntrySlice(ep)
 		return false
 	}
-	s.obs.GroupPersisted(s.srcCoord(), g.MinTid, g.MaxTid, sealAt, startAt, endAt)
+	s.obs.GroupPersisted(g.MinTid, g.MaxTid, startAt, endAt)
 	s.pm.busy.Add(uint64(endAt - startAt))
 	s.pm.groups.Add(1)
 	s.pm.fences.Add(1)
@@ -354,7 +353,7 @@ func (s *System) reproduceLoop() {
 	// skipped, none reordered.
 	retire := func(m repoMsg) {
 		s.reproduced.Store(m.g.MaxTid)
-		s.obs.GroupApplied(s.srcRepro(), m.g.MinTid, m.g.MaxTid)
+		s.obs.GroupApplied(m.g.MinTid, m.g.MaxTid)
 		s.obs.ReproducedAdvanced(m.g.MaxTid)
 		s.rm.groups.Add(1)
 		putEntrySlice(m.ep)

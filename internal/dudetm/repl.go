@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"dudetm/internal/redolog"
+	"dudetm/internal/wire"
 )
 
 // Replication support. The sealed persist group — the unit the paper
@@ -92,6 +93,11 @@ type ReplQuorumStats struct {
 	PeerAcked map[string]uint64
 }
 
+// replGroupEntries is the most entries one REPL frame carries at the
+// run encoding's worst case: the replicated cap on a group, and so on
+// a transaction.
+const replGroupEntries = wire.MaxReplGroupPayload / redolog.MaxEntryBytes
+
 // EnableReplication attaches a replication sink and the quorum gate.
 // It must be called on a fresh, idle pool — before any transaction
 // beyond the mount itself — and only in ModeAsync (the coordinator is
@@ -136,10 +142,14 @@ func (s *System) EnableReplication(sink ReplSink, peers []string) error {
 	if !s.repl.CompareAndSwap(nil, rs) {
 		return errors.New("dudetm: replication already enabled")
 	}
+	// A transaction whose group no frame could carry would break every
+	// peer's stream: Run refuses it with ErrTxTooLarge instead. The pool
+	// is idle, so no Run is reading the limit.
+	s.maxTxWrites = min(s.maxTxWrites, replGroupEntries)
 	s.acked.Store(rs.published)
-	// The critical-path pass now waits for the quorum-th replica fence
-	// before decomposing a sampled transaction.
-	s.obs.SetReplQuorum(rs.quorum)
+	// Sample rows gain a stamp slot per peer, and the critical-path
+	// pass now waits for the quorum-th replica fence.
+	s.obs.SetReplication(len(peers), rs.quorum)
 	if rs.quorum > 0 {
 		// No replica has connected yet: the gate starts degraded and
 		// heals as acks arrive. Waiters fail fast (or gate locally)
@@ -199,16 +209,16 @@ func (s *System) publishDurable(f uint64) {
 	s.publishAcked(pub)
 }
 
-// publishAcked raises the acknowledgment frontier, stamps the acked
-// pass for every pending sampled transaction it covers (the
-// critical-path window end), and wakes waiters. Stamp before wake: a
-// waiter that returns from WaitDurable and immediately reads its trace
-// must see the acked record.
+// publishAcked stamps the acked pass for every sampled transaction f
+// covers (the critical-path window end), raises the acknowledgment
+// frontier and wakes waiters. Stamp before publishing: WaitDurable's
+// spin returns on the raised frontier alone, and a waiter that then
+// reads its trace must see the acked record.
 //
 //dudelint:fencebudget 0
 func (s *System) publishAcked(f uint64) {
+	s.obs.AckedAdvanced(f)
 	storeMax(&s.acked, f)
-	s.obs.AckedAdvanced(s.srcAckTrace(), f)
 	s.notif.advance(f)
 }
 
@@ -333,7 +343,7 @@ func (s *System) recomputePublishedLocked(rs *replState) uint64 {
 func (s *System) shipGroup(minTid, maxTid uint64, entries []redolog.Entry) {
 	if rs := s.repl.Load(); rs != nil {
 		rs.sink.ShipGroup(minTid, maxTid, entries)
-		s.obs.ReplShipped(s.srcReplTrace(), minTid, maxTid)
+		s.obs.ReplShipped(minTid, maxTid)
 	}
 }
 
@@ -343,7 +353,7 @@ func (s *System) shipGroup(minTid, maxTid uint64, entries []redolog.Entry) {
 //dudelint:fencebudget 0
 //dudelint:noalloc
 func (s *System) ReplicaGroupSent(peer int, minTid, maxTid uint64) {
-	s.obs.ReplSent(s.srcReplTrace(), minTid, maxTid, peer)
+	s.obs.ReplSent(minTid, maxTid, peer)
 }
 
 // ReplicaGroupAcked stamps a replica's group acknowledgment: the
@@ -355,7 +365,7 @@ func (s *System) ReplicaGroupSent(peer int, minTid, maxTid uint64) {
 //dudelint:fencebudget 0
 //dudelint:noalloc
 func (s *System) ReplicaGroupAcked(peer int, minTid, maxTid uint64, ingestNanos int64) {
-	s.obs.ReplicaFenced(s.srcReplTrace(), minTid, maxTid, peer, ingestNanos)
+	s.obs.ReplicaFenced(minTid, maxTid, peer, ingestNanos)
 }
 
 // storeMax raises an atomic to v if it is below it.
@@ -411,8 +421,8 @@ func (s *System) IngestGroup(minTid, maxTid uint64, entries []redolog.Entry) err
 	// The fenced record is the same forensic evidence a locally sealed
 	// group leaves, so dudectl forensics reads a promoted replica's log
 	// exactly like a primary's.
-	sealAt := s.obs.GroupSealed(s.srcCoord(), minTid, maxTid, int(maxTid-minTid+1), len(entries))
-	if !s.persistGroup(g, ep, sealAt) {
+	s.obs.GroupIngested(minTid, maxTid, len(entries))
+	if !s.persistGroup(g, ep) {
 		return ErrCrashed // halted while waiting for log space
 	}
 	s.rawEntries.Add(uint64(len(entries)))

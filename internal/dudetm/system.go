@@ -29,8 +29,9 @@ type System struct {
 	writers []*redolog.Writer
 
 	// maxTxWrites is the most writes one transaction may log: its ring
-	// entries plus end mark must fit the volatile ring (ModeAsync), and
-	// its group one log record (redolog.MaxGroupEntries).
+	// entries plus end mark must fit the volatile ring (ModeAsync), its
+	// group one log record (redolog.MaxGroupEntries) and, once
+	// replication is attached, one REPL frame (replGroupEntries).
 	maxTxWrites int
 
 	reproCh    chan repoMsg
@@ -45,12 +46,8 @@ type System struct {
 	pm stageMetrics // Persist
 	rm stageMetrics // Reproduce
 
-	// Lifecycle tracing and latency histograms. Source-ring ownership:
-	// [0, Threads) the Perform threads, Threads the Persist
-	// coordinator, then the Reproduce loop (srcCoord / srcRepro), then
-	// two multi-writer replication rings serialized inside the Observer
-	// (srcReplTrace for ship/sent/replica-fence stamps, srcAckTrace for
-	// the acked-frontier stamps).
+	// Lifecycle tracing (one sample row per sampled transaction) and
+	// latency histograms.
 	obs *obs.Observer
 
 	// Persistent flight recorder: stamped and synced at boot and on a
@@ -222,10 +219,7 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 	if cfg.Mode == ModeAsync {
 		s.coord.ch = make(chan struct{}, 1)
 	}
-	s.obs = obs.New(obs.Config{
-		SampleEvery: cfg.TraceSampleEvery,
-		Sources:     cfg.Threads + 4,
-	})
+	s.obs = obs.New(obs.Config{SampleEvery: cfg.TraceSampleEvery})
 	s.durable.Store(startTid)
 	s.acked.Store(startTid)
 	s.reproduced.Store(startTid)
@@ -284,15 +278,6 @@ func build(cfg Config, dev *pmem.Device, lay layout, startTid uint64) (*System, 
 	}
 	return s, nil
 }
-
-// Trace-ring source indices (see the obs field comment): each lifecycle
-// stamp comes from exactly one goroutine, the ring's single writer —
-// except the last two, whose several writers (per-peer sender
-// goroutines, frontier publishers) are serialized by the Observer.
-func (s *System) srcCoord() int     { return s.cfg.Threads }
-func (s *System) srcRepro() int     { return s.cfg.Threads + 1 }
-func (s *System) srcReplTrace() int { return s.cfg.Threads + 2 }
-func (s *System) srcAckTrace() int  { return s.cfg.Threads + 3 }
 
 func (s *System) bindWriters() {
 	for i, th := range s.threads {
@@ -403,8 +388,9 @@ func (s *System) setDurable(f uint64) {
 }
 
 // ErrTxTooLarge is returned by Run for a transaction that writes more
-// words than one log record, or in ModeAsync the volatile ring, can
-// hold. The transaction is rolled back and logs nothing.
+// words than one log record, in ModeAsync the volatile ring, or with
+// replication attached one REPL frame, can hold. The transaction is
+// rolled back and logs nothing.
 var ErrTxTooLarge = errors.New("dudetm: transaction writes more words than one log record can hold")
 
 // Run executes fn as a durable transaction on behalf of thread slot and
@@ -413,8 +399,9 @@ var ErrTxTooLarge = errors.New("dudetm: transaction writes more words than one l
 // (WaitDurable). In ModeSync it returns only after the transaction is
 // durable. Read-only transactions return the snapshot ID they observed;
 // they are durable once Durable() reaches it. A transaction whose writes
-// would not fit one log record (redolog.MaxGroupEntries) or, in
-// ModeAsync, the volatile ring fails with ErrTxTooLarge.
+// would not fit one log record (redolog.MaxGroupEntries), in ModeAsync
+// the volatile ring, or with replication attached one REPL frame fails
+// with ErrTxTooLarge.
 func (s *System) Run(slot int, fn func(*Tx) error) (tid uint64, err error) {
 	if s.closed.Load() {
 		panic("dudetm: Run on closed system")
@@ -449,7 +436,7 @@ func (s *System) Run(slot int, fn func(*Tx) error) (tid uint64, err error) {
 	// Stamp before the transaction is published downstream (AppendTxEnd
 	// / syncCommit), so the commit record orders before every later
 	// stamp of the same transaction.
-	s.obs.Commit(slot, tid)
+	s.obs.Commit(tid)
 	if s.cfg.Mode == ModeSync {
 		s.syncCommit(th, tid)
 		return tid, nil
@@ -541,12 +528,12 @@ func (s *System) syncCommit(th *thread, tid uint64) {
 	*ep = append((*ep)[:0], th.entries...)
 	g := &redolog.Group{MinTid: tid, MaxTid: tid, Entries: *ep}
 	// The synchronous path seals, appends and fences inline on the
-	// Perform thread, so its lifecycle stamps share the thread's ring.
-	sealAt := s.obs.GroupSealed(th.slot, tid, tid, 1, len(th.entries))
+	// Perform thread.
+	s.obs.GroupSealed(tid, tid, 1, len(th.entries))
 	startAt := s.obs.Now()
 	th.writer.AppendGroup(g)
 	endAt := s.obs.Now()
-	s.obs.GroupPersisted(th.slot, tid, tid, sealAt, startAt, endAt)
+	s.obs.GroupPersisted(tid, tid, startAt, endAt)
 	s.pm.busy.Add(uint64(endAt - startAt))
 	s.pm.groups.Add(1)
 	s.pm.fences.Add(1)
@@ -615,9 +602,6 @@ func (s *System) stop() {
 	// seals the last group and closes reproCh itself.
 	s.coord.wake()
 	s.wg.Wait()
-	// The pipeline's stamp sources are quiet: drain the critical-path
-	// collector so Stats() reflects every completed sampled transaction.
-	s.obs.Close()
 }
 
 // Stats is a snapshot of system activity.
@@ -681,20 +665,20 @@ func (s *System) Stats() Stats {
 	}
 }
 
-// TraceOf reconstructs the lifecycle timeline of a sampled transaction
-// from the trace rings: commit → group-seal → persist-fence →
-// reproduce-apply, ordered by timestamp. Older transactions may have
-// been overwritten and return a partial (or empty) timeline.
+// TraceOf returns the lifecycle timeline of a sampled transaction from
+// its sample row: commit → group-seal → persist-fence →
+// reproduce-apply, ordered by timestamp. A transaction whose row a
+// later sampled transaction has claimed returns none.
 func (s *System) TraceOf(tid uint64) []obs.Record { return s.obs.TraceOf(tid) }
 
-// TraceTail returns the most recent n trace records across all rings
-// (all of them when n <= 0), oldest first.
+// TraceTail returns the most recent n trace records across the sample
+// table (all of them when n <= 0), oldest first.
 func (s *System) TraceTail(n int) []obs.Record { return s.obs.TraceTail(n) }
 
 // CritpathOf decomposes a sampled transaction's commit→acknowledged
-// window into critical-path segments from the live trace rings.
-// ok is false when the timeline is incomplete (unsampled, evicted, or
-// the transaction has not been quorum-acked yet).
+// window into critical-path segments from its sample row. ok is false
+// when the timeline is incomplete (unsampled, its row reused, or the
+// transaction has not been quorum-acked yet).
 func (s *System) CritpathOf(tid uint64) (obs.Critpath, bool) { return s.obs.CritpathOf(tid) }
 
 // LastStall returns the most recent watchdog stall report, or nil.

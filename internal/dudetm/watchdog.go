@@ -25,8 +25,8 @@ type StallReport struct {
 	// PersistQueue and ReproQueue are the stage backlogs (sealed
 	// groups awaiting append; persisted groups awaiting replay).
 	PersistQueue, ReproQueue int64
-	// Trace is the tail of the lifecycle trace rings — the last
-	// stamps the pipeline managed before it stopped moving.
+	// Trace is the tail of the lifecycle trace (the sample table) —
+	// the last stamps the pipeline managed before it stopped moving.
 	Trace []obs.Record
 }
 

@@ -19,9 +19,9 @@ func bad1(dev *pmem.Device, o *obs.Observer, addr uint64) int64 {
 
 // bad2: stamping a group persisted before its fence publishes a
 // durability record for data the barrier has not ordered yet.
-func bad2(dev *pmem.Device, o *obs.Observer, addr uint64, sealAt int64) {
+func bad2(dev *pmem.Device, o *obs.Observer, addr uint64, at int64) {
 	n := dev.FlushRange(addr, 64)
-	o.GroupPersisted(0, 1, 4, sealAt, sealAt, sealAt) // want: inside an open flush->fence window
+	o.GroupPersisted(1, 4, at, at) // want: inside an open flush->fence window
 	dev.Fence(n)
 }
 
@@ -31,7 +31,7 @@ func bad3(dev *pmem.Device, o *obs.Observer, addrs []uint64) {
 	for _, a := range addrs {
 		b.Flush(a, 8)
 	}
-	o.Commit(0, 7) // want: inside an open flush->fence window
+	o.Commit(7) // want: inside an open flush->fence window
 	b.Fence()
 }
 
@@ -45,17 +45,17 @@ func good1(dev *pmem.Device, o *obs.Observer, addr uint64) int64 {
 }
 
 // good2: a stamp after the closing fence records ordered data.
-func good2(dev *pmem.Device, o *obs.Observer, addr uint64, sealAt int64) {
+func good2(dev *pmem.Device, o *obs.Observer, addr uint64, at int64) {
 	n := dev.FlushRange(addr, 64)
 	dev.Fence(n)
-	o.GroupPersisted(0, 1, 4, sealAt, sealAt, sealAt)
+	o.GroupPersisted(1, 4, at, at)
 	o.DurableAdvanced(4)
 }
 
 // good3: stamps in a function with no persist window at all.
 func good3(o *obs.Observer) {
-	o.Commit(0, 1)
-	o.GroupApplied(0, 1, 1)
+	o.Commit(1)
+	o.GroupApplied(1, 1)
 	o.ReproducedAdvanced(1)
 }
 
@@ -64,17 +64,17 @@ func good3(o *obs.Observer) {
 func good4(dev *pmem.Device, o *obs.Observer, a, b uint64) {
 	n := dev.FlushRange(a, 64)
 	dev.Fence(n)
-	o.GroupSealed(0, 1, 2, 2, 4)
+	o.GroupSealed(1, 2, 2, 4)
 	m := dev.FlushRange(b, 64)
 	dev.Fence(m)
 }
 
-// good5: non-stamp observer reads (Sampled, SampleEvery) are not
+// good5: non-stamp observer reads (Sampled, Snapshot) are not
 // stamps and may appear anywhere.
 func good5(dev *pmem.Device, o *obs.Observer, addr uint64) {
 	n := dev.FlushRange(addr, 64)
 	if o.Sampled(9) {
-		_ = o.SampleEvery()
+		_ = o.Snapshot()
 	}
 	dev.Fence(n)
 }

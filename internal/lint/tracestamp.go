@@ -12,7 +12,7 @@ import (
 // barrier orders: between a Device.FlushRange / Batch.Flush and the
 // fence that closes it, the only stores that belong are the ones being
 // made durable. A trace stamp there is wrong twice over: the stamp's
-// volatile ring write interleaves extra work into the measured barrier
+// volatile row write interleaves extra work into the measured barrier
 // path (skewing the very fence-duration histogram it feeds), and a
 // stamp that reads the clock mid-window brackets only part of the
 // flush+fence sequence, so the recorded fence latency silently excludes
@@ -27,10 +27,10 @@ var analyzerTraceStamp = &Analyzer{
 	Run:  runTraceStamp,
 }
 
-// obsStampMethods are the Observer calls that stamp trace rings or read
-// the trace clock.
+// obsStampMethods are the Observer calls that stamp sample rows or
+// read the trace clock.
 var obsStampMethods = []string{
-	"Now", "Commit", "GroupSealed", "GroupPersisted", "GroupApplied",
+	"Now", "Commit", "GroupSealed", "GroupIngested", "GroupPersisted", "GroupApplied",
 	"DurableAdvanced", "ReproducedAdvanced", "AckedAdvanced",
 	"ReplShipped", "ReplSent", "ReplicaFenced",
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -40,8 +39,8 @@ const (
 	// SegRingDwell: commit stamp → group seal (the transaction sat in
 	// its thread's volatile ring waiting for the coordinator).
 	SegRingDwell CritSegment = iota
-	// SegSealWait: group seal → persist-fence start (queue dwell behind
-	// other groups plus the log append up to the barrier).
+	// SegSealWait: group seal → persist-fence start (the log append up
+	// to the barrier).
 	SegSealWait
 	// SegPersistFence: the primary's log persist barrier itself.
 	SegPersistFence
@@ -101,68 +100,46 @@ type Critpath struct {
 // its trace records (TraceOf output: every stamp whose ID range covers
 // tid). quorum is the replication write quorum (0 = unreplicated; the
 // repl segments collapse to zero). Returns ok=false when the timeline
-// is incomplete — a required stamp was evicted from its ring, or fewer
-// than quorum replica fences survive — so the caller can count the
-// miss instead of skewing the aggregate.
+// is incomplete — a required stamp is missing, or fewer than quorum
+// replica fences arrived — so the caller can count the miss instead of
+// skewing the aggregate.
 func DecomposeCritpath(tid uint64, recs []Record, quorum int) (Critpath, bool) {
-	cp := Critpath{Tid: tid, Quorum: quorum}
-	var commit, seal, fenceEnd, fenceDur, acked int64
-	var haveCommit, haveSeal, haveFence, haveAcked bool
-	type rfence struct{ at, dur int64 }
-	var rfs []rfence
+	// The earliest stamp of each kind, and one peer slot per replica
+	// fence, form a row.
+	s := rowState{tid: tid}
 	for _, r := range recs {
-		if tid < r.MinTid || tid > r.MaxTid {
-			continue
-		}
-		switch r.Kind {
-		case EvCommit:
-			if !haveCommit || r.At < commit {
-				commit, haveCommit = r.At, true
-			}
-		case EvGroupSeal:
-			if !haveSeal || r.At < seal {
-				seal, haveSeal = r.At, true
-			}
-		case EvPersistFence:
-			if !haveFence || r.At < fenceEnd {
-				fenceEnd, fenceDur, haveFence = r.At, r.Dur, true
-			}
-		case EvReplicaFence:
-			rfs = append(rfs, rfence{at: r.At, dur: r.Dur})
-		case EvAcked:
-			if !haveAcked || r.At < acked {
-				acked, haveAcked = r.At, true
-			}
+		switch {
+		case tid < r.MinTid || tid > r.MaxTid:
+		case r.Kind == EvReplicaFence:
+			s.peers = append(s.peers, [2]Record{1: r})
+		case r.Kind <= EvAcked && (s.stamps[r.Kind].Kind == 0 || r.At < s.stamps[r.Kind].At):
+			s.stamps[r.Kind] = r
 		}
 	}
-	if !haveCommit || !haveSeal || !haveFence || !haveAcked || acked < commit {
-		return cp, false
-	}
-	if quorum > 0 && len(rfs) < quorum {
-		return cp, false
+	return s.critpath(quorum)
+}
+
+// tile fills cp's segments from the window's boundary stamps: the
+// commit and acked stamps, the group seal, the persist fence ending at
+// fenceEnd after fenceDur and, when cp.Quorum > 0, the quorum-th
+// replica's fence arriving at qAt after qDur. Each boundary is clamped
+// into [commit, acked] after the one before it, so the segments sum to
+// acked - commit. It returns false when acked precedes commit.
+//
+//dudelint:noalloc
+func tile(cp *Critpath, commit, seal, fenceEnd, fenceDur, qAt, qDur, acked int64) bool {
+	if acked < commit {
+		return false
 	}
 	a := acked
-	clamp := func(x, lo int64) int64 {
-		if x < lo {
-			x = lo
-		}
-		if x > a {
-			x = a
-		}
-		return x
-	}
 	t0 := commit
-	t1 := clamp(seal, t0)
-	t2 := clamp(fenceEnd-fenceDur, t1)
-	t3 := clamp(fenceEnd, t2)
+	t1 := clampTo(seal, t0, a)
+	t2 := clampTo(fenceEnd-fenceDur, t1, a)
+	t3 := clampTo(fenceEnd, t2, a)
 	t4, t5 := t3, t3
-	if quorum > 0 {
-		// The ack whose arrival completed the quorum: the quorum-th
-		// smallest replica-fence arrival time.
-		sort.Slice(rfs, func(i, j int) bool { return rfs[i].at < rfs[j].at })
-		q := rfs[quorum-1]
-		t4 = clamp(q.at-q.dur, t3)
-		t5 = clamp(q.at, t4)
+	if cp.Quorum > 0 {
+		t4 = clampTo(qAt-qDur, t3, a)
+		t5 = clampTo(qAt, t4, a)
 		cp.Replicated = true
 	}
 	cp.Commit, cp.Acked, cp.Total = t0, a, a-t0
@@ -172,61 +149,46 @@ func DecomposeCritpath(tid uint64, recs []Record, quorum int) (Critpath, bool) {
 	cp.Seg[SegReplShip] = t4 - t3
 	cp.Seg[SegQuorumWait] = t5 - t4
 	cp.Seg[SegNotify] = a - t5
-	return cp, true
+	return true
 }
 
-// critState is the Observer's critical-path collector: completed
-// sampled transactions are handed over a buffered channel (non-blocking
-// from the stamp path: a full channel drops the sample and counts the
-// drop) to a background goroutine that reconstructs the timeline,
-// decomposes it and feeds the aggregate histograms. Decomposition
-// allocates — that is legal here, off the hot path.
+// clampTo returns x clamped into [lo, hi].
+func clampTo(x, lo, hi int64) int64 {
+	return min(max(x, lo), hi)
+}
+
+// critState is the Observer's critical-path aggregate: the acked
+// frontier hook decomposes each sampled transaction from its row as
+// the frontier passes it and folds the segments in here.
 type critState struct {
-	ch     chan uint64
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
 	quorum atomic.Int64
 
 	// mu makes each fold of txns, e2e and seg atomic to snapshot, so
 	// a scrape never reads an e2e count that disagrees with txns or
-	// segment sums from a larger population than e2e. Only the
-	// collector and snapshot take it.
+	// segment sums from a larger population than e2e.
 	mu         sync.Mutex
 	txns       atomic.Uint64 // decomposed transactions
 	incomplete atomic.Uint64 // timelines missing a required stamp
-	dropped    atomic.Uint64 // samples dropped on a full channel
+	dropped    atomic.Uint64 // sampled transactions whose row was held
 	e2e        Histogram     // commit→acked (ns), decomposed txns only
 	seg        [NumCritSegments]Histogram
 }
 
-// offer hands a completed sampled transaction to the collector. Never
-// blocks: callers sit on frontier-publication paths.
+// fold adds one decomposition to the aggregate, or counts the miss.
 //
-//dudelint:fencebudget 0
 //dudelint:noalloc
-func (c *critState) offer(tid uint64) {
-	if c.ch == nil {
+func (c *critState) fold(cp Critpath, ok bool) {
+	if !ok {
+		c.incomplete.Add(1)
 		return
 	}
-	select {
-	case c.ch <- tid:
-	default:
-		c.dropped.Add(1)
+	c.mu.Lock()
+	c.txns.Add(1)
+	c.e2e.Observe(uint64(cp.Total))
+	for i, d := range cp.Seg {
+		c.seg[i].Observe(uint64(d))
 	}
-}
-
-// close drains and stops the collector. The stop channel (not the work
-// channel) is closed: racing offers must never send on a closed
-// channel.
-func (c *critState) close() {
-	c.once.Do(func() {
-		if c.ch == nil {
-			return
-		}
-		close(c.stop)
-		c.wg.Wait()
-	})
+	c.mu.Unlock()
 }
 
 func (c *critState) snapshot() CritSnapshot {
@@ -244,72 +206,33 @@ func (c *critState) snapshot() CritSnapshot {
 	return s
 }
 
-// startCollector launches the background decomposition goroutine.
-// Called from New when sampling is on.
-func (o *Observer) startCollector() {
-	o.crit.ch = make(chan uint64, 1024)
-	o.crit.stop = make(chan struct{})
-	o.crit.wg.Add(1)
-	go o.collectLoop()
-}
-
-func (o *Observer) collectLoop() {
-	defer o.crit.wg.Done()
-	for {
-		select {
-		case tid := <-o.crit.ch:
-			o.critObserve(tid)
-		case <-o.crit.stop:
-			// Final drain: everything offered before close is observed.
-			for {
-				select {
-				case tid := <-o.crit.ch:
-					o.critObserve(tid)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (o *Observer) critObserve(tid uint64) {
-	cp, ok := DecomposeCritpath(tid, o.TraceOf(tid), int(o.crit.quorum.Load()))
-	if !ok {
-		o.crit.incomplete.Add(1)
-		return
-	}
-	o.crit.mu.Lock()
-	o.crit.txns.Add(1)
-	o.crit.e2e.Observe(uint64(cp.Total))
-	for i, d := range cp.Seg {
-		o.crit.seg[i].Observe(uint64(d))
-	}
-	o.crit.mu.Unlock()
-}
-
-// SetReplQuorum tells the collector the replication write quorum, so
-// decompositions wait for the quorum-th replica fence (0 =
-// unreplicated).
-func (o *Observer) SetReplQuorum(q int) {
-	o.crit.quorum.Store(int64(max(q, 0)))
-}
-
-// CritpathOf decomposes transaction tid from the live trace rings with
-// the configured quorum — the debug-endpoint view of one transaction.
+// CritpathOf decomposes transaction tid from its sample row with the
+// configured quorum — the debug-endpoint view of one transaction.
 func (o *Observer) CritpathOf(tid uint64) (Critpath, bool) {
-	return DecomposeCritpath(tid, o.TraceOf(tid), int(o.crit.quorum.Load()))
+	quorum := int(o.crit.quorum.Load())
+	if tid == 0 || !o.Sampled(tid) {
+		return Critpath{Tid: tid, Quorum: quorum}, false
+	}
+	r := o.row(tid)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.s.tid != tid {
+		return Critpath{Tid: tid, Quorum: quorum}, false
+	}
+	return r.s.critpath(quorum)
 }
 
 // CritSnapshot is the mergeable aggregate view of the critical-path
-// collector.
+// decompositions.
 type CritSnapshot struct {
 	// Txns counts transactions decomposed into the segment histograms.
 	Txns uint64
 	// Incomplete counts sampled transactions whose timeline was missing
-	// a required stamp (ring eviction, quorum fences not yet arrived).
+	// a required stamp when the acked frontier passed them (a replica
+	// fence short of the quorum).
 	Incomplete uint64
-	// Dropped counts samples dropped because the collector was behind.
+	// Dropped counts sampled transactions left untraced because their
+	// sample row still held an earlier transaction's trace.
 	Dropped uint64
 	// E2E is the commit→acked latency histogram (ns) over decomposed
 	// transactions (the population the segment histograms tile).
@@ -330,20 +253,6 @@ func (s CritSnapshot) Sub(b CritSnapshot) CritSnapshot {
 	}
 	for i := range s.Segments {
 		out.Segments[i] = s.Segments[i].Sub(b.Segments[i])
-	}
-	return out
-}
-
-// Merge returns the union of two aggregates.
-func (s CritSnapshot) Merge(b CritSnapshot) CritSnapshot {
-	out := CritSnapshot{
-		Txns:       s.Txns + b.Txns,
-		Incomplete: s.Incomplete + b.Incomplete,
-		Dropped:    s.Dropped + b.Dropped,
-		E2E:        s.E2E.Merge(b.E2E),
-	}
-	for i := range s.Segments {
-		out.Segments[i] = s.Segments[i].Merge(b.Segments[i])
 	}
 	return out
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // synthetic timeline: commit@100, seal@250, fence 400→500, replica
 // fences (peer0 ack@900 ingest 150, peer1 ack@1200 ingest 200),
@@ -127,51 +124,41 @@ func TestDecomposeCritpathClamping(t *testing.T) {
 }
 
 // TestCritpathCollector drives a full synthetic lifecycle through the
-// Observer hooks and waits for the background collector to fold it
+// Observer hooks: the acked pass decomposes it on the spot and folds it
 // into the aggregate.
 func TestCritpathCollector(t *testing.T) {
-	o := New(Config{SampleEvery: 1, Sources: 6})
-	defer o.Close()
-	o.SetReplQuorum(2)
-	o.Commit(0, 1)
-	seal := o.GroupSealed(1, 1, 1, 1, 4)
-	o.GroupPersisted(1, 1, 1, seal, o.Now(), o.Now()+1)
-	o.ReplShipped(4, 1, 1)
-	o.ReplSent(4, 1, 1, 0)
-	o.ReplicaFenced(4, 1, 1, 0, 500)
-	o.ReplicaFenced(4, 1, 1, 1, 700)
+	o := New(Config{SampleEvery: 1})
+	o.SetReplication(2, 2)
+	o.Commit(1)
+	o.GroupSealed(1, 1, 1, 4)
+	o.GroupPersisted(1, 1, o.Now(), o.Now()+1)
+	o.ReplShipped(1, 1)
+	o.ReplSent(1, 1, 0)
+	o.ReplicaFenced(1, 1, 0, 500)
+	o.ReplicaFenced(1, 1, 1, 700)
 	o.DurableAdvanced(1)
-	o.AckedAdvanced(5, 1)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c := o.Snapshot().Crit
-		if c.Txns == 1 {
-			if c.E2E.Count != 1 || c.Segments[SegQuorumWait].Count != 1 {
-				t.Fatalf("crit snapshot: %+v", c)
-			}
-			var segSum uint64
-			for _, s := range c.Segments {
-				segSum += s.Sum
-			}
-			if segSum != c.E2E.Sum {
-				t.Fatalf("segment sum %d != e2e sum %d", segSum, c.E2E.Sum)
-			}
-			break
-		}
-		if c.Incomplete != 0 {
-			t.Fatalf("collector counted the txn incomplete: %+v", c)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("collector never folded the txn: %+v", c)
-		}
-		time.Sleep(time.Millisecond)
+	o.AckedAdvanced(1)
+	c := o.Snapshot().Crit
+	if c.Txns != 1 || c.Incomplete != 0 || c.E2E.Count != 1 || c.Segments[SegQuorumWait].Count != 1 {
+		t.Fatalf("crit snapshot: %+v", c)
 	}
-	// Sub/Merge are closed over the crit aggregate too.
+	var segSum uint64
+	for _, s := range c.Segments {
+		segSum += s.Sum
+	}
+	if segSum != c.E2E.Sum {
+		t.Fatalf("segment sum %d != e2e sum %d", segSum, c.E2E.Sum)
+	}
+	// The row's decomposition is the one DecomposeCritpath builds from
+	// the row's records.
+	cp, ok := o.CritpathOf(1)
+	want, wantOK := DecomposeCritpath(1, o.TraceOf(1), 2)
+	if !ok || !wantOK || cp != want {
+		t.Fatalf("CritpathOf = %+v %v, from records %+v %v", cp, ok, want, wantOK)
+	}
+	// Sub is closed over the crit aggregate too.
 	s := o.Snapshot()
 	if d := s.Sub(s); d.Crit.Txns != 0 || d.Crit.E2E.Count != 0 {
 		t.Fatalf("self-sub not zero: %+v", d.Crit)
-	}
-	if m := s.Crit.Merge(s.Crit); m.Txns != 2*s.Crit.Txns {
-		t.Fatalf("merge txns = %d", m.Txns)
 	}
 }

@@ -1,21 +1,22 @@
 // Package obs is the low-overhead observability layer of the DudeTM
-// pipeline: per-source lock-free trace rings that stamp each sampled
-// transaction at commit, group-seal, persist-fence and reproduce-apply
-// (so TraceOf reconstructs the full Perform→Persist→Reproduce
-// timeline), power-of-two-bucket latency histograms with mergeable
-// snapshots, and a Prometheus text-format renderer for live scraping.
+// pipeline: one table of sample rows that follows each sampled
+// transaction through commit, group-seal, persist-fence and
+// reproduce-apply (so TraceOf reconstructs the full
+// Perform→Persist→Reproduce timeline, and the acked frontier
+// decomposes its critical path on the spot), power-of-two-bucket
+// latency histograms with mergeable snapshots, and a Prometheus
+// text-format renderer for live scraping.
 //
 // The package deliberately knows nothing about the transaction system:
 // dudetm calls the stamp hooks at its lifecycle points and obs only
 // records. Per-transaction work (trace stamps, commit→durable latency
 // tracking) is sampled 1-in-N and costs a single comparison when
-// sampling is disabled; per-group work (fence duration, group size,
-// queue dwell) is a few atomic adds and is always on.
+// sampling is disabled; per-group work (fence duration, group size) is
+// a few atomic adds and is always on.
 package obs
 
 import (
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -26,93 +27,57 @@ type Config struct {
 	// ID (1 traces everything, 0 disables tracing and per-transaction
 	// latency sampling entirely).
 	SampleEvery int
-	// Sources is the number of single-writer event sources (one trace
-	// ring each): Perform threads, the Persist coordinator and workers,
-	// and the Reproduce loop.
-	Sources int
-	// RingEntries is the per-source trace-ring capacity (default 4096,
-	// rounded up to a power of two).
-	RingEntries int
 }
 
 // Observer records lifecycle traces and latency histograms for one
-// system instance. All methods are safe for concurrent use; each trace
-// ring additionally requires a single writer (the source goroutine it
-// belongs to) — except the two replication rings, which are written by
-// several goroutines (per-peer sender loops, the acked-frontier
-// publishers) and are serialized by a dedicated mutex each (replMu for
-// the ship/sent/replica-fence ring, mu for the acked ring, stamped only
-// inside the pendAck drain). One lock domain per ring: two independent
-// locks writing one ring would tear its position counter.
+// system instance. All methods are safe for concurrent use.
+//
+// A sampled transaction's whole trace lives in one sample row. The row
+// belongs to the transaction from its first stamp on this node (Commit
+// on a primary, GroupIngested on a replica) until the durable,
+// reproduced and acked frontier hooks have all passed it; every stamp
+// takes the row's lock. A sampled transaction whose row is still held
+// by an earlier one is dropped and counted (CritSnapshot.Dropped), so
+// the latency histograms see exactly the transactions SampledCommits
+// counts. A released row keeps its trace until the next owner claims
+// it, which is what TraceOf reads.
 type Observer struct {
 	sampleEvery uint64
 	epoch       time.Time
-	rings       []*traceRing
 
-	// replMu serializes the multi-writer replication trace ring
-	// (EvReplShip from the coordinator, EvReplSent / EvReplicaFence
-	// from per-peer sender goroutines).
-	replMu sync.Mutex
+	// rows is the sample table, nil when tracing is off.
+	rows []sampleRow
+	// Frontier cursors: each frontier hook has passed every sampled
+	// transaction at or below its cursor. Concurrent callers (ModeSync
+	// publishes frontiers from every Perform thread) split the range by
+	// CAS, so each transaction is passed once.
+	durableCur, reproducedCur, ackedCur atomic.Uint64
 
-	// crit is the critical-path collector (critpath.go): completed
-	// sampled transactions are decomposed off the hot path by a
-	// background goroutine fed through a non-blocking channel.
+	// crit is the critical-path aggregate (critpath.go).
 	crit critState
 
 	// Histograms. Latencies are nanoseconds.
 	commitDurable Histogram // commit → durable-frontier pass (sampled)
 	commitRepro   Histogram // commit → reproduced-frontier pass (sampled)
 	fenceDur      Histogram // log append + persist barrier duration, per group
-	queueDwell    Histogram // group seal → persist-worker pickup, per group
 	groupTxns     Histogram // transactions per sealed group
 	groupEntries  Histogram // combined log entries per sealed group
 	epochGroups   Histogram // groups per coalesced replay epoch
 	epochEntries  Histogram // entries surviving coalescing per replay epoch
 
 	sampledCommits atomic.Uint64
-
-	// Sampled commits whose durability / reproduction latency is still
-	// pending. pendN gates the frontier-advance hooks so an advance
-	// with nothing pending costs one atomic load.
-	mu        sync.Mutex
-	pendDur   []pendTx
-	pendRepro []pendTx
-	pendAck   []pendTx
-	pendN     atomic.Int64
 }
 
-type pendTx struct {
-	tid uint64
-	at  int64
-}
+// New builds an Observer.
+func New(cfg Config) *Observer { return newObserver(cfg, traceRows) }
 
-// New builds an Observer. cfg.Sources must cover every source index
-// the stamp hooks will be called with.
-func New(cfg Config) *Observer {
-	if cfg.RingEntries <= 0 {
-		cfg.RingEntries = 4096
-	}
-	if cfg.Sources <= 0 {
-		cfg.Sources = 1
-	}
-	o := &Observer{
-		sampleEvery: uint64(max(cfg.SampleEvery, 0)),
-		epoch:       time.Now(),
-		rings:       make([]*traceRing, cfg.Sources),
-	}
-	for i := range o.rings {
-		o.rings[i] = newTraceRing(cfg.RingEntries)
-	}
+func newObserver(cfg Config, rows int) *Observer {
+	o := &Observer{sampleEvery: uint64(max(cfg.SampleEvery, 0)), epoch: time.Now()}
 	if o.sampleEvery != 0 {
-		o.startCollector()
+		o.rows = make([]sampleRow, rows)
 	}
 	return o
 }
-
-// Close stops the critical-path collector after draining it. Call it
-// once the stamp sources have quiesced (e.g. after the pipeline's
-// goroutines joined); safe to call more than once.
-func (o *Observer) Close() { o.crit.close() }
 
 // Now returns nanoseconds since the observer's epoch on the monotonic
 // clock — the timestamp base of every trace record.
@@ -120,9 +85,6 @@ func (o *Observer) Close() { o.crit.close() }
 //dudelint:fencebudget 0
 //dudelint:noalloc
 func (o *Observer) Now() int64 { return int64(time.Since(o.epoch)) }
-
-// SampleEvery returns the configured sampling period (0 = disabled).
-func (o *Observer) SampleEvery() int { return int(o.sampleEvery) }
 
 // Sampled reports whether transaction tid is traced.
 func (o *Observer) Sampled(tid uint64) bool {
@@ -137,74 +99,127 @@ func (o *Observer) rangeSampled(minTid, maxTid uint64) bool {
 	return n != 0 && maxTid/n*n >= minTid
 }
 
-// Commit stamps a committed write transaction. Call it on the
-// committing thread before the transaction is published to the Persist
-// step, so the commit stamp orders before every downstream stamp of
-// the same transaction. When the transaction is not sampled this is a
-// single comparison and no allocation (the sampled slow path may grow
-// the pending slices, so the zero-alloc claim stops there).
+// row returns sampled transaction tid's row.
+//
+//dudelint:noalloc
+func (o *Observer) row(tid uint64) *sampleRow {
+	return &o.rows[tid/o.sampleEvery%uint64(len(o.rows))]
+}
+
+// sampledIn returns the first and last sampled IDs of [minTid, maxTid]
+// whose rows a range stamp must visit: every sampled ID of the range,
+// or only the last len(rows) of them when the range is longer, which
+// still visits every row once. ok is false when none is sampled.
+//
+//dudelint:noalloc
+func (o *Observer) sampledIn(minTid, maxTid uint64) (first, last uint64, ok bool) {
+	n := o.sampleEvery
+	minTid = max(minTid, 1) // tid 0 is never assigned
+	if n == 0 || maxTid/n*n < minTid {
+		return 0, 0, false
+	}
+	first, last = (minTid+n-1)/n*n, maxTid/n*n
+	if span := uint64(len(o.rows)-1) * n; last-first > span {
+		first = last - span
+	}
+	return first, last, true
+}
+
+// Commit stamps a committed write transaction and claims its sample
+// row. Call it on the committing thread before the transaction is
+// published to the Persist step, so the commit stamp orders before
+// every downstream stamp of the same transaction. When the transaction
+// is not sampled this is a single comparison.
 //
 //dudelint:fencebudget 0
-func (o *Observer) Commit(src int, tid uint64) {
+//dudelint:noalloc
+func (o *Observer) Commit(tid uint64) {
 	if !o.Sampled(tid) {
 		return
 	}
-	at := o.Now()
-	o.rings[src].put(EvCommit, tid, tid, at, 0, 0)
-	o.sampledCommits.Add(1)
-	// The pending count is raised before the entries are visible, so a
-	// racing frontier advance can at worst take the mutex and find
-	// nothing — it can never miss a pending entry for good.
-	o.pendN.Add(3)
-	o.mu.Lock()
-	o.pendDur = append(o.pendDur, pendTx{tid: tid, at: at})
-	o.pendRepro = append(o.pendRepro, pendTx{tid: tid, at: at})
-	o.pendAck = append(o.pendAck, pendTx{tid: tid, at: at})
-	o.mu.Unlock()
+	if o.claim(tid, EvCommit, tid, tid, o.Now()) {
+		o.sampledCommits.Add(1)
+	}
+}
+
+// claim hands sampled transaction t's row to t, forgetting the previous
+// owner's trace, and stamps t's first event on this node; while the row
+// is still held it counts t dropped and returns false instead.
+//
+//dudelint:noalloc
+func (o *Observer) claim(t uint64, kind EventKind, minTid, maxTid uint64, at int64) bool {
+	r := o.row(t)
+	r.mu.Lock()
+	held := r.s.held()
+	if held {
+		o.crit.dropped.Add(1)
+	} else {
+		r.s = rowState{tid: t, peers: r.s.peers}
+		clear(r.s.peers)
+		r.s.stamp(kind, minTid, maxTid, at, 0, 0)
+	}
+	r.mu.Unlock()
+	return !held
+}
+
+// stampGroup stamps kind on the row of every sampled transaction of the
+// group [minTid, maxTid] that owns its row.
+//
+//dudelint:noalloc
+func (o *Observer) stampGroup(kind EventKind, minTid, maxTid uint64, at int64, peer int, dur int64) {
+	first, last, ok := o.sampledIn(minTid, maxTid)
+	for t := first; ok && t <= last; t += o.sampleEvery {
+		r := o.row(t)
+		r.mu.Lock()
+		if r.s.tid >= minTid && r.s.tid <= maxTid {
+			r.s.stamp(kind, minTid, maxTid, at, peer, dur)
+		}
+		r.mu.Unlock()
+	}
 }
 
 // GroupSealed stamps a sealed persist group covering [minTid, maxTid]
-// with txns transactions and entries combined log entries, and returns
-// the seal timestamp (for the queue-dwell measurement at pickup).
+// with txns transactions and entries combined log entries.
 //
 //dudelint:fencebudget 0
 //dudelint:noalloc
-func (o *Observer) GroupSealed(src int, minTid, maxTid uint64, txns, entries int) int64 {
+func (o *Observer) GroupSealed(minTid, maxTid uint64, txns, entries int) {
 	o.groupTxns.Observe(uint64(txns))
 	o.groupEntries.Observe(uint64(entries))
-	at := o.Now()
 	if o.rangeSampled(minTid, maxTid) {
-		o.rings[src].put(EvGroupSeal, minTid, maxTid, at, 0, 0)
+		o.stampGroup(EvGroupSeal, minTid, maxTid, o.Now(), 0, 0)
 	}
-	return at
+}
+
+// GroupIngested is GroupSealed for a group a replica received to
+// ingest: the replica never saw the group's commits, so this seal is
+// the first stamp its sampled transactions get on this node, and it
+// claims their rows.
+//
+//dudelint:fencebudget 0
+//dudelint:noalloc
+func (o *Observer) GroupIngested(minTid, maxTid uint64, entries int) {
+	o.groupTxns.Observe(maxTid - minTid + 1)
+	o.groupEntries.Observe(uint64(entries))
+	first, last, ok := o.sampledIn(minTid, maxTid)
+	if !ok {
+		return
+	}
+	at := o.Now()
+	for t := first; t <= last; t += o.sampleEvery {
+		o.claim(t, EvGroupSeal, minTid, maxTid, at)
+	}
 }
 
 // GroupPersisted stamps a group's completed log append and persist
-// barrier: startAt/endAt bound the append (fence duration), sealAt is
-// GroupSealed's return value (queue dwell = startAt-sealAt; pass 0
-// when the group was never queued, e.g. the synchronous commit path).
+// barrier; startAt/endAt bound the append (the fence duration).
 //
 //dudelint:fencebudget 0
 //dudelint:noalloc
-func (o *Observer) GroupPersisted(src int, minTid, maxTid uint64, sealAt, startAt, endAt int64) {
-	if d := endAt - startAt; d > 0 {
-		o.fenceDur.Observe(uint64(d))
-	} else {
-		o.fenceDur.Observe(0)
-	}
-	if sealAt > 0 {
-		if d := startAt - sealAt; d > 0 {
-			o.queueDwell.Observe(uint64(d))
-		} else {
-			o.queueDwell.Observe(0)
-		}
-	}
+func (o *Observer) GroupPersisted(minTid, maxTid uint64, startAt, endAt int64) {
+	o.fenceDur.ObserveSince(startAt, endAt)
 	if o.rangeSampled(minTid, maxTid) {
-		d := endAt - startAt
-		if d < 0 {
-			d = 0
-		}
-		o.rings[src].put(EvPersistFence, minTid, maxTid, endAt, 0, d)
+		o.stampGroup(EvPersistFence, minTid, maxTid, endAt, 0, endAt-startAt)
 	}
 }
 
@@ -213,9 +228,9 @@ func (o *Observer) GroupPersisted(src int, minTid, maxTid uint64, sealAt, startA
 //
 //dudelint:fencebudget 0
 //dudelint:noalloc
-func (o *Observer) GroupApplied(src int, minTid, maxTid uint64) {
+func (o *Observer) GroupApplied(minTid, maxTid uint64) {
 	if o.rangeSampled(minTid, maxTid) {
-		o.rings[src].put(EvReproApply, minTid, maxTid, o.Now(), 0, 0)
+		o.stampGroup(EvReproApply, minTid, maxTid, o.Now(), 0, 0)
 	}
 }
 
@@ -233,32 +248,24 @@ func (o *Observer) EpochCoalesced(groups, combEntries int) {
 }
 
 // ReplShipped stamps a sealed group's handoff to the replication sink
-// (frame build + per-peer enqueue done). src is the shared replication
-// trace ring; the stamp is serialized with the per-peer sender stamps
-// by replMu.
+// (frame build + per-peer enqueue done).
 //
 //dudelint:fencebudget 0
 //dudelint:noalloc
-func (o *Observer) ReplShipped(src int, minTid, maxTid uint64) {
-	if !o.rangeSampled(minTid, maxTid) {
-		return
+func (o *Observer) ReplShipped(minTid, maxTid uint64) {
+	if o.rangeSampled(minTid, maxTid) {
+		o.stampGroup(EvReplShip, minTid, maxTid, o.Now(), 0, 0)
 	}
-	o.replMu.Lock()
-	o.rings[src].put(EvReplShip, minTid, maxTid, o.Now(), 0, 0)
-	o.replMu.Unlock()
 }
 
 // ReplSent stamps a group's frame fully written to peer's socket.
 //
 //dudelint:fencebudget 0
 //dudelint:noalloc
-func (o *Observer) ReplSent(src int, minTid, maxTid uint64, peer int) {
-	if !o.rangeSampled(minTid, maxTid) {
-		return
+func (o *Observer) ReplSent(minTid, maxTid uint64, peer int) {
+	if o.rangeSampled(minTid, maxTid) {
+		o.stampGroup(EvReplSent, minTid, maxTid, o.Now(), peer, 0)
 	}
-	o.replMu.Lock()
-	o.rings[src].put(EvReplSent, minTid, maxTid, o.Now(), uint64(peer), 0)
-	o.replMu.Unlock()
 }
 
 // ReplicaFenced stamps a replica's acknowledgment of a group: the
@@ -269,124 +276,154 @@ func (o *Observer) ReplSent(src int, minTid, maxTid uint64, peer int) {
 //
 //dudelint:fencebudget 0
 //dudelint:noalloc
-func (o *Observer) ReplicaFenced(src int, minTid, maxTid uint64, peer int, ingestNanos int64) {
-	if !o.rangeSampled(minTid, maxTid) {
-		return
+func (o *Observer) ReplicaFenced(minTid, maxTid uint64, peer int, ingestNanos int64) {
+	if o.rangeSampled(minTid, maxTid) {
+		o.stampGroup(EvReplicaFence, minTid, maxTid, o.Now(), peer, ingestNanos)
 	}
-	if ingestNanos < 0 {
-		ingestNanos = 0
-	}
-	o.replMu.Lock()
-	o.rings[src].put(EvReplicaFence, minTid, maxTid, o.Now(), uint64(peer), ingestNanos)
-	o.replMu.Unlock()
 }
 
-// AckedAdvanced stamps the acknowledged-frontier pass for every pending
-// sampled transaction the new acked frontier covers (EvAcked into the
-// src ring, written only here under mu) and hands each completed
-// transaction to the critical-path collector. On an unreplicated
-// system the acked frontier is the durable frontier and the
-// decomposition simply has empty replication segments.
-//
-//dudelint:fencebudget 0
-func (o *Observer) AckedAdvanced(src int, frontier uint64) {
-	if o.pendN.Load() == 0 {
+// SetReplication sizes every row's per-peer stamps for peers
+// replication peers and sets the write quorum the critical-path
+// decomposition waits for (0 = unreplicated).
+func (o *Observer) SetReplication(peers, quorum int) {
+	o.crit.quorum.Store(int64(max(quorum, 0)))
+	if len(o.rows) == 0 || peers <= 0 {
 		return
 	}
-	now := o.Now()
-	o.mu.Lock()
-	kept := o.pendAck[:0]
-	done := 0
-	for _, p := range o.pendAck {
-		if p.tid <= frontier {
-			o.rings[src].put(EvAcked, p.tid, p.tid, now, 0, 0)
-			o.crit.offer(p.tid)
-			done++
-		} else {
-			kept = append(kept, p)
+	slab := make([][2]Record, len(o.rows)*peers)
+	for i := range o.rows {
+		r := &o.rows[i]
+		r.mu.Lock()
+		r.s.peers = slab[i*peers : (i+1)*peers : (i+1)*peers]
+		r.mu.Unlock()
+	}
+}
+
+// advance moves cur to frontier and returns the first ID of the range
+// this caller now owns, (old cursor, frontier]. ok is false when the
+// cursor is already there or the range holds no sampled ID (the cursor
+// then stays: the next caller's range takes the empty stretch along).
+//
+//dudelint:noalloc
+func (o *Observer) advance(cur *atomic.Uint64, frontier uint64) (from uint64, ok bool) {
+	for {
+		c := cur.Load()
+		if frontier <= c || !o.rangeSampled(c+1, frontier) {
+			return 0, false
+		}
+		if cur.CompareAndSwap(c, frontier) {
+			return c + 1, true
 		}
 	}
-	o.pendAck = kept
-	o.mu.Unlock()
-	if done > 0 {
-		o.pendN.Add(-int64(done))
+}
+
+// pass runs frontier hook `hook` over every owned row of [from, to]:
+// the latency histograms on the durable and reproduced passes, the
+// acked stamp and the critical-path decomposition on the acked pass.
+// The hook that completes the set releases the row.
+//
+//dudelint:noalloc
+func (o *Observer) pass(hook uint8, from, to uint64) {
+	now := o.Now()
+	quorum := int(o.crit.quorum.Load())
+	first, last, ok := o.sampledIn(from, to)
+	for t := first; ok && t <= last; t += o.sampleEvery {
+		r := o.row(t)
+		r.mu.Lock()
+		s := &r.s
+		if s.tid >= from && s.tid <= to && s.passed&hook == 0 {
+			s.passed |= hook
+			committed := s.stamps[EvCommit].Kind != 0
+			switch {
+			case hook == passedAcked:
+				s.stamp(EvAcked, s.tid, s.tid, now, 0, 0)
+				if committed {
+					o.crit.fold(s.critpath(quorum))
+				}
+			case !committed:
+			case hook == passedDurable:
+				o.commitDurable.ObserveSince(s.stamps[EvCommit].At, now)
+			case hook == passedReproduced:
+				o.commitRepro.ObserveSince(s.stamps[EvCommit].At, now)
+			}
+		}
+		r.mu.Unlock()
 	}
 }
 
-// DurableAdvanced records commit→durable latency for every pending
-// sampled transaction the new durable frontier covers.
+// DurableAdvanced records commit→durable latency for every sampled
+// transaction the new durable frontier passes.
 //
 //dudelint:fencebudget 0
+//dudelint:noalloc
 func (o *Observer) DurableAdvanced(frontier uint64) {
-	if o.pendN.Load() == 0 {
-		return
+	if from, ok := o.advance(&o.durableCur, frontier); ok {
+		o.pass(passedDurable, from, frontier)
 	}
-	o.drain(&o.pendDur, frontier, &o.commitDurable)
 }
 
 // ReproducedAdvanced records commit→reproduced latency for every
-// pending sampled transaction the new reproduced frontier covers.
+// sampled transaction the new reproduced frontier passes.
 //
 //dudelint:fencebudget 0
+//dudelint:noalloc
 func (o *Observer) ReproducedAdvanced(frontier uint64) {
-	if o.pendN.Load() == 0 {
-		return
-	}
-	o.drain(&o.pendRepro, frontier, &o.commitRepro)
-}
-
-func (o *Observer) drain(pend *[]pendTx, frontier uint64, h *Histogram) {
-	now := o.Now()
-	o.mu.Lock()
-	kept := (*pend)[:0]
-	done := 0
-	for _, p := range *pend {
-		if p.tid <= frontier {
-			if d := now - p.at; d > 0 {
-				h.Observe(uint64(d))
-			} else {
-				h.Observe(0)
-			}
-			done++
-		} else {
-			kept = append(kept, p)
-		}
-	}
-	*pend = kept
-	o.mu.Unlock()
-	if done > 0 {
-		o.pendN.Add(-int64(done))
+	if from, ok := o.advance(&o.reproducedCur, frontier); ok {
+		o.pass(passedReproduced, from, frontier)
 	}
 }
 
-// TraceOf reconstructs the lifecycle timeline of transaction tid from
-// every source's trace ring: all stable records whose ID range covers
-// tid, ordered by timestamp. For a sampled transaction still resident
-// in the rings this is commit → group-seal → persist-fence →
-// reproduce-apply; older transactions may have been overwritten and
-// return a partial (or empty) timeline. Tid 0 is never assigned and
-// has none.
+// AckedAdvanced stamps the acknowledged-frontier pass (EvAcked) for
+// every sampled transaction the new acked frontier passes and folds
+// its critical-path decomposition into the aggregate. On an
+// unreplicated system the acked frontier is the durable frontier and
+// the decomposition simply has empty replication segments.
+//
+//dudelint:fencebudget 0
+//dudelint:noalloc
+func (o *Observer) AckedAdvanced(frontier uint64) {
+	if from, ok := o.advance(&o.ackedCur, frontier); ok {
+		o.pass(passedAcked, from, frontier)
+	}
+}
+
+// TraceOf returns the lifecycle timeline of transaction tid from its
+// sample row, ordered by timestamp: commit → group-seal →
+// persist-fence → reproduce-apply, plus the replication and acked
+// stamps. An unsampled transaction, or one whose row a later
+// transaction has claimed, has none. Tid 0 is never assigned and has
+// none.
 func (o *Observer) TraceOf(tid uint64) []Record {
-	if tid == 0 {
-		return nil // collect reads 0 as "every record"
+	if tid == 0 || !o.Sampled(tid) {
+		return nil
 	}
+	r := o.row(tid)
+	r.mu.Lock()
 	var recs []Record
-	for _, r := range o.rings {
-		recs = r.collect(recs, tid)
+	if r.s.tid == tid {
+		recs = r.s.records(nil)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].At < recs[j].At })
+	r.mu.Unlock()
+	sortRecords(recs)
 	return recs
 }
 
-// TraceTail returns the most recent n stable records across all rings
+// TraceTail returns the most recent n records across the sample table
 // (all of them when n <= 0), newest last — the watchdog's diagnostic
-// dump.
+// dump. A group record shared by several sampled transactions is
+// listed once.
 func (o *Observer) TraceTail(n int) []Record {
 	var recs []Record
-	for _, r := range o.rings {
-		recs = r.collect(recs, 0)
+	for i := range o.rows {
+		r := &o.rows[i]
+		r.mu.Lock()
+		if r.s.tid != 0 {
+			recs = r.s.records(recs)
+		}
+		r.mu.Unlock()
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].At < recs[j].At })
+	sortRecords(recs)
+	recs = slices.Compact(recs)
 	if n > 0 && len(recs) > n {
 		recs = recs[len(recs)-n:]
 	}
@@ -409,8 +446,6 @@ type Snapshot struct {
 	// Fence is the per-group log-append + persist-barrier duration
 	// histogram (ns).
 	Fence HistSnapshot
-	// QueueDwell is the per-group seal→pickup dwell histogram (ns).
-	QueueDwell HistSnapshot
 	// GroupTxns is the transactions-per-sealed-group histogram.
 	GroupTxns HistSnapshot
 	// GroupEntries is the combined-entries-per-sealed-group histogram.
@@ -432,7 +467,6 @@ func (o *Observer) Snapshot() Snapshot {
 		CommitDurable:    o.commitDurable.Snapshot(),
 		CommitReproduced: o.commitRepro.Snapshot(),
 		Fence:            o.fenceDur.Snapshot(),
-		QueueDwell:       o.queueDwell.Snapshot(),
 		GroupTxns:        o.groupTxns.Snapshot(),
 		GroupEntries:     o.groupEntries.Snapshot(),
 		EpochGroups:      o.epochGroups.Snapshot(),
@@ -449,29 +483,10 @@ func (s Snapshot) Sub(b Snapshot) Snapshot {
 		CommitDurable:    s.CommitDurable.Sub(b.CommitDurable),
 		CommitReproduced: s.CommitReproduced.Sub(b.CommitReproduced),
 		Fence:            s.Fence.Sub(b.Fence),
-		QueueDwell:       s.QueueDwell.Sub(b.QueueDwell),
 		GroupTxns:        s.GroupTxns.Sub(b.GroupTxns),
 		GroupEntries:     s.GroupEntries.Sub(b.GroupEntries),
 		EpochGroups:      s.EpochGroups.Sub(b.EpochGroups),
 		EpochEntries:     s.EpochEntries.Sub(b.EpochEntries),
 		Crit:             s.Crit.Sub(b.Crit),
-	}
-}
-
-// Merge returns the union of two snapshots (e.g. from sharded
-// observers).
-func (s Snapshot) Merge(b Snapshot) Snapshot {
-	return Snapshot{
-		SampleEvery:      s.SampleEvery,
-		SampledCommits:   s.SampledCommits + b.SampledCommits,
-		CommitDurable:    s.CommitDurable.Merge(b.CommitDurable),
-		CommitReproduced: s.CommitReproduced.Merge(b.CommitReproduced),
-		Fence:            s.Fence.Merge(b.Fence),
-		QueueDwell:       s.QueueDwell.Merge(b.QueueDwell),
-		GroupTxns:        s.GroupTxns.Merge(b.GroupTxns),
-		GroupEntries:     s.GroupEntries.Merge(b.GroupEntries),
-		EpochGroups:      s.EpochGroups.Merge(b.EpochGroups),
-		EpochEntries:     s.EpochEntries.Merge(b.EpochEntries),
-		Crit:             s.Crit.Merge(b.Crit),
 	}
 }

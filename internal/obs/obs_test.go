@@ -61,27 +61,126 @@ func TestHistogramMergeSub(t *testing.T) {
 	}
 }
 
-func TestTraceRingWrap(t *testing.T) {
-	r := newTraceRing(8)
-	for i := uint64(1); i <= 20; i++ {
-		r.put(EvCommit, i, i, int64(i), 0, 0)
+// TestSampleRowReuse laps a table of 8 rows: a released row is
+// claimed by the next sampled transaction that maps to it, and only
+// that transaction's trace is left in it.
+func TestSampleRowReuse(t *testing.T) {
+	o := newObserver(Config{SampleEvery: 1}, 8)
+	for tid := uint64(1); tid <= 20; tid++ {
+		o.Commit(tid)
+		o.GroupSealed(tid, tid, 1, 1)
+		o.DurableAdvanced(tid)
+		o.ReproducedAdvanced(tid)
+		o.AckedAdvanced(tid)
 	}
-	recs := r.collect(nil, 0)
-	if len(recs) != 8 {
-		t.Fatalf("collected %d records from a ring of 8", len(recs))
+	recs := o.TraceTail(0)
+	if len(recs) != 8*3 {
+		t.Fatalf("TraceTail holds %d records, want 3 for each of 8 rows: %v", len(recs), recs)
 	}
 	for _, rec := range recs {
 		if rec.MinTid <= 12 {
-			t.Errorf("record for tid %d survived 20 puts in a ring of 8", rec.MinTid)
+			t.Errorf("record for tid %d survived 20 sampled commits in a table of 8", rec.MinTid)
 		}
 	}
-	if got := r.collect(nil, 15); len(got) != 1 || got[0].MinTid != 15 {
-		t.Fatalf("collect(tid=15) = %v", got)
+	if got := o.TraceOf(15); len(got) != 3 || got[0].Kind != EvCommit || got[0].MinTid != 15 {
+		t.Fatalf("TraceOf(15) = %v", got)
+	}
+	if got := o.TraceOf(7); len(got) != 0 {
+		t.Fatalf("TraceOf(7) = %v after tid 15 reused its row", got)
+	}
+	if d := o.Snapshot().Crit.Dropped; d != 0 {
+		t.Fatalf("dropped %d commits although every row was released", d)
+	}
+}
+
+// TestSampleTableDropsHeldRows fills a table of 8 rows with sampled
+// commits that no frontier has passed: every further sampled commit is
+// dropped and counted, and once the frontiers pass, the latency
+// histograms hold exactly the commits that were traced.
+func TestSampleTableDropsHeldRows(t *testing.T) {
+	o := newObserver(Config{SampleEvery: 2}, 8)
+	for tid := uint64(1); tid <= 40; tid++ {
+		o.Commit(tid)
+	}
+	s := o.Snapshot()
+	if s.SampledCommits != 8 || s.Crit.Dropped != 12 {
+		t.Fatalf("sampled %d dropped %d, want 8 traced and 12 dropped of 20", s.SampledCommits, s.Crit.Dropped)
+	}
+	if got := o.TraceOf(18); len(got) != 0 {
+		t.Fatalf("dropped tid 18 has a trace: %v", got)
+	}
+	o.DurableAdvanced(40)
+	o.ReproducedAdvanced(40)
+	o.AckedAdvanced(40)
+	s = o.Snapshot()
+	if s.CommitDurable.Count != s.SampledCommits || s.CommitReproduced.Count != s.SampledCommits {
+		t.Fatalf("commit→durable %d, commit→reproduced %d, want both = %d sampled commits",
+			s.CommitDurable.Count, s.CommitReproduced.Count, s.SampledCommits)
+	}
+	// No seal or fence was stamped, so no timeline decomposes.
+	if s.Crit.Incomplete != 8 || s.Crit.Txns != 0 {
+		t.Fatalf("crit %+v, want 8 incomplete", s.Crit)
+	}
+	// Released rows take the next commits again, with full timelines.
+	for tid := uint64(41); tid <= 56; tid++ {
+		o.Commit(tid)
+		o.GroupSealed(tid, tid, 1, 1)
+		o.GroupPersisted(tid, tid, o.Now(), o.Now())
+	}
+	o.DurableAdvanced(56)
+	o.ReproducedAdvanced(56)
+	o.AckedAdvanced(56)
+	s = o.Snapshot()
+	if s.SampledCommits != 16 || s.Crit.Dropped != 12 || s.Crit.Txns != 8 {
+		t.Fatalf("after release: sampled %d dropped %d decomposed %d, want 16/12/8",
+			s.SampledCommits, s.Crit.Dropped, s.Crit.Txns)
+	}
+	if s.CommitDurable.Count != s.SampledCommits || s.CommitReproduced.Count != s.SampledCommits {
+		t.Fatalf("commit→durable %d, commit→reproduced %d, want both = %d",
+			s.CommitDurable.Count, s.CommitReproduced.Count, s.SampledCommits)
+	}
+}
+
+// TestGroupIngestedClaimsRows: on a replica the ingest seal is a
+// sampled transaction's first stamp, so it claims the row; the
+// replica's later stamps extend the trace and its frontiers release it.
+func TestGroupIngestedClaimsRows(t *testing.T) {
+	o := newObserver(Config{SampleEvery: 2}, 4)
+	o.GroupIngested(1, 6, 12)
+	o.GroupPersisted(1, 6, o.Now(), o.Now()+1)
+	o.GroupApplied(1, 6)
+	recs := o.TraceOf(4)
+	want := []EventKind{EvGroupSeal, EvPersistFence, EvReproApply}
+	if len(recs) != len(want) {
+		t.Fatalf("TraceOf(4) = %v, want %v", recs, want)
+	}
+	for i, k := range want {
+		if recs[i].Kind != k || recs[i].MinTid != 1 || recs[i].MaxTid != 6 {
+			t.Fatalf("record %d = %+v, want %s over [1,6]", i, recs[i], k)
+		}
+	}
+	// A group of 10 sampled IDs over a table of 4 visits each row once,
+	// through its last 4 IDs: the three rows tids 2, 4 and 6 still hold
+	// drop theirs, and 24 takes the free row.
+	o.GroupIngested(7, 26, 20)
+	if d := o.Snapshot().Crit.Dropped; d != 3 {
+		t.Fatalf("dropped %d, want 3 on held rows", d)
+	}
+	for _, f := range []func(uint64){o.DurableAdvanced, o.ReproducedAdvanced, o.AckedAdvanced} {
+		f(26)
+	}
+	o.GroupIngested(27, 34, 8)
+	s := o.Snapshot()
+	if s.Crit.Dropped != 3 || s.SampledCommits != 0 || s.CommitDurable.Count != 0 || s.Crit.Txns+s.Crit.Incomplete != 0 {
+		t.Fatalf("replica rows: %+v", s)
+	}
+	if got := o.TraceOf(34); len(got) != 1 || got[0].Kind != EvGroupSeal {
+		t.Fatalf("TraceOf(34) = %v, want the ingest seal", got)
 	}
 }
 
 func TestSampling(t *testing.T) {
-	o := New(Config{SampleEvery: 4, Sources: 1})
+	o := New(Config{SampleEvery: 4})
 	for tid := uint64(1); tid <= 12; tid++ {
 		if got, want := o.Sampled(tid), tid%4 == 0; got != want {
 			t.Errorf("Sampled(%d) = %v, want %v", tid, got, want)
@@ -98,20 +197,23 @@ func TestSampling(t *testing.T) {
 			t.Errorf("rangeSampled(%d,%d) = %v, want %v", c.min, c.max, got, c.want)
 		}
 	}
-	off := New(Config{SampleEvery: 0, Sources: 1})
+	off := New(Config{SampleEvery: 0})
 	if off.Sampled(4) || off.rangeSampled(1, 100) {
 		t.Error("sampling disabled but Sampled/rangeSampled returned true")
+	}
+	if off.rows != nil {
+		t.Error("sampling disabled but the sample table was allocated")
 	}
 }
 
 func TestTraceOfTimeline(t *testing.T) {
-	o := New(Config{SampleEvery: 1, Sources: 3})
-	o.Commit(0, 7)
-	seal := o.GroupSealed(1, 6, 9, 4, 16)
+	o := New(Config{SampleEvery: 1})
+	o.Commit(7)
+	o.GroupSealed(6, 9, 4, 16)
 	start := o.Now()
 	end := o.Now() + 1
-	o.GroupPersisted(1, 6, 9, seal, start, end)
-	o.GroupApplied(2, 6, 9)
+	o.GroupPersisted(6, 9, start, end)
+	o.GroupApplied(6, 9)
 	recs := o.TraceOf(7)
 	if len(recs) != 4 {
 		t.Fatalf("TraceOf(7) = %d records, want 4: %v", len(recs), recs)
@@ -136,9 +238,9 @@ func TestTraceOfTimeline(t *testing.T) {
 }
 
 func TestPendingLatency(t *testing.T) {
-	o := New(Config{SampleEvery: 1, Sources: 1})
-	o.Commit(0, 1)
-	o.Commit(0, 2)
+	o := New(Config{SampleEvery: 1})
+	o.Commit(1)
+	o.Commit(2)
 	o.DurableAdvanced(1)
 	s := o.Snapshot()
 	if s.CommitDurable.Count != 1 {
@@ -146,108 +248,148 @@ func TestPendingLatency(t *testing.T) {
 	}
 	o.DurableAdvanced(5)
 	o.ReproducedAdvanced(5)
-	o.AckedAdvanced(0, 5)
+	o.AckedAdvanced(5)
 	s = o.Snapshot()
 	if s.CommitDurable.Count != 2 || s.CommitReproduced.Count != 2 {
 		t.Fatalf("after full advance: durable %d reproduced %d, want 2/2",
 			s.CommitDurable.Count, s.CommitReproduced.Count)
 	}
-	if o.pendN.Load() != 0 {
-		t.Fatalf("pendN = %d after draining everything", o.pendN.Load())
+	for tid := uint64(1); tid <= 2; tid++ {
+		if r := o.row(tid); r.s.held() {
+			t.Fatalf("row of tid %d still held after every frontier passed it", tid)
+		}
 	}
-	o.Close()
 }
 
 // TestDisabledHooksAllocFree pins the disabled-sampling hot path at
 // zero allocations: tracing off must cost a comparison, not garbage.
 func TestDisabledHooksAllocFree(t *testing.T) {
-	o := New(Config{SampleEvery: 0, Sources: 2})
+	o := New(Config{SampleEvery: 0})
 	tid := uint64(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		tid++
-		o.Commit(0, tid)
+		o.Commit(tid)
 		o.DurableAdvanced(tid)
 		o.ReproducedAdvanced(tid)
+		o.AckedAdvanced(tid)
 	}); n != 0 {
 		t.Fatalf("disabled per-txn hooks allocate %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		tid++
-		seal := o.GroupSealed(1, tid, tid, 1, 4)
-		o.GroupPersisted(1, tid, tid, seal, seal, seal+1)
-		o.GroupApplied(1, tid, tid)
+		o.GroupSealed(tid, tid, 1, 4)
+		at := o.Now()
+		o.GroupPersisted(tid, tid, at, at+1)
+		o.GroupApplied(tid, tid)
 	}); n != 0 {
 		t.Fatalf("per-group hooks allocate %.1f/op, want 0", n)
 	}
 }
 
-// TestSampledStampAllocFree pins the sampled ring stamp itself at zero
-// allocations (the pending-latency append may grow its slice; the
-// slices are primed first).
+// TestSampledStampAllocFree pins the sampled path at zero allocations:
+// the commit stamp and all three frontier passes, the acked pass's
+// critical-path decomposition included, whether a commit claims its
+// row or is dropped on a held one.
 func TestSampledStampAllocFree(t *testing.T) {
-	o := New(Config{SampleEvery: 1, Sources: 1})
-	o.pendDur = make([]pendTx, 0, 4096)
-	o.pendRepro = make([]pendTx, 0, 4096)
-	o.pendAck = make([]pendTx, 0, 4096)
+	o := newObserver(Config{SampleEvery: 1}, 64)
+	o.SetReplication(2, 1)
 	tid := uint64(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		tid++
-		o.Commit(0, tid)
+		o.Commit(tid)
+		o.GroupSealed(tid, tid, 1, 1)
+		o.GroupPersisted(tid, tid, o.Now(), o.Now())
+		o.ReplicaFenced(tid, tid, 1, 5)
+		o.DurableAdvanced(tid)
+		o.ReproducedAdvanced(tid)
+		o.AckedAdvanced(tid)
 	}); n != 0 {
-		t.Fatalf("sampled Commit allocates %.1f/op, want 0", n)
+		t.Fatalf("sampled stamps allocate %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		tid++
+		o.Commit(tid) // fills the table, then drops
+	}); n != 0 {
+		t.Fatalf("sampled Commit on a held table allocates %.1f/op, want 0", n)
+	}
+	if c := o.Snapshot().Crit; c.Txns == 0 || c.Dropped == 0 {
+		t.Fatalf("crit %+v: want decomposed and dropped transactions", c)
 	}
 }
 
-// TestTraceRingReaderRace drives a writer and a concurrent reader over
-// one ring; under -race this proves the seqlock publication is clean,
-// and in any mode it checks a reader never observes a torn record.
-func TestTraceRingReaderRace(t *testing.T) {
-	r := newTraceRing(64)
+// TestSampleRowReaderRace drives a writer that laps a table of 8 rows
+// against concurrent TraceOf and TraceTail readers; under -race this
+// proves the row locks order every stamp against every read, and in
+// any mode it checks a reader never sees a reused row's stamps mixed
+// with its previous owner's.
+func TestSampleRowReaderRace(t *testing.T) {
+	o := newObserver(Config{SampleEvery: 1}, 8)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	var lastTid atomic.Uint64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := uint64(1); ; i++ {
+		for tid := uint64(1); ; tid++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			// Tear detection: every field of a stable record carries i.
-			r.put(EvCommit, i, i, int64(i), i, int64(i))
+			o.Commit(tid)
+			o.GroupSealed(tid, tid, 1, 1)
+			// Tear detection: the fence record carries tid in its span.
+			end := o.Now()
+			o.GroupPersisted(tid, tid, end-int64(tid), end)
+			o.DurableAdvanced(tid)
+			o.ReproducedAdvanced(tid)
+			o.AckedAdvanced(tid)
+			lastTid.Store(tid)
 		}
 	}()
-	for n := 0; n < 200; n++ {
-		for _, rec := range r.collect(nil, 0) {
-			if rec.MinTid != rec.MaxTid || rec.At != int64(rec.MinTid) ||
-				rec.Arg != rec.MinTid || rec.Dur != rec.At {
+	for lastTid.Load() == 0 {
+		runtime.Gosched() // single-CPU hosts: let the writer start
+	}
+	check := func(recs []Record) {
+		for _, rec := range recs {
+			if rec.MinTid != rec.MaxTid || rec.Kind == EvPersistFence && rec.Dur != int64(rec.MinTid) {
 				t.Fatalf("torn record: %+v", rec)
 			}
 		}
+	}
+	for n := 0; n < 200; n++ {
+		tid := lastTid.Load()
+		recs := o.TraceOf(tid)
+		for _, rec := range recs {
+			if rec.MinTid != tid {
+				t.Fatalf("TraceOf(%d) returned a record of tid %d: %v", tid, rec.MinTid, recs)
+			}
+		}
+		check(recs)
+		check(o.TraceTail(0))
 	}
 	close(stop)
 	wg.Wait()
 }
 
 // TestTraceOfWraparoundRace races TraceOf against a writer that laps a
-// tiny ring many times over: a timeline read mid-wrap must come back
-// either as internally consistent records or as a clean miss — never
-// torn — and once the writer quiesces, the newest transaction's full
-// timeline is reconstructible. Run under -race this also proves the
-// seqlock publication across the wrap boundary.
+// tiny table many times over: a timeline read mid-lap must come back
+// either as a consistent, time-ordered prefix of the transaction's
+// stamps or as a clean miss, and once the writer quiesces, the newest
+// transaction's full timeline is reconstructible.
 func TestTraceOfWraparoundRace(t *testing.T) {
-	o := New(Config{SampleEvery: 1, Sources: 1, RingEntries: 8})
-	defer o.Close()
+	o := newObserver(Config{SampleEvery: 1}, 2)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var lastTid atomic.Uint64
-	// One timeline = three adjacent stamps; a ring of 8 holds barely two
-	// timelines, so the reader constantly observes slots mid-overwrite.
 	stamp := func(tid uint64) {
-		o.rings[0].put(EvCommit, tid, tid, int64(tid*10), tid, int64(tid))
-		o.rings[0].put(EvGroupSeal, tid, tid, int64(tid*10+1), tid, int64(tid))
-		o.rings[0].put(EvPersistFence, tid, tid, int64(tid*10+2), tid, int64(tid))
+		o.Commit(tid)
+		o.GroupSealed(tid, tid, 1, 1)
+		end := o.Now()
+		o.GroupPersisted(tid, tid, end-int64(tid), end)
+		o.DurableAdvanced(tid)
+		o.ReproducedAdvanced(tid)
+		o.AckedAdvanced(tid)
 	}
 	wg.Add(1)
 	go func() {
@@ -265,19 +407,20 @@ func TestTraceOfWraparoundRace(t *testing.T) {
 	for lastTid.Load() == 0 {
 		runtime.Gosched() // single-CPU hosts: let the writer start
 	}
+	kinds := []EventKind{EvCommit, EvGroupSeal, EvPersistFence, EvAcked}
 	for n := 0; n < 500; n++ {
 		tid := lastTid.Load()
 		recs := o.TraceOf(tid)
-		// Complete, partial-but-consistent, or clean miss — each
-		// surviving record must carry tid in every field (tear check)
-		// and the timeline must stay time-ordered.
+		if len(recs) > len(kinds) {
+			t.Fatalf("TraceOf(%d) = %d records: %v", tid, len(recs), recs)
+		}
 		var prevAt int64 = -1
-		for _, rec := range recs {
-			if rec.MinTid != tid || rec.MaxTid != tid || rec.Arg != tid ||
-				rec.Dur != int64(tid) || rec.At/10 != int64(tid) {
-				t.Fatalf("torn record for tid %d: %+v", tid, rec)
+		for i, rec := range recs {
+			if rec.Kind != kinds[i] || rec.MinTid != tid || rec.MaxTid != tid ||
+				rec.Kind == EvPersistFence && rec.Dur != int64(tid) {
+				t.Fatalf("TraceOf(%d) record %d = %+v: %v", tid, i, rec, recs)
 			}
-			if rec.At <= prevAt {
+			if rec.At < prevAt {
 				t.Fatalf("timeline out of order for tid %d: %v", tid, recs)
 			}
 			prevAt = rec.At
@@ -288,11 +431,11 @@ func TestTraceOfWraparoundRace(t *testing.T) {
 	// Quiescent: the newest timeline survived the last lap intact.
 	final := lastTid.Load()
 	recs := o.TraceOf(final)
-	if len(recs) != 3 {
-		t.Fatalf("quiescent TraceOf(%d) = %d records, want the complete 3-stamp timeline:\n%v",
+	if len(recs) != len(kinds) {
+		t.Fatalf("quiescent TraceOf(%d) = %d records, want the complete timeline:\n%v",
 			final, len(recs), recs)
 	}
-	for i, kind := range []EventKind{EvCommit, EvGroupSeal, EvPersistFence} {
+	for i, kind := range kinds {
 		if recs[i].Kind != kind {
 			t.Fatalf("record %d kind %s, want %s", i, recs[i].Kind, kind)
 		}
@@ -334,21 +477,22 @@ func TestPromRoundTrip(t *testing.T) {
 }
 
 func BenchmarkCommitDisabled(b *testing.B) {
-	o := New(Config{SampleEvery: 0, Sources: 1})
+	o := New(Config{SampleEvery: 0})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o.Commit(0, uint64(i))
+		o.Commit(uint64(i))
 	}
 }
 
 func BenchmarkCommitSampled(b *testing.B) {
-	o := New(Config{SampleEvery: 1, Sources: 1})
+	o := New(Config{SampleEvery: 1})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o.Commit(0, uint64(i)+1)
+		o.Commit(uint64(i) + 1)
 		if i%64 == 0 {
 			o.DurableAdvanced(uint64(i) + 1)
 			o.ReproducedAdvanced(uint64(i) + 1)
+			o.AckedAdvanced(uint64(i) + 1)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package obs
 
-import "sync/atomic"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // EventKind labels one point of the transaction lifecycle.
 type EventKind uint8
@@ -11,7 +15,7 @@ const (
 	// every downstream stamp of the same transaction).
 	EvCommit EventKind = iota + 1
 	// EvGroupSeal: the Persist coordinator sealed the group covering
-	// the transaction and handed it to a log writer.
+	// the transaction (on a replica: the group arrived for ingest).
 	EvGroupSeal
 	// EvPersistFence: the group's log append and persist barrier
 	// completed — the transaction is on NVM.
@@ -76,78 +80,119 @@ type Record struct {
 	Dur    int64
 }
 
-// traceRing is one event source's fixed-size trace buffer: a single
-// writer goroutine stamps records, any number of readers scan them
-// lock-free. Each slot is a seqlock (odd sequence = write in progress;
-// a reader that observes an unstable or changed sequence discards the
-// slot), so a reader never blocks the hot path and never observes a
-// torn record — at worst it misses the slot being overwritten.
-type traceRing struct {
-	slots []traceSlot
-	mask  uint64
-	pos   atomic.Uint64 // next write index (monotonic)
+// traceRows is the sample table's row count. Sampled transaction t
+// owns row (t/SampleEvery) mod traceRows, so the table holds the
+// traces of the last traceRows sampled transactions.
+const traceRows = 4096
+
+// The frontier hooks that have passed a row's transaction. A row is
+// held from its first stamp until all three have; a sampled
+// transaction whose row is still held is dropped, not traced.
+const (
+	passedDurable uint8 = 1 << iota
+	passedReproduced
+	passedAcked
+	passedAll = passedDurable | passedReproduced | passedAcked
+)
+
+// sampleRow is one sampled transaction's whole trace on this node,
+// guarded by its own lock.
+type sampleRow struct {
+	mu sync.Mutex
+	s  rowState
 }
 
-type traceSlot struct {
-	seq    atomic.Uint64
-	kind   atomic.Uint64
-	minTid atomic.Uint64
-	maxTid atomic.Uint64
-	at     atomic.Int64
-	arg    atomic.Uint64
-	dur    atomic.Int64
+// rowState holds a row's stamps as the records TraceOf returns, one
+// slot per kind and, for the per-peer kinds, per peer; a zero Kind is
+// an empty slot.
+type rowState struct {
+	tid    uint64 // owner (0: never claimed)
+	passed uint8  // frontier hooks that have passed tid
+	stamps [EvAcked + 1]Record
+	peers  [][2]Record // EvReplSent, EvReplicaFence per replication peer
 }
 
-func newTraceRing(capacity int) *traceRing {
-	c := uint64(1)
-	for c < uint64(capacity) {
-		c <<= 1
-	}
-	return &traceRing{slots: make([]traceSlot, c), mask: c - 1}
-}
+// held reports whether the row still belongs to its transaction.
+func (s *rowState) held() bool { return s.tid != 0 && s.passed != passedAll }
 
-// put stamps one record. Single writer per ring.
+// stamp records one lifecycle event over [minTid, maxTid] (the
+// transaction itself for EvCommit and EvAcked, its group otherwise).
+// The first stamp of a kind wins, so a peer re-acking after a
+// reconnect does not move its fence. peer is the replication peer
+// index on EvReplSent / EvReplicaFence, dur the span ending at at on
+// EvPersistFence / EvReplicaFence.
 //
 //dudelint:noalloc
-func (r *traceRing) put(kind EventKind, minTid, maxTid uint64, at int64, arg uint64, dur int64) {
-	p := r.pos.Load()
-	s := &r.slots[p&r.mask]
-	s.seq.Store(2*p + 1) // odd: write in progress
-	s.kind.Store(uint64(kind))
-	s.minTid.Store(minTid)
-	s.maxTid.Store(maxTid)
-	s.at.Store(at)
-	s.arg.Store(arg)
-	s.dur.Store(dur)
-	s.seq.Store(2*p + 2) // even: stable
-	r.pos.Store(p + 1)
+func (s *rowState) stamp(kind EventKind, minTid, maxTid uint64, at int64, peer int, dur int64) {
+	slot := &s.stamps[kind]
+	if kind == EvReplSent || kind == EvReplicaFence {
+		if peer < 0 || peer >= len(s.peers) {
+			return
+		}
+		slot = &s.peers[peer][kind-EvReplSent]
+	}
+	if slot.Kind == 0 {
+		*slot = Record{Kind: kind, MinTid: minTid, MaxTid: maxTid, At: at, Arg: uint64(peer), Dur: max(dur, 0)}
+	}
 }
 
-// collect appends to dst every stable record in the ring whose ID range
-// contains tid (tid == 0 collects everything). Readers race the writer;
-// slots mid-overwrite are skipped.
-func (r *traceRing) collect(dst []Record, tid uint64) []Record {
-	for i := range r.slots {
-		s := &r.slots[i]
-		seq := s.seq.Load()
-		if seq == 0 || seq&1 == 1 {
-			continue
+// records appends the row's stamps to dst.
+func (s *rowState) records(dst []Record) []Record {
+	for _, r := range s.stamps {
+		if r.Kind != 0 {
+			dst = append(dst, r)
 		}
-		rec := Record{
-			Kind:   EventKind(s.kind.Load()),
-			MinTid: s.minTid.Load(),
-			MaxTid: s.maxTid.Load(),
-			At:     s.at.Load(),
-			Arg:    s.arg.Load(),
-			Dur:    s.dur.Load(),
+	}
+	for _, p := range s.peers {
+		for _, r := range p {
+			if r.Kind != 0 {
+				dst = append(dst, r)
+			}
 		}
-		if s.seq.Load() != seq {
-			continue // overwritten mid-read
-		}
-		if tid != 0 && (tid < rec.MinTid || tid > rec.MaxTid) {
-			continue
-		}
-		dst = append(dst, rec)
 	}
 	return dst
+}
+
+// critpath decomposes the row's commit→acked window at the given
+// replication quorum (see DecomposeCritpath). ok is false when a
+// required stamp is missing or fewer than quorum replica fences
+// arrived.
+//
+//dudelint:noalloc
+func (s *rowState) critpath(quorum int) (Critpath, bool) {
+	cp := Critpath{Tid: s.tid, Quorum: quorum}
+	commit, seal, fence, acked := s.stamps[EvCommit], s.stamps[EvGroupSeal], s.stamps[EvPersistFence], s.stamps[EvAcked]
+	if commit.Kind == 0 || seal.Kind == 0 || fence.Kind == 0 || acked.Kind == 0 {
+		return cp, false
+	}
+	var q Record
+	if quorum > 0 {
+		// The ack whose arrival completed the quorum: the quorum-th
+		// earliest replica-fence arrival (ties in peer order).
+		for i, p := range s.peers {
+			rank := 0
+			for j, r := range s.peers {
+				if r[1].Kind != 0 && (r[1].At < p[1].At || r[1].At == p[1].At && j < i) {
+					rank++
+				}
+			}
+			if p[1].Kind != 0 && rank == quorum-1 {
+				q = p[1]
+				break
+			}
+		}
+		if q.Kind == 0 {
+			return cp, false
+		}
+	}
+	return cp, tile(&cp, commit.At, seal.At, fence.At, fence.Dur, q.At, q.Dur, acked.At)
+}
+
+// sortRecords orders records by time, then by kind and range, so
+// equal records sit side by side.
+func sortRecords(recs []Record) {
+	slices.SortStableFunc(recs, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.MinTid, b.MinTid), cmp.Compare(a.MaxTid, b.MaxTid), cmp.Compare(a.Arg, b.Arg))
+	})
 }

@@ -39,7 +39,7 @@ func TestCritpathReplicatedReconciliation(t *testing.T) {
 		last = tid
 	}
 	// WaitDurable returning nil means the quorum acked a frontier
-	// covering last — and the ack path stamps the trace ring before it
+	// covering last — and the ack path stamps the trace before it
 	// releases waiters, so every stamp of last's timeline is in place.
 	if err := pri.WaitDurable(last); err != nil {
 		t.Fatal(err)
@@ -112,8 +112,8 @@ func TestCritpathReplicatedReconciliation(t *testing.T) {
 		t.Errorf("replication segments empty in a replicated decomposition: %+v", cp.Seg)
 	}
 
-	// The background collector folds sampled transactions into the
-	// aggregate the /metrics endpoint exports.
+	// The acked pass folds sampled transactions into the aggregate the
+	// /metrics endpoint exports.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		crit := pri.Stats().Obs.Crit
@@ -124,5 +124,61 @@ func TestCritpathReplicatedReconciliation(t *testing.T) {
 			t.Fatalf("collector never decomposed a txn: %+v", crit)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReplicaTraceOf: a replica pool with tracing on traces the
+// sampled transactions it ingests — the ingest seal claims the row,
+// then its own persist fence and reproduce-apply extend it.
+func TestReplicaTraceOf(t *testing.T) {
+	cfg := testConfig()
+	cfg.TraceSampleEvery = 1
+	cfg.ReplFactor, cfg.ReplQuorum = 1, 1
+	r := startReplica(t, cfg)
+	defer r.close()
+	pri, snd := startPrimary(t, cfg, r)
+	defer pri.Close()
+	defer snd.Close()
+	if !snd.WaitConnected(1, 10*time.Second) {
+		t.Fatal("replica never connected")
+	}
+	var last uint64
+	for i := uint64(0); i < 20; i++ {
+		tid, err := pri.Run(0, func(tx *dudetm.Tx) error { tx.Store(i*8, i+1); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = tid
+	}
+	if err := pri.WaitDurable(last); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for r.sys.Reproduced() < last {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica reproduced %d, want %d", r.sys.Reproduced(), last)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	recs := r.sys.TraceOf(last)
+	want := []obs.EventKind{obs.EvGroupSeal, obs.EvPersistFence, obs.EvReproApply}
+	seen := map[obs.EventKind]int64{}
+	for _, rec := range recs {
+		if rec.MinTid > last || rec.MaxTid < last {
+			t.Fatalf("replica record %+v does not cover tid %d", rec, last)
+		}
+		seen[rec.Kind] = rec.At
+	}
+	for i, k := range want {
+		at, ok := seen[k]
+		if !ok {
+			t.Fatalf("replica TraceOf(%d) lacks %s: %v", last, k, recs)
+		}
+		if i > 0 && at < seen[want[i-1]] {
+			t.Fatalf("replica %s before %s: %v", k, want[i-1], recs)
+		}
+	}
+	if _, ok := seen[obs.EvCommit]; ok {
+		t.Fatalf("replica trace carries a commit stamp: %v", recs)
 	}
 }

@@ -357,6 +357,49 @@ func TestBacklogSealsWithinOneFrame(t *testing.T) {
 	}
 }
 
+// TestOversizedTxRefusedUnderReplication: a transaction whose group no
+// REPL frame can carry fails in Run with ErrTxTooLarge, rolled back
+// before anything is logged or shipped, instead of committing and
+// killing every peer's stream with its waiters stranded. Its writes
+// are scattered (each entry its own 16-byte run) and random, so its
+// encoded payload exceeds a frame even compressed; the ring and the
+// log would both hold it.
+func TestOversizedTxRefusedUnderReplication(t *testing.T) {
+	const words = 70_000
+	cfg := testConfig()
+	cfg.ReplFactor, cfg.ReplQuorum = 1, 1
+	cfg.DataSize = 4 << 20
+	cfg.LogBufBytes = 8 << 20
+	cfg.VLogEntries = 1 << 18
+	r := startReplica(t, cfg)
+	defer r.close()
+	pri, snd := startPrimary(t, cfg, r)
+	defer pri.Close()
+	defer snd.Close()
+	if !snd.WaitConnected(1, 10*time.Second) {
+		t.Fatal("replica never connected")
+	}
+	rng := rand.New(rand.NewSource(1))
+	if _, err := pri.Run(0, func(tx *dudetm.Tx) error {
+		for j := uint64(0); j < words; j++ {
+			tx.Store(j*16, rng.Uint64())
+		}
+		return nil
+	}); !errors.Is(err, dudetm.ErrTxTooLarge) {
+		t.Fatalf("a %d-write transaction under replication: Run = %v, want ErrTxTooLarge", words, err)
+	}
+	tid, err := pri.Run(0, func(tx *dudetm.Tx) error { tx.Store(8, 1); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pri.WaitDurable(tid); err != nil {
+		t.Fatalf("WaitDurable after the refused transaction: %v", err)
+	}
+	if st := snd.Stats(); st.OversizeDrops != 0 || st.DeadPeers != 0 {
+		t.Fatalf("sender dropped %d oversized group(s) and abandoned %d peer(s)", st.OversizeDrops, st.DeadPeers)
+	}
+}
+
 // heldPrimary is a Primary that holds every replica ack at the door of
 // the quorum gate until released.
 type heldPrimary struct {

@@ -47,7 +47,7 @@ type Primary interface {
 // PrimaryTracer is the optional tracing surface of a Primary: when the
 // quorum gate also implements it (dudetm.System and dude.Pool do), the
 // sender stamps per-peer frame-sent and replica-fence events into the
-// primary's trace rings, extending a sampled transaction's timeline
+// primary's sample rows, extending a sampled transaction's timeline
 // across nodes for critical-path decomposition. peer is the index into
 // Config.Peers.
 type PrimaryTracer interface {

@@ -82,7 +82,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Histogram("dudetm_commit_durable_seconds", "Commit to durable-fence latency of sampled transactions.", ob.CommitDurable, 1e-9)
 	p.Histogram("dudetm_commit_reproduced_seconds", "Commit to reproduce-apply latency of sampled transactions.", ob.CommitReproduced, 1e-9)
 	p.Histogram("dudetm_fence_seconds", "Per-group log append + persist barrier duration.", ob.Fence, 1e-9)
-	p.Histogram("dudetm_queue_dwell_seconds", "Per-group seal-to-pickup queue dwell.", ob.QueueDwell, 1e-9)
 	p.Histogram("dudetm_group_txns", "Transactions per sealed persist group.", ob.GroupTxns, 1)
 	p.Histogram("dudetm_group_entries", "Combined log entries per sealed persist group.", ob.GroupEntries, 1)
 	p.Histogram("dudetm_repro_epoch_groups", "Groups merged per coalesced replay epoch.", ob.EpochGroups, 1)
@@ -98,7 +97,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	crit := ob.Crit
 	p.Counter("dudetm_critpath_txns_total", "Sampled transactions decomposed into critical-path segments.", float64(crit.Txns))
 	p.Counter("dudetm_critpath_incomplete_total", "Sampled transactions whose timeline was missing a required stamp.", float64(crit.Incomplete))
-	p.Counter("dudetm_critpath_dropped_total", "Samples dropped because the critpath collector was behind.", float64(crit.Dropped))
+	p.Counter("dudetm_critpath_dropped_total", "Sampled transactions left untraced because their sample row still held an earlier transaction's trace.", float64(crit.Dropped))
 	p.Histogram("dudetm_critpath_e2e_seconds", "Commit to quorum-acked latency of decomposed transactions.", crit.E2E, 1e-9)
 	segNames := make([]string, obs.NumCritSegments)
 	for seg := range segNames {
@@ -229,7 +228,7 @@ func (s *Server) DebugHandler() http.Handler {
 // handleTrace serves lifecycle trace records. ?tid=N reconstructs one
 // sampled transaction's timeline (&format=chrome renders it as a
 // Chrome trace-event / Perfetto JSON document); without it the most
-// recent ?n= records (default 64) across all rings are dumped, oldest
+// recent ?n= records (default 64) across the sample table are dumped, oldest
 // first. An unknown tid is a 404, not an empty 200 — scripts piping
 // the output into Perfetto should fail loudly, and the body says why
 // the tid has no records.
@@ -247,7 +246,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 				http.Error(w, fmt.Sprintf("tid %d not sampled; tracing is off (start with -trace-sample)", tid), http.StatusNotFound)
 				return
 			}
-			http.Error(w, fmt.Sprintf("tid %d not sampled; sampling is 1-in-%d (or the records were evicted from the trace rings)", tid, every), http.StatusNotFound)
+			http.Error(w, fmt.Sprintf("tid %d not sampled; sampling is 1-in-%d (or its sample row has since traced a later transaction)", tid, every), http.StatusNotFound)
 			return
 		}
 		if r.URL.Query().Get("format") == "chrome" {

@@ -126,8 +126,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Critical-path decomposition: all 50 writes were sampled and acked
-	// before the scrape, so the background collector folds them in; poll
-	// briefly for the async drain.
+	// before the scrape, so the acked pass has folded them in; the poll
+	// is a safety margin.
 	deadline := time.Now().Add(5 * time.Second)
 	for m["dudetm_critpath_txns_total"] == 0 {
 		if time.Now().After(deadline) {
@@ -177,8 +177,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("/debug/trace?tid=25:\n%s", body)
 	}
 	// An unknown tid is a 404 whose body explains the sampling period;
-	// so is tid 0, which is never assigned (the trace rings read it as
-	// "every record", which must not leak out as one timeline).
+	// so is tid 0, which is never assigned (it must not read as an
+	// unclaimed row's empty timeline, nor as every record).
 	for _, tid := range []string{"999999", "0"} {
 		resp, err = http.Get(hs.URL + "/debug/trace?tid=" + tid)
 		if err != nil {

@@ -29,7 +29,8 @@ if rep.get("schema") != 1:
 counts = rep.get("counts")
 if not isinstance(counts, dict) or not counts:
     sys.exit("dudelint -json lacks per-analyzer counts")
-for name in ("persistorder", "fencepair", "fencebudget", "noalloc", "unlockpath"):
+for name in ("persistorder", "fencepair", "fencebudget", "noalloc", "unlockpath",
+             "crashcover", "tracestamp", "atomicmix"):
     if name not in counts:
         sys.exit(f"dudelint -json counts lack analyzer {name!r}")
 if not isinstance(rep.get("diagnostics"), list):
@@ -49,8 +50,9 @@ echo "== go test -race (pmem, stm, redolog, dudetm, server, obs, repl; tracing o
 # tracing-off degenerate case. internal/pmem because every stage stores
 # into the device and its line locks guard the persisted image against
 # concurrent first touches, write-backs and snapshots; internal/obs
-# rides along for the concurrent histogram-merge and trace-ring reader
-# tests; internal/repl because its sender/receiver goroutines race real
+# rides along for the concurrent histogram-merge and sample-row reuse
+# tests (readers racing a writer that laps the table); internal/repl
+# because its sender/receiver goroutines race real
 # TCP reconnects.
 DUDETM_TRACE_SAMPLE=4 go test -race -count=1 ./internal/pmem ./internal/stm ./internal/redolog ./internal/dudetm ./internal/server ./internal/obs ./internal/repl
 
