@@ -285,6 +285,8 @@ var (
 	// ErrTxTooLarge: Update's transaction wrote more words than one
 	// persistent log record (or the volatile log, or on a replicated
 	// pool one REPL frame) holds; it was rolled back and logged nothing.
+	// At the default volatile log of 16 Ki entries the cap is 16 383
+	// writes.
 	ErrTxTooLarge = idudetm.ErrTxTooLarge
 )
 

@@ -422,7 +422,8 @@ func TestRecordOverwriteByteBudget(t *testing.T) {
 			t.Errorf("overwrite %d flushed %d B of log, want 192", i, got)
 		}
 	}
-	// No replay epoch may coalesce a record's two overwrites.
+	// No replay epoch may hold both of a record's overwrites: it would
+	// write the record's lines back once.
 	reproduced("single overwrites")
 	for i := 0; i+1 < records; i += 2 {
 		if got := overwrite(i, addrs[i], addrs[i+1]); got != 320 {

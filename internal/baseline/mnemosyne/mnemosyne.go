@@ -16,8 +16,9 @@
 //     decoupled, so every commit stalls for the NVM write latency.
 //
 // Concurrency control is the same time-based orec scheme as
-// internal/stm, so throughput differences against DudeTM come from the
-// durability design, not the TM algorithm.
+// internal/stm, with the same four-word orec stripes, so throughput
+// differences against DudeTM come from the durability design, not the
+// TM algorithm.
 package mnemosyne
 
 import (
@@ -29,6 +30,7 @@ import (
 
 	"dudetm/internal/pmem"
 	"dudetm/internal/redolog"
+	"dudetm/internal/stm"
 )
 
 // ErrAborted is returned by Run when the user function called Abort.
@@ -160,7 +162,7 @@ func (s *System) Stats() (commits, aborts uint64) {
 }
 
 func (s *System) orecFor(addr uint64) *atomic.Uint64 {
-	return &s.orecs[(addr>>3)&s.mask]
+	return &s.orecs[(addr>>stm.StripeShift)&s.mask]
 }
 
 // Tx is the transaction handle (satisfies memdb.Ctx).

@@ -94,8 +94,14 @@ type Config struct {
 	// ShadowBytes is the shadow DRAM budget for paged configurations.
 	ShadowBytes uint64
 	// VLogEntries is the per-thread volatile redo-log capacity in
-	// entries (default 1<<20, the paper's one million; use a large
-	// value for the DUDETM-Inf configuration).
+	// entries, rounded up to a power of two (default 1<<14; the paper
+	// uses one million, and the DUDETM-Inf configuration a value large
+	// enough never to fill). In ModeAsync a transaction's writes and its
+	// end mark must fit the ring, so the default caps a transaction at
+	// 16 383 writes: Run refuses a larger one with ErrTxTooLarge. The
+	// smaller ring keeps each Perform thread's log cache resident; a
+	// burst it cannot absorb blocks the committer until Persist frees
+	// space.
 	VLogEntries int
 	// LogBufBytes is the size of each persistent log buffer (default
 	// 8 MiB).
@@ -149,7 +155,7 @@ func (c *Config) applyDefaults() {
 		c.Threads = 1
 	}
 	if c.VLogEntries == 0 {
-		c.VLogEntries = 1 << 20
+		c.VLogEntries = 1 << 14
 	}
 	if c.LogBufBytes == 0 {
 		c.LogBufBytes = 8 << 20

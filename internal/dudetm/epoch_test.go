@@ -8,20 +8,22 @@ import (
 	"dudetm/internal/pmem"
 )
 
-// TestEpochCoalesceLastWriterWins pins the correctness core of replay
-// epochs: when a dense backlog of groups is coalesced, duplicate
-// addresses must resolve to the LAST writer in transaction-ID order
-// (the MOD property replay relies on). Every transaction overwrites
-// the same shared words with values tagged by its index, so a
-// first-writer or unordered merge would surface immediately; a unique
-// per-transaction word checks that non-duplicated entries survive
-// coalescing untouched. The per-group path runs the same workload with
+// TestEpochReplayLastWriterWins pins the correctness core of replay
+// epochs: when a dense backlog of groups is replayed under one fence,
+// duplicate addresses must resolve to the LAST writer in transaction-ID
+// order (the MOD property replay relies on). Every transaction
+// overwrites the same shared line with values tagged by its index, so a
+// first-writer or unordered replay would surface immediately; a unique
+// per-transaction word, alone on its line, checks that the other
+// entries survive untouched. Each fence writes back every line its
+// epoch stored exactly once: the shared line once per fence, each
+// unique line once. The per-group path runs the same workload with
 // each transaction reproduced before the next commits, so no dense
 // successor is ever queued.
-func TestEpochCoalesceLastWriterWins(t *testing.T) {
+func TestEpochReplayLastWriterWins(t *testing.T) {
 	const (
 		txs    = 256
-		shared = 8
+		shared = 8 // words: exactly one line
 		unique = 0x4000
 	)
 	for _, backlog := range []bool{true, false} {
@@ -35,8 +37,8 @@ func TestEpochCoalesceLastWriterWins(t *testing.T) {
 		if backlog {
 			// Freeze Reproduce so the whole workload queues as a dense
 			// backlog, then release it: epoch formation slurps the
-			// backlog and coalesces it.
-			path = "coalesced"
+			// backlog and replays it in epochs.
+			path = "epoch"
 			s.PauseReproduce()
 		}
 		var last uint64
@@ -45,7 +47,7 @@ func TestEpochCoalesceLastWriterWins(t *testing.T) {
 				for j := uint64(0); j < shared; j++ {
 					tx.Store(j*8, i<<8|j)
 				}
-				tx.Store(unique+i*8, i+1)
+				tx.Store(unique+i*pmem.LineSize, i+1)
 				return nil
 			})
 			if err != nil {
@@ -72,10 +74,6 @@ func TestEpochCoalesceLastWriterWins(t *testing.T) {
 			if st.Reproduce.Epochs == 0 {
 				t.Errorf("%s: dense %d-group backlog formed no replay epochs", path, txs)
 			}
-			if st.Reproduce.CoalesceOut >= st.Reproduce.CoalesceIn {
-				t.Errorf("%s: coalescing removed nothing: in=%d out=%d",
-					path, st.Reproduce.CoalesceIn, st.Reproduce.CoalesceOut)
-			}
 			// The epoch economy: one replay fence per epoch of
 			// replayEpochGroups groups, not one per group.
 			if want := uint64(txs / replayEpochGroups); st.Reproduce.Fences > want {
@@ -89,6 +87,12 @@ func TestEpochCoalesceLastWriterWins(t *testing.T) {
 			if st.Reproduce.Fences != txs {
 				t.Errorf("%s: %d replay fences for %d groups, want one per group", path, st.Reproduce.Fences, txs)
 			}
+		}
+		// Every fence writes back the shared line once, and each unique
+		// line is written back once overall.
+		if want := st.Reproduce.Fences + txs; st.Reproduce.LinesFlushed != want {
+			t.Errorf("%s: %d lines written back under %d fences, want %d (each distinct line once per fence)",
+				path, st.Reproduce.LinesFlushed, st.Reproduce.Fences, want)
 		}
 
 		// The persistent data region must hold exactly the last writes.
@@ -107,7 +111,7 @@ func TestEpochCoalesceLastWriterWins(t *testing.T) {
 				}
 			}
 			for i := uint64(0); i < txs; i++ {
-				if got := tx.Load(unique + i*8); got != i+1 {
+				if got := tx.Load(unique + i*pmem.LineSize); got != i+1 {
 					t.Errorf("%s: unique word of tx %d = %d, want %d", path, i, got, i+1)
 				}
 			}
@@ -121,13 +125,13 @@ func TestEpochCoalesceLastWriterWins(t *testing.T) {
 }
 
 // TestCrashMidEpochRecovery is the crash drill for epoch replay: with
-// coalesced epochs demonstrably running, freeze Reproduce, commit a
+// replay epochs demonstrably running, freeze Reproduce, commit a
 // durable tail so replay is strictly behind the acked frontier, then
 // release the backlog and kill the system while its replay is in
 // flight. The teardown path abandons the epoch-granular recycle
 // bookkeeping wherever it stood (Crash never flushes pending
 // recycles), so the image recovery sees has durable-but-unreplayed
-// groups and stale recycle watermarks behind coalesced epochs. Recovery
+// groups and stale recycle watermarks behind replay epochs. Recovery
 // must reproduce the exact last-writer-wins image of every
 // acknowledged transaction, the durability audit must accept the
 // acked frontier, and a second recovery of the same crash image must

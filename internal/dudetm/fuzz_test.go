@@ -42,7 +42,7 @@ func TestCrashRecoveryFuzz(t *testing.T) {
 		// Optionally freeze a pipeline stage before the workload so the
 		// crash catches the system at different depths. A frozen
 		// Reproduce resumes on a dense backlog and replays it in
-		// coalesced epochs; an unfrozen one mostly replays per group.
+		// epochs; an unfrozen one mostly replays per group.
 		freeze := rng.Intn(3) // 0: none, 1: reproduce, 2: persist+reproduce
 		if freeze >= 1 {
 			s.PauseReproduce()

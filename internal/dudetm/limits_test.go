@@ -182,3 +182,58 @@ func TestOversizedTxFails(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultRingCapsTransaction pins the transaction cap of an
+// unreplicated pool at the default ring size: 16 383 writes, one short of
+// the 16 Ki-entry ring (the end mark takes the last slot). A transaction
+// of 16 384 writes fails with ErrTxTooLarge and is rolled back, and the
+// next write still becomes durable. Only the data size departs from the
+// defaults, so the pool stays small.
+func TestDefaultRingCapsTransaction(t *testing.T) {
+	const limit = 1<<14 - 1
+	s, err := Create(Config{DataSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.maxTxWrites != limit {
+		t.Fatalf("maxTxWrites = %d, want %d", s.maxTxWrites, limit)
+	}
+	if _, err := runWithin(t, s, func(tx *Tx) error {
+		for i := uint64(0); i <= limit; i++ {
+			tx.Store(i*8, i+1)
+		}
+		return nil
+	}); !errors.Is(err, ErrTxTooLarge) {
+		t.Fatalf("transaction of %d writes: err = %v, want ErrTxTooLarge", limit+1, err)
+	}
+	if st := s.Stats(); st.Committed != 0 || st.Clock != 0 {
+		t.Fatalf("refused transaction left a trace: committed %d, clock %d", st.Committed, st.Clock)
+	}
+	runWithin(t, s, func(tx *Tx) error {
+		for i := uint64(0); i <= limit; i++ {
+			if v := tx.Load(i * 8); v != 0 {
+				t.Fatalf("word %d = %d after the refused transaction, want 0", i, v)
+			}
+		}
+		return nil
+	})
+	last, err := runWithin(t, s, func(tx *Tx) error { tx.Store(8, 42); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitDurable(last); err != nil {
+		t.Fatal(err)
+	}
+	s.Crash()
+	s2, err := Recover(restoreInto(s), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	s2.Run(0, func(tx *Tx) error {
+		if v0, v1 := tx.Load(0), tx.Load(8); v0 != 0 || v1 != 42 {
+			t.Errorf("after recovery words 0, 1 = %d, %d; want 0, 42", v0, v1)
+		}
+		return nil
+	})
+}

@@ -195,7 +195,7 @@ func TestCritpathFenceBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Commit under a frozen Reproduce, so the whole run queues as a
-		// dense backlog and replay coalesces it into epochs every time,
+		// dense backlog and replay groups it into epochs every time,
 		// however the scheduler interleaves the stages.
 		s.PauseReproduce()
 		var last uint64

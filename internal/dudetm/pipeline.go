@@ -1,7 +1,6 @@
 package dudetm
 
 import (
-	"container/heap"
 	"runtime"
 	"time"
 
@@ -73,21 +72,25 @@ func (s *System) persistLoop() {
 	// consume moves the transaction at the head of th's ring — the
 	// next ID — into the open group, sealing the group first when the
 	// transaction could take it past the entry limit (Run keeps every
-	// transaction within one log record on its own). It returns false
-	// if that seal found the system halted.
+	// transaction within one log record on its own). The entries are
+	// read in place and their ring slots released once copied or
+	// combined. It returns false if that seal found the system halted.
 	consume := func(th *thread) bool {
+		a, b, _ := th.ring.NextTx()
+		n := len(a) + len(b)
 		if s.cfg.GroupSize == 1 {
 			ep = getEntrySlice()
-			*ep, _ = th.ring.ConsumeTx((*ep)[:0])
-			s.rawEntries.Add(uint64(len(*ep)))
-			s.combEntries.Add(uint64(len(*ep)))
+			*ep = append(append((*ep)[:0], a...), b...)
+			s.rawEntries.Add(uint64(n))
+			s.combEntries.Add(uint64(n))
 		} else {
-			th.scratch, _ = th.ring.ConsumeTx(th.scratch[:0])
-			if comb.Len()+len(th.scratch) > s.groupEntryLimit() && !seal() {
+			if comb.Len()+n > s.groupEntryLimit() && !seal() {
 				return false
 			}
-			comb.AddAll(th.scratch)
+			comb.AddAll(a)
+			comb.AddAll(b)
 		}
+		th.ring.Release()
 		if gCount == 0 {
 			gMin = nextTid
 		}
@@ -216,33 +219,38 @@ func (s *System) persistGroup(g *redolog.Group, ep *[]redolog.Entry) bool {
 // run's values in a stack buffer of this many words.
 const runChunk = 64
 
-// applyRuns stores entries into the persistent data region at base and
-// writes the stored lines back into b — the one replay primitive shared
-// by recovery and the Reproduce step. It cuts entries into the same
-// contiguous runs the log encoded (redolog.RunLen) and issues one
-// Device.StoreRun and one Batch.Flush per run: words are stored
-// single-copy atomically and in entry order
-// (so a duplicate address keeps last-writer-wins), dirty marking is
-// per line and accounting per run. All stores precede all flushes, so
-// a line two runs share is written back once — the second flush finds
-// it clean. The fence stays with the caller.
+// applyRuns stores the entries of groups, in group order, into the
+// persistent data region at base and writes the stored lines back into
+// b — the one replay primitive shared by recovery and the Reproduce
+// step. It cuts each group's entries into the same contiguous runs the
+// log encoded (redolog.RunLen) and issues one Device.StoreRun and one
+// Batch.Flush per run: words are stored single-copy atomically and in
+// tid order (so a duplicate address keeps last-writer-wins, within a
+// group and across groups), dirty marking is per line and accounting
+// per run. All stores precede all flushes, so a line several runs or
+// groups share is written back once — every later flush finds it
+// clean, by its dirty bit. The fence stays with the caller.
 //
 //dudelint:noalloc
 //dudelint:fencebudget 0
-func applyRuns(dev *pmem.Device, b *pmem.Batch, base uint64, entries []redolog.Entry) {
+func applyRuns(dev *pmem.Device, b *pmem.Batch, base uint64, groups []repoMsg) {
 	var vals [runChunk]uint64
-	for rest := entries; len(rest) > 0; {
-		n := redolog.RunLen(rest, runChunk)
-		for i, e := range rest[:n] {
-			vals[i] = e.Val
+	for _, m := range groups {
+		for rest := m.g.Entries; len(rest) > 0; {
+			n := redolog.RunLen(rest, runChunk)
+			for i, e := range rest[:n] {
+				vals[i] = e.Val
+			}
+			dev.StoreRun(base+rest[0].Addr, vals[:n])
+			rest = rest[n:]
 		}
-		dev.StoreRun(base+rest[0].Addr, vals[:n])
-		rest = rest[n:]
 	}
-	for rest := entries; len(rest) > 0; {
-		n := redolog.RunLen(rest, len(rest))
-		b.Flush(base+rest[0].Addr, 8*uint64(n))
-		rest = rest[n:]
+	for _, m := range groups {
+		for rest := m.g.Entries; len(rest) > 0; {
+			n := redolog.RunLen(rest, len(rest))
+			b.Flush(base+rest[0].Addr, 8*uint64(n))
+			rest = rest[n:]
+		}
 	}
 }
 
@@ -256,35 +264,11 @@ const recycleInterval = 500 * time.Microsecond
 const recycleEvery = 64
 
 // replayEpochGroups caps how many consecutive groups the Reproduce
-// step coalesces into one replay epoch once it has fallen behind (a
-// dense backlog is buffered).
+// step replays under one fence once it has fallen behind (a dense
+// backlog is queued).
 const replayEpochGroups = 16
 
-// replayEpochEntries bounds the combined (pre-coalesce) entry count of
-// one replay epoch, so huge groups don't pile into unbounded epoch
-// buffers.
-const replayEpochEntries = 1 << 16
-
-// reproState owns the Reproduce loop's pooled replay buffers: the
-// loop-lifetime flush batch (Fence resets it for reuse) and the epoch
-// combiner. Everything here is allocated once, so steady-state replay —
-// per-group or per-epoch — allocates nothing.
-type reproState struct {
-	batch *pmem.Batch
-	comb  *redolog.Combiner
-	epoch []repoMsg // dense run being coalesced, in ascending tid order
-}
-
-// newReproState allocates the replay buffers.
-func newReproState(s *System) *reproState {
-	return &reproState{
-		batch: s.dev.NewBatch(),
-		comb:  redolog.NewCombiner(),
-		epoch: make([]repoMsg, 0, replayEpochGroups),
-	}
-}
-
-// replayEntries stores one combined, ID-ordered entry run into the
+// replayEpoch stores a dense, ID-ordered run of groups into the
 // persistent data region and writes it back at cache-line granularity
 // under a single fence. Every dirty line is written back exactly once —
 // the return value counts them off the volume the fence ordered — and
@@ -293,38 +277,86 @@ func newReproState(s *System) *reproState {
 // issues.
 //
 // The budget pins the epoch fence economy: exactly one barrier per
-// replay run, whether the run is one group or a whole coalesced epoch.
+// replay run, whether the run is one group or a whole epoch.
 //
 //dudelint:noalloc
 //dudelint:fencebudget 1
-func (s *System) replayEntries(rs *reproState, entries []redolog.Entry) (lines uint64) {
-	applyRuns(s.dev, rs.batch, s.lay.dataOff, entries)
-	return rs.batch.Fence() / pmem.LineSize
+func (s *System) replayEpoch(b *pmem.Batch, epoch []repoMsg) (lines uint64) {
+	applyRuns(s.dev, b, s.lay.dataOff, epoch)
+	return b.Fence() / pmem.LineSize
+}
+
+// replayQueue holds persisted groups awaiting replay, in MinTid order,
+// from head on. ModeAsync's coordinator hands groups over in tid order,
+// so a push is an append; ModeSync's per-thread appends can arrive
+// late, and a late group is slotted in by a short scan from the back.
+type replayQueue struct {
+	msgs []repoMsg
+	head int
+}
+
+func (q *replayQueue) len() int { return len(q.msgs) - q.head }
+
+func (q *replayQueue) push(m repoMsg) {
+	q.msgs = append(q.msgs, m)
+	i := len(q.msgs) - 1
+	for ; i > q.head && q.msgs[i-1].g.MinTid > m.g.MinTid; i-- {
+		q.msgs[i] = q.msgs[i-1]
+	}
+	q.msgs[i] = m
+}
+
+// dense returns the queued run that continues next with no gap, at most
+// limit groups long (empty when the group holding next has not arrived).
+func (q *replayQueue) dense(next uint64, limit int) []repoMsg {
+	run := q.msgs[q.head:min(len(q.msgs), q.head+limit)]
+	for i, m := range run {
+		if m.g.MinTid != next {
+			return run[:i]
+		}
+		next = m.g.MaxTid + 1
+	}
+	return run
+}
+
+// pop drops the first n queued groups. The backing array is reused:
+// reset once the queue empties, compacted once half of it is consumed.
+func (q *replayQueue) pop(n int) {
+	clear(q.msgs[q.head : q.head+n]) // drop the group/slice references
+	q.head += n
+	if q.head == len(q.msgs) {
+		q.msgs, q.head = q.msgs[:0], 0
+	} else if 2*q.head >= cap(q.msgs) {
+		q.msgs = q.msgs[:copy(q.msgs, q.msgs[q.head:])]
+		q.head = 0
+	}
 }
 
 // reproduceLoop is the Reproduce step: replay persisted groups in
 // transaction-ID order into the persistent data region, then recycle
 // their log space. Groups may arrive out of order (per-thread flushes in
-// ModeSync), so a min-heap buffers them until the next dense ID range is
-// available.
+// ModeSync), so an ordered queue buffers them until the next dense ID
+// range is available.
 //
-// When Reproduce has fallen behind — a dense backlog is buffered — up
-// to replayEpochGroups consecutive groups are coalesced into one replay
-// epoch: duplicate addresses collapse last-writer-wins (only
-// per-address last-writer order matters during replay — MOD), each
-// dirty cache line is written back once, and a single fence covers the
-// whole epoch. This is sound because replay is idempotent (re-storing a
-// prefix of an epoch after a crash is repaired by recovery replaying
-// the same groups from the log) and §3.4's data-before-recycle ordering
-// holds at epoch granularity: every Recycle below happens after the
-// epoch fence that made its groups' data durable. Under light load the
-// heap never holds a dense successor and the per-group fast path runs
-// unchanged.
+// When Reproduce has fallen behind — a dense backlog is queued — up to
+// replayEpochGroups consecutive groups are replayed as one epoch: every
+// group's stores land in tid order, so a duplicate address ends with its
+// last writer's value (only per-address last-writer order matters
+// during replay — MOD), then every stored line is written back once,
+// found by its dirty bit, and a single fence covers the whole epoch.
+// Nothing combines entries: the Persist step already combined each
+// group, and flush dedup comes from the dirty bit. This is sound
+// because replay is idempotent (re-storing a prefix of an epoch after a
+// crash is repaired by recovery replaying the same groups from the log)
+// and §3.4's data-before-recycle ordering holds at epoch granularity:
+// every Recycle below happens after the epoch fence that made its
+// groups' data durable. Under light load the queue never holds a dense
+// successor and every epoch is a single group.
 func (s *System) reproduceLoop() {
 	defer s.wg.Done()
-	var h msgHeap
+	var q replayQueue
 	next := s.startTid + 1
-	rs := newReproState(s)
+	batch := s.dev.NewBatch() // loop-lifetime: Fence resets it
 
 	type pending struct {
 		pos, seq uint64
@@ -371,71 +403,41 @@ func (s *System) reproduceLoop() {
 		}
 	}
 
-	// apply is the single-group fast path — identical fence economy and
-	// stamp order to the pre-epoch pipeline, and allocation-free.
-	apply := func(m repoMsg) {
-		if n := len(m.g.Entries); n > 0 {
+	// replay applies a dense run of groups under one fence, then
+	// retires each group in order.
+	replay := func(epoch []repoMsg) {
+		entries := 0
+		for _, m := range epoch {
+			entries += len(m.g.Entries)
+		}
+		if entries > 0 {
 			t0 := time.Now()
-			s.rm.lines.Add(s.replayEntries(rs, m.g.Entries))
+			s.rm.lines.Add(s.replayEpoch(batch, epoch))
 			s.rm.fences.Add(1)
 			s.rm.busy.Add(uint64(time.Since(t0)))
 		}
-		retire(m)
-	}
-
-	// applyEpoch replays rs.epoch — a dense run of groups — as one
-	// coalesced run under one fence, then retires each group in order.
-	applyEpoch := func() {
-		t0 := time.Now()
-		rs.comb.Reset()
-		for _, m := range rs.epoch {
-			rs.comb.AddAll(m.g.Entries)
+		if len(epoch) > 1 {
+			s.rm.epochs.Add(1)
+			s.rm.coalesceIn.Add(uint64(entries))
+			s.rm.coalesceOut.Add(uint64(entries))
+			s.obs.EpochReplayed(len(epoch), entries)
 		}
-		in, out := rs.comb.RawCount(), rs.comb.Len()
-		if out > 0 {
-			s.rm.lines.Add(s.replayEntries(rs, rs.comb.Entries()))
-			s.rm.fences.Add(1)
+		for _, m := range epoch {
+			retire(m)
 		}
-		s.rm.busy.Add(uint64(time.Since(t0)))
-		s.rm.epochs.Add(1)
-		s.rm.coalesceIn.Add(uint64(in))
-		s.rm.coalesceOut.Add(uint64(out))
-		s.obs.EpochCoalesced(len(rs.epoch), out)
-		for i := range rs.epoch {
-			retire(rs.epoch[i])
-			rs.epoch[i] = repoMsg{} // drop the group/slice references
-		}
-		rs.epoch = rs.epoch[:0]
 	}
 
 	drainReady := func() {
-		for h.Len() > 0 && h[0].g.MinTid == next {
-			m := heap.Pop(&h).(repoMsg)
-			// Backlog-adaptive epoch formation: coalesce only while the
-			// heap already holds the dense successor, up to the group
-			// cap and the combined entry budget.
-			if h.Len() > 0 && h[0].g.MinTid == m.g.MaxTid+1 {
-				rs.epoch = append(rs.epoch[:0], m)
-				budget := len(m.g.Entries)
-				for len(rs.epoch) < replayEpochGroups && h.Len() > 0 &&
-					h[0].g.MinTid == rs.epoch[len(rs.epoch)-1].g.MaxTid+1 &&
-					budget+len(h[0].g.Entries) <= replayEpochEntries {
-					mm := heap.Pop(&h).(repoMsg)
-					budget += len(mm.g.Entries)
-					rs.epoch = append(rs.epoch, mm)
-				}
-				if len(rs.epoch) > 1 {
-					next = rs.epoch[len(rs.epoch)-1].g.MaxTid + 1
-					applyEpoch()
-					continue
-				}
-				// The entry budget excluded the successor: fall back to
-				// the single-group path.
-				m = rs.epoch[0]
-				rs.epoch = rs.epoch[:0]
+		for {
+			// Backlog-adaptive epoch formation: an epoch is whatever
+			// dense run is already queued, up to the group cap.
+			epoch := q.dense(next, replayEpochGroups)
+			if len(epoch) == 0 {
+				return
 			}
-			apply(m)
-			next = m.g.MaxTid + 1
+			next = epoch[len(epoch)-1].g.MaxTid + 1
+			replay(epoch)
+			q.pop(len(epoch))
 		}
 	}
 
@@ -471,12 +473,12 @@ func (s *System) reproduceLoop() {
 			open := ok
 			if ok {
 				s.rm.dequeue()
-				heap.Push(&h, m)
+				q.push(m)
 				// An in-order backlog accumulates in the channel, not
-				// the heap (drainReady pops every dense group as soon as
-				// it is pushed), so slurp whatever Persist has already
-				// queued before replaying — that backlog is what epoch
-				// formation coalesces.
+				// the queue (drainReady replays every dense group as
+				// soon as it is pushed), so slurp whatever Persist has
+				// already queued before replaying — that backlog is what
+				// epoch formation groups.
 			slurp:
 				for {
 					select {
@@ -486,7 +488,7 @@ func (s *System) reproduceLoop() {
 							break slurp
 						}
 						s.rm.dequeue()
-						heap.Push(&h, m2)
+						q.push(m2)
 					default:
 						break slurp
 					}
@@ -502,7 +504,7 @@ func (s *System) reproduceLoop() {
 			}
 			drainReady()
 			if !open {
-				if h.Len() > 0 {
+				if q.len() > 0 {
 					panic("dudetm: gap in transaction IDs at shutdown")
 				}
 				flushRecycles()
@@ -520,19 +522,4 @@ func (s *System) reproduceLoop() {
 			s.reproduceGate.Unlock()
 		}
 	}
-}
-
-// msgHeap is a min-heap of groups keyed by MinTid.
-type msgHeap []repoMsg
-
-func (h msgHeap) Len() int           { return len(h) }
-func (h msgHeap) Less(i, j int) bool { return h[i].g.MinTid < h[j].g.MinTid }
-func (h msgHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *msgHeap) Push(x any)        { *h = append(*h, x.(repoMsg)) }
-func (h *msgHeap) Pop() any {
-	old := *h
-	n := len(old)
-	m := old[n-1]
-	*h = old[:n-1]
-	return m
 }

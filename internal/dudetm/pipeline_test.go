@@ -1,8 +1,11 @@
 package dudetm
 
 import (
+	"math/rand"
 	"testing"
 	"time"
+
+	"dudetm/internal/redolog"
 )
 
 // TestPipelineStageStats runs a write-heavy async workload through the
@@ -107,5 +110,54 @@ func TestRecycleTimerIdle(t *testing.T) {
 	time.Sleep(50 * recycleInterval)
 	if got := s.ReproduceStats().Wakes; got != stable {
 		t.Errorf("recycle timer fired while idle: wakes %d -> %d", stable, got)
+	}
+}
+
+// TestReplayQueueOutOfOrder feeds the Reproduce queue groups out of tid
+// order, as ModeSync's per-thread appends deliver them, draining it the
+// way the Reproduce loop does after every arrival. Every group must
+// replay exactly once, in ascending dense tid order, in epochs of at
+// most replayEpochGroups; a group whose predecessor has not arrived must
+// wait for it.
+func TestReplayQueueOutOfOrder(t *testing.T) {
+	const groups = 500
+	rng := rand.New(rand.NewSource(1))
+	// Groups of one to three transactions tile tids 1..N.
+	var all []repoMsg
+	for tid := uint64(1); len(all) < groups; {
+		n := uint64(1 + rng.Intn(3))
+		all = append(all, repoMsg{g: &redolog.Group{MinTid: tid, MaxTid: tid + n - 1}})
+		tid += n
+	}
+	// Arrival order: ascending, with each group swapped with one up to
+	// eight places later.
+	arrival := append([]repoMsg(nil), all...)
+	for i := range arrival {
+		j := min(len(arrival)-1, i+rng.Intn(9))
+		arrival[i], arrival[j] = arrival[j], arrival[i]
+	}
+
+	var q replayQueue
+	next := uint64(1)
+	replayed := 0
+	for _, m := range arrival {
+		q.push(m)
+		for epoch := q.dense(next, replayEpochGroups); len(epoch) > 0; epoch = q.dense(next, replayEpochGroups) {
+			if len(epoch) > replayEpochGroups {
+				t.Fatalf("epoch of %d groups, cap %d", len(epoch), replayEpochGroups)
+			}
+			for _, g := range epoch {
+				if want := all[replayed].g; g.g != want {
+					t.Fatalf("replay %d: group [%d,%d], want [%d,%d]",
+						replayed, g.g.MinTid, g.g.MaxTid, want.MinTid, want.MaxTid)
+				}
+				replayed++
+			}
+			next = epoch[len(epoch)-1].g.MaxTid + 1
+			q.pop(len(epoch))
+		}
+	}
+	if replayed != groups || q.len() != 0 {
+		t.Fatalf("replayed %d of %d groups, %d left queued", replayed, groups, q.len())
 	}
 }

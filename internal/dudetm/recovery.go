@@ -75,35 +75,32 @@ func Recover(dev *pmem.Device, cfg Config) (*System, error) {
 	frontier := denseFrontier(anchor, all)
 	rec.Report = buildCrashReport(dev, lay, results, anchor, frontier, all)
 
-	type gref struct {
-		g  redolog.Group
-		wi int
-	}
-	groups := make([]gref, 0, len(all))
+	groups := make([]repoMsg, 0, len(all))
 	for i := range results {
-		for _, g := range results[i].Groups {
-			groups = append(groups, gref{g, i})
+		for j := range results[i].Groups {
+			groups = append(groups, repoMsg{g: &results[i].Groups[j], wi: i})
 		}
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].g.MinTid < groups[j].g.MinTid })
 
-	// Phase 2: replay the dense prefix above the anchor. Groups at or
-	// below the anchor were already reproduced before the crash
-	// (recycling lagged behind); groups beyond the first gap were never
-	// durable. Replay is single-threaded, so the device's flushed-byte
-	// delta is exactly the replay write-back volume.
+	// Phase 2: replay the dense prefix above the anchor, one group at a
+	// time under one closing fence. Groups at or below the anchor were
+	// already reproduced before the crash (recycling lagged behind);
+	// groups beyond the first gap were never durable. Replay is
+	// single-threaded, so the device's flushed-byte delta is exactly the
+	// replay write-back volume.
 	replayStart := time.Now()
 	flushedBefore := dev.Stats().BytesFlushed
 	next := anchor + 1
 	b := dev.NewBatch()
-	for _, gr := range groups {
+	for i, gr := range groups {
 		if gr.g.MaxTid <= anchor {
 			continue
 		}
 		if gr.g.MinTid != next {
 			break
 		}
-		applyRuns(dev, b, lay.dataOff, gr.g.Entries)
+		applyRuns(dev, b, lay.dataOff, groups[i:i+1])
 		next = gr.g.MaxTid + 1
 		rec.GroupsReplayed++
 		rec.EntriesReplayed += uint64(len(gr.g.Entries))

@@ -77,8 +77,7 @@ func TestRunWiseReplayMatchesWordWise(t *testing.T) {
 		return 0
 	}
 	before := dataLines()
-	rs := newReproState(s)
-	reported := s.replayEntries(rs, entries)
+	reported := s.replayEpoch(s.dev.NewBatch(), []repoMsg{{g: &redolog.Group{Entries: entries}}})
 	gotLines := dataLines() - before
 	got := s.dev.PersistedImage()[base : base+size]
 	s.ResumeReproduce()

@@ -65,9 +65,9 @@ type stageMetrics struct {
 	wakes    atomic.Uint64 // coordinator wakes (Persist), recycle-timer fires (Reproduce)
 	start    atomic.Int64  // stage start, ns since an arbitrary epoch
 
-	// Replay-epoch instrumentation (Reproduce only): coalesced epochs,
-	// entries entering / surviving last-writer-wins coalescing, and
-	// cache lines written back by replay.
+	// Replay-epoch instrumentation (Reproduce only): epochs, entries
+	// replayed in them (counted twice, as in and out, for the
+	// coalescing ratio readers), and cache lines written back by replay.
 	epochs      atomic.Uint64
 	coalesceIn  atomic.Uint64
 	coalesceOut atomic.Uint64
@@ -143,14 +143,14 @@ type StageStats struct {
 	// stay flat while the pool is idle — neither loop polls, and the
 	// recycle timer is armed only when a recycle is pending.
 	Wakes uint64
-	// Epochs counts coalesced replay epochs (Reproduce only): dense
-	// backlog runs of 2..replayEpochGroups groups replayed under one
-	// fence. It stays 0 under light load, when every group takes the
-	// per-group fast path.
+	// Epochs counts replay epochs (Reproduce only): dense backlog runs
+	// of 2..replayEpochGroups groups replayed under one fence. It stays
+	// 0 under light load, when every group is replayed on its own.
 	Epochs uint64
-	// CoalesceIn and CoalesceOut are the entries entering and surviving
-	// last-writer-wins coalescing across epoch groups (Reproduce only);
-	// In/Out is the replay-work reduction factor from coalescing.
+	// CoalesceIn and CoalesceOut both count the log entries replayed
+	// in epochs (Reproduce only). Epochs store every entry in tid order
+	// and leave flush dedup to the dirty bit, so the two are equal and
+	// In/Out reads 1; both stay for the readers of that ratio.
 	CoalesceIn  uint64
 	CoalesceOut uint64
 	// LinesFlushed counts the distinct cache lines replay wrote back

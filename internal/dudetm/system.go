@@ -90,28 +90,36 @@ type System struct {
 	persistGate   sync.Mutex
 	reproduceGate sync.Mutex
 
-	// Statistics.
-	writes      atomic.Uint64 // dtmWrite count
+	// Statistics. Perform's own counters are per thread (threadCounters).
 	rawEntries  atomic.Uint64 // log entries before combination
 	combEntries atomic.Uint64 // log entries after combination
-	txCommitted atomic.Uint64 // committed write transactions
+}
+
+// threadCounters are one Perform thread's activity counters, which Stats
+// sums. They sit on a cache line of their own, so a commit writes no
+// line that another thread writes too.
+type threadCounters struct {
+	writes    atomic.Uint64 // dtmWrite calls, every attempt counted
+	committed atomic.Uint64 // committed write transactions
+	_         [pmem.LineSize - 16]byte
 }
 
 // thread is the per-Perform-thread state.
 type thread struct {
+	ctr    threadCounters
 	sys    *System
 	slot   int
 	ring   *redolog.Ring
 	writer *redolog.Writer // ModeSync: this thread's persistent log
 
 	// Per-transaction state.
-	tx       Tx
-	writes   int             // dtmWrite calls of the current attempt
-	tooLarge bool            // the attempt aborted at maxTxWrites
-	pages    []uint64        // pinned shadow pages (paged shadow only)
-	entries  []redolog.Entry // ModeSync: current transaction's writes
-	burned   []uint64        // ModeSync: no-op commit IDs to flush
-	scratch  []redolog.Entry
+	tx        Tx
+	writes    int             // dtmWrite calls of the current attempt
+	runWrites int             // dtmWrite calls of the current Run's earlier attempts
+	tooLarge  bool            // the attempt aborted at maxTxWrites
+	pages     []uint64        // pinned shadow pages (paged shadow only)
+	entries   []redolog.Entry // ModeSync: current transaction's writes
+	burned    []uint64        // ModeSync: no-op commit IDs to flush
 }
 
 // Tx is the durable transaction handle: the paper's dtmRead / dtmWrite /
@@ -140,7 +148,6 @@ func (t *Tx) Store(addr, val uint64) {
 	} else {
 		th.ring.Append(addr, val)
 	}
-	th.sys.writes.Add(1)
 	if th.sys.paged() {
 		page := addr / th.sys.lay.pageSize
 		pinned := false
@@ -407,7 +414,10 @@ func (s *System) Run(slot int, fn func(*Tx) error) (tid uint64, err error) {
 		panic("dudetm: Run on closed system")
 	}
 	th := s.threads[slot]
+	th.writes, th.runWrites = 0, 0
 	defer func() {
+		// One add per Run on the thread's own line, not one per write.
+		th.ctr.writes.Add(uint64(th.runWrites + th.writes))
 		if r := recover(); r != nil {
 			s.cleanupAttempt(th)
 			s.flushBurned(th)
@@ -416,6 +426,7 @@ func (s *System) Run(slot int, fn func(*Tx) error) (tid uint64, err error) {
 	}()
 	tid, err = s.engine.Run(slot, func(itx stm.Tx) error {
 		s.cleanupAttempt(th)
+		th.runWrites += th.writes
 		th.writes, th.tooLarge = 0, false
 		th.tx.inner = itx
 		return fn(&th.tx)
@@ -432,7 +443,7 @@ func (s *System) Run(slot int, fn func(*Tx) error) (tid uint64, err error) {
 		s.flushBurned(th)
 		return tid, nil
 	}
-	s.txCommitted.Add(1)
+	th.ctr.committed.Add(1)
 	// Stamp before the transaction is published downstream (AppendTxEnd
 	// / syncCommit), so the commit record orders before every later
 	// stamp of the same transaction.
@@ -637,15 +648,19 @@ type Stats struct {
 
 // Stats returns a snapshot of system activity.
 func (s *System) Stats() Stats {
-	var logBytes uint64
+	var logBytes, writes, committed uint64
 	for _, w := range s.writers {
 		if w != nil {
 			logBytes += w.BytesAppended()
 		}
 	}
+	for _, th := range s.threads {
+		writes += th.ctr.writes.Load()
+		committed += th.ctr.committed.Load()
+	}
 	return Stats{
-		Writes:      s.writes.Load(),
-		Committed:   s.txCommitted.Load(),
+		Writes:      writes,
+		Committed:   committed,
 		RawEntries:  s.rawEntries.Load(),
 		CombEntries: s.combEntries.Load(),
 		LogBytes:    logBytes,

@@ -2,7 +2,9 @@ package dudetm
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -661,5 +663,127 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.Device.BytesFlushed == 0 {
 		t.Errorf("no NVM writes recorded")
+	}
+}
+
+// TestStatsCountersExactUnderConflicts: the Perform counters are per
+// thread and summed by Stats, and must stay exact when two threads
+// conflict. Writes counts every dtmWrite of every attempt, aborted ones
+// included, so each thread counts its own Store calls; Committed counts
+// the Runs that committed with writes. On the STM, slot 0 holds the hot
+// word's stripe until slot 1 has retried once, so at least one conflict
+// abort is certain; the contended loop after it adds more, and user
+// aborts, error returns and read-only transactions that must count no
+// commit.
+func TestStatsCountersExactUnderConflicts(t *testing.T) {
+	const (
+		rounds = 2000
+		hot    = 0
+	)
+	errUser := errors.New("user error")
+	for _, engine := range []EngineKind{EngineSTM, EngineHTM} {
+		cfg := testConfig()
+		cfg.Threads = 2
+		cfg.Engine = engine
+		s, err := Create(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stores, commits [2]uint64 // each written by its slot's goroutine only
+		// store counts a Store call once its arguments are evaluated: a
+		// Load that conflicts first never reaches it.
+		store := func(slot int, tx *Tx, addr, val uint64) {
+			stores[slot]++
+			tx.Store(addr, val)
+		}
+		var attempts1 atomic.Int64
+		held := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			first := true
+			if _, err := s.Run(0, func(tx *Tx) error {
+				store(0, tx, hot, tx.Load(hot)+1)
+				if first {
+					first = false
+					close(held)
+					for engine == EngineSTM && attempts1.Load() < 2 {
+						runtime.Gosched()
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Error(err)
+			}
+			commits[0]++
+		}()
+		go func() {
+			defer wg.Done()
+			<-held
+			if _, err := s.Run(1, func(tx *Tx) error {
+				attempts1.Add(1)
+				store(1, tx, hot, tx.Load(hot)+1)
+				return nil
+			}); err != nil {
+				t.Error(err)
+			}
+			commits[1]++
+		}()
+		wg.Wait()
+		if engine == EngineSTM && s.Engine().Stats().Aborts == 0 {
+			t.Fatal("stm: the held stripe forced no conflict abort")
+		}
+
+		wg.Add(2)
+		for slot := 0; slot < 2; slot++ {
+			go func(slot int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					switch i % 10 {
+					case 7: // user abort after a write: rolled back, still counted
+						_, err := s.Run(slot, func(tx *Tx) error {
+							store(slot, tx, hot, tx.Load(hot)+1)
+							tx.Abort()
+							return nil
+						})
+						if !errors.Is(err, stm.ErrAborted) {
+							t.Errorf("slot %d: abort returned %v", slot, err)
+						}
+					case 8: // error return after a write
+						_, err := s.Run(slot, func(tx *Tx) error {
+							store(slot, tx, hot, tx.Load(hot)+1)
+							return errUser
+						})
+						if !errors.Is(err, errUser) {
+							t.Errorf("slot %d: error return gave %v", slot, err)
+						}
+					case 9: // read-only: no write, no commit counted
+						if _, err := s.Run(slot, func(tx *Tx) error { tx.Load(hot); return nil }); err != nil {
+							t.Errorf("slot %d: %v", slot, err)
+						}
+					default:
+						if _, err := s.Run(slot, func(tx *Tx) error {
+							store(slot, tx, hot, tx.Load(hot)+1)
+							store(slot, tx, uint64(64+slot*64+i%4*8), uint64(i))
+							return nil
+						}); err != nil {
+							t.Errorf("slot %d: %v", slot, err)
+						}
+						commits[slot]++
+					}
+				}
+			}(slot)
+		}
+		wg.Wait()
+		st := s.Stats()
+		s.Close()
+		if want := stores[0] + stores[1]; st.Writes != want {
+			t.Errorf("engine %d: Writes = %d, want %d (every Store of every attempt)", engine, st.Writes, want)
+		}
+		if want := commits[0] + commits[1]; st.Committed != want {
+			t.Errorf("engine %d: Committed = %d, want %d", engine, st.Committed, want)
+		}
+		t.Logf("engine %d: %d writes, %d commits, %d conflict aborts", engine, st.Writes, st.Committed, st.TM.Aborts)
 	}
 }

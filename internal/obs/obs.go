@@ -62,8 +62,8 @@ type Observer struct {
 	fenceDur      Histogram // log append + persist barrier duration, per group
 	groupTxns     Histogram // transactions per sealed group
 	groupEntries  Histogram // combined log entries per sealed group
-	epochGroups   Histogram // groups per coalesced replay epoch
-	epochEntries  Histogram // entries surviving coalescing per replay epoch
+	epochGroups   Histogram // groups per replay epoch
+	epochEntries  Histogram // entries replayed per replay epoch
 
 	sampledCommits atomic.Uint64
 }
@@ -234,17 +234,15 @@ func (o *Observer) GroupApplied(minTid, maxTid uint64) {
 	}
 }
 
-// EpochCoalesced records one coalesced replay epoch: the groups merged
-// and the entries that survived last-writer-wins coalescing (the raw
-// entering count lives in the stage counters, where the ratio is
-// computed). The Reproduce loop calls it once per epoch, after the
-// epoch fence.
+// EpochReplayed records one replay epoch: the groups replayed under one
+// fence and the entries they stored. The Reproduce loop calls it once
+// per epoch of two or more groups, after the epoch fence.
 //
 //dudelint:fencebudget 0
 //dudelint:noalloc
-func (o *Observer) EpochCoalesced(groups, combEntries int) {
+func (o *Observer) EpochReplayed(groups, entries int) {
 	o.epochGroups.Observe(uint64(groups))
-	o.epochEntries.Observe(uint64(combEntries))
+	o.epochEntries.Observe(uint64(entries))
 }
 
 // ReplShipped stamps a sealed group's handoff to the replication sink
@@ -450,10 +448,10 @@ type Snapshot struct {
 	GroupTxns HistSnapshot
 	// GroupEntries is the combined-entries-per-sealed-group histogram.
 	GroupEntries HistSnapshot
-	// EpochGroups is the groups-per-coalesced-replay-epoch histogram
-	// (empty while Reproduce keeps up and never forms epochs).
+	// EpochGroups is the groups-per-replay-epoch histogram (empty
+	// while Reproduce keeps up and never forms epochs).
 	EpochGroups HistSnapshot
-	// EpochEntries is the coalesced-entries-per-replay-epoch histogram.
+	// EpochEntries is the entries-replayed-per-epoch histogram.
 	EpochEntries HistSnapshot
 	// Crit is the critical-path decomposition aggregate (critpath.go).
 	Crit CritSnapshot

@@ -40,6 +40,14 @@ const lineShift = 6
 // copy into the persisted image with its dirty->clean write-back.
 const numLocks = 256
 
+// lineLock is one line lock, padded to a cache line of its own: the
+// Persist step's log appends and the Reproduce step's replay take
+// different locks at once, and must not contend for one line.
+type lineLock struct {
+	sync.Mutex
+	_ [LineSize - 8]byte
+}
+
 // Config describes a simulated device.
 type Config struct {
 	// Size is the capacity of the device in bytes. It is rounded up to a
@@ -139,7 +147,7 @@ type Device struct {
 	data  []byte
 	saved []byte
 	dirty []uint32 // atomic bitset, one bit per line
-	locks [numLocks]sync.Mutex
+	locks [numLocks]lineLock
 
 	stores       atomic.Uint64
 	bytesStored  atomic.Uint64

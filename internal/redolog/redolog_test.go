@@ -14,6 +14,15 @@ import (
 
 // --- Ring ---
 
+// consume copies the next complete transaction out of r's in-place view
+// and releases it.
+func consume(r *Ring) ([]Entry, uint64) {
+	a, b, tid := r.NextTx()
+	es := append(append([]Entry(nil), a...), b...)
+	r.Release()
+	return es, tid
+}
+
 func TestRingSingleTx(t *testing.T) {
 	r := NewRing(16)
 	r.Append(8, 100)
@@ -26,7 +35,7 @@ func TestRingSingleTx(t *testing.T) {
 	if !ok || tid != 7 {
 		t.Fatalf("PeekTid = %d,%v", tid, ok)
 	}
-	entries, tid := r.ConsumeTx(nil)
+	entries, tid := consume(r)
 	if tid != 7 {
 		t.Fatalf("tid = %d", tid)
 	}
@@ -49,8 +58,8 @@ func TestRingAbortDiscards(t *testing.T) {
 	r.Append(32, 4)
 	r.AppendTxEnd(2)
 
-	e1, tid1 := r.ConsumeTx(nil)
-	e2, tid2 := r.ConsumeTx(nil)
+	e1, tid1 := consume(r)
+	e2, tid2 := consume(r)
 	if tid1 != 1 || tid2 != 2 {
 		t.Fatalf("tids %d,%d", tid1, tid2)
 	}
@@ -62,10 +71,41 @@ func TestRingAbortDiscards(t *testing.T) {
 	}
 }
 
+// TestRingViewWraps: a transaction that runs past the ring's last slot
+// comes back as two in-place slices, in order, and Release frees every
+// slot it held, end mark included.
+func TestRingViewWraps(t *testing.T) {
+	r := NewRing(8)
+	r.Append(8, 1)
+	r.Append(16, 2)
+	r.Append(24, 3)
+	r.AppendTxEnd(1) // slots 0-3
+	if _, tid := consume(r); tid != 1 {
+		t.Fatalf("tid = %d", tid)
+	}
+	for i := uint64(0); i < 6; i++ {
+		r.Append(100+8*i, i) // slots 4-7, then 0-1
+	}
+	r.AppendTxEnd(2)
+	a, b, tid := r.NextTx()
+	if tid != 2 || len(a) != 4 || len(b) != 2 {
+		t.Fatalf("view = %d+%d entries, tid %d; want 4+2, tid 2", len(a), len(b), tid)
+	}
+	for i, e := range append(append([]Entry(nil), a...), b...) {
+		if e != (Entry{100 + 8*uint64(i), uint64(i)}) {
+			t.Fatalf("entry %d = %v", i, e)
+		}
+	}
+	r.Release()
+	if r.Len() != 0 {
+		t.Fatalf("Release left %d slots occupied", r.Len())
+	}
+}
+
 func TestRingEmptyTx(t *testing.T) {
 	r := NewRing(16)
 	r.AppendTxEnd(5) // burned-tid no-op commit
-	entries, tid := r.ConsumeTx(nil)
+	entries, tid := consume(r)
 	if tid != 5 || len(entries) != 0 {
 		t.Fatalf("got %v, %d", entries, tid)
 	}
@@ -82,7 +122,7 @@ func TestRingBackPressure(t *testing.T) {
 			if _, ok := r.PeekTid(); !ok {
 				continue
 			}
-			_, tid := r.ConsumeTx(nil)
+			_, tid := consume(r)
 			got = append(got, tid)
 		}
 	}()
@@ -107,18 +147,18 @@ func TestRingConcurrentProducerConsumer(t *testing.T) {
 	var sum uint64
 	go func() {
 		defer wg.Done()
-		var buf []Entry
 		for consumed := 0; consumed < txs; {
 			if _, ok := r.PeekTid(); !ok {
 				continue
 			}
-			buf = buf[:0]
-			var tid uint64
-			buf, tid = r.ConsumeTx(buf)
-			for _, e := range buf {
+			a, b, _ := r.NextTx()
+			for _, e := range a {
 				sum += e.Val
 			}
-			_ = tid
+			for _, e := range b {
+				sum += e.Val
+			}
+			r.Release()
 			consumed++
 		}
 	}()

@@ -109,21 +109,31 @@ func (r *Ring) PeekTid() (uint64, bool) {
 	return r.txIndex[h&r.mask].tid, true
 }
 
-// ConsumeTx appends the entries of the next complete transaction to dst
-// and returns (entries, tid). It must only be called after PeekTid
-// reported a transaction. Consumer only.
-func (r *Ring) ConsumeTx(dst []Entry) ([]Entry, uint64) {
+// NextTx returns the entries of the next complete transaction in place,
+// as two slices of the ring (b is non-empty only when the transaction
+// wraps past the ring's end), and its commit ID. The slots stay owned by
+// the consumer until Release, so the caller reads them without a copy.
+// It must only be called after PeekTid reported a transaction. Consumer
+// only.
+func (r *Ring) NextTx() (a, b []Entry, tid uint64) {
 	h := r.txHead.Load()
 	if h == r.txTail.Load() {
-		panic("redolog: ConsumeTx without a pending transaction")
+		panic("redolog: NextTx without a pending transaction")
 	}
 	ref := r.txIndex[h&r.mask]
-	pos := r.head.Load()
-	for ; pos < ref.endPos-1; pos++ {
-		dst = append(dst, r.buf[pos&r.mask])
+	head := r.head.Load()
+	start, n := head&r.mask, ref.endPos-1-head // n entries, end mark excluded
+	if end := start + n; end <= uint64(len(r.buf)) {
+		return r.buf[start:end], nil, ref.tid
 	}
-	// Free the slots (including the end mark), then pop the index.
-	r.head.Store(ref.endPos)
+	return r.buf[start:], r.buf[:start+n-uint64(len(r.buf))], ref.tid
+}
+
+// Release frees the slots of the transaction NextTx returned (its end
+// mark included) to the producer. The slices NextTx returned are invalid
+// afterwards. Consumer only.
+func (r *Ring) Release() {
+	h := r.txHead.Load()
+	r.head.Store(r.txIndex[h&r.mask].endPos)
 	r.txHead.Store(h + 1)
-	return dst, ref.tid
 }

@@ -59,19 +59,21 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		"stage", stageNames, func(i int) float64 { return stages[i].Utilization })
 	p.Counter("dudetm_persist_wakes_total", "Persist coordinator wakes from an idle park (a commit, a drained persist queue, Close or Crash); divided by dudetm_stage_groups_total{stage=\"persist\"} it is wakes per group.", float64(st.Persist.Wakes))
 
-	// Replay-epoch coalescing (Reproduce stage). The counters exist (at
-	// zero) while Reproduce keeps up — epochs only form under backlog —
-	// so the scrape contract is stable across load levels.
+	// Replay epochs (Reproduce stage). The counters exist (at zero)
+	// while Reproduce keeps up — epochs only form under backlog — so the
+	// scrape contract is stable across load levels. Epochs replay every
+	// entry (the dirty bit, not a combiner, dedups the write-back), so
+	// entries in and out are equal and the ratio reads 1.
 	rp := st.Reproduce
-	p.Counter("dudetm_repro_epochs_total", "Coalesced replay epochs (dense backlog runs replayed under one fence).", float64(rp.Epochs))
-	p.Counter("dudetm_repro_epoch_entries_in_total", "Log entries entering last-writer-wins epoch coalescing.", float64(rp.CoalesceIn))
-	p.Counter("dudetm_repro_epoch_entries_out_total", "Log entries surviving last-writer-wins epoch coalescing.", float64(rp.CoalesceOut))
+	p.Counter("dudetm_repro_epochs_total", "Replay epochs (dense backlog runs of two or more groups replayed under one fence).", float64(rp.Epochs))
+	p.Counter("dudetm_repro_epoch_entries_in_total", "Log entries replayed in epochs.", float64(rp.CoalesceIn))
+	p.Counter("dudetm_repro_epoch_entries_out_total", "Log entries replayed in epochs; equal to entries_in, because epochs store every entry in tid order and the dirty bit dedups the write-back.", float64(rp.CoalesceOut))
 	p.Counter("dudetm_repro_lines_flushed_total", "Distinct cache lines written back by Reproduce replay.", float64(rp.LinesFlushed))
 	ratio := 1.0
 	if rp.CoalesceOut > 0 {
 		ratio = float64(rp.CoalesceIn) / float64(rp.CoalesceOut)
 	}
-	p.Gauge("dudetm_repro_epoch_coalesce_ratio", "Entries in over entries out of epoch coalescing (1 = no duplication).", ratio)
+	p.Gauge("dudetm_repro_epoch_coalesce_ratio", "Epoch entries in over entries out (1: epochs no longer combine entries).", ratio)
 
 	// Lifecycle latency histograms (nanosecond observations rendered in
 	// seconds) and their headline quantiles as ready-made gauges, so a
@@ -84,8 +86,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Histogram("dudetm_fence_seconds", "Per-group log append + persist barrier duration.", ob.Fence, 1e-9)
 	p.Histogram("dudetm_group_txns", "Transactions per sealed persist group.", ob.GroupTxns, 1)
 	p.Histogram("dudetm_group_entries", "Combined log entries per sealed persist group.", ob.GroupEntries, 1)
-	p.Histogram("dudetm_repro_epoch_groups", "Groups merged per coalesced replay epoch.", ob.EpochGroups, 1)
-	p.Histogram("dudetm_repro_epoch_entries", "Coalesced entries per replay epoch.", ob.EpochEntries, 1)
+	p.Histogram("dudetm_repro_epoch_groups", "Groups replayed per replay epoch.", ob.EpochGroups, 1)
+	p.Histogram("dudetm_repro_epoch_entries", "Log entries replayed per replay epoch.", ob.EpochEntries, 1)
 
 	p.Quantiles("dudetm_commit_durable_latency_seconds", "Commit to durable latency quantiles of sampled transactions.", ob.CommitDurable, 1e-9)
 	p.Quantiles("dudetm_commit_reproduced_latency_seconds", "Commit to reproduced latency quantiles of sampled transactions.", ob.CommitReproduced, 1e-9)

@@ -3,10 +3,12 @@
 //
 // Engine is a from-scratch, word-based, time-based software TM in the
 // TinySTM/LSA family: a global version clock, a hashed ownership-record
-// (orec) table with versioned locks, encounter-time locking, and
-// write-through access with an undo list (the variant the paper picks for
-// DudeTM because it permits in-place updates; the undo list is volatile,
-// so rolling back costs no persist ordering).
+// (orec) table with versioned locks, each covering a stripe of four
+// aligned words (TinySTM's default: 2^20 locks, LOCK_SHIFT_EXTRA 2, so
+// a 128-byte record takes four locks, not sixteen), encounter-time
+// locking, and write-through access with an undo list (the variant the
+// paper picks for DudeTM because it permits in-place updates; the undo
+// list is volatile, so rolling back costs no persist ordering).
 //
 // HTMEngine simulates Intel RTM: reads and writes are uninstrumented
 // except for a single global sequence-lock check, conflicts abort the
@@ -80,6 +82,11 @@ type conflict struct{}
 type userAbort struct{}
 
 const (
+	// StripeShift maps an address to its orec: one lock covers a
+	// 32-byte stripe of four aligned words. Words sharing a stripe
+	// conflict with each other (false conflicts), and a transaction
+	// that owns a stripe reads and writes all four of its words.
+	StripeShift      = 5
 	defaultOrecCount = 1 << 20
 	defaultMaxSlots  = 64
 	maxBackoffSpin   = 1 << 14
@@ -194,7 +201,7 @@ func (e *Engine) Stats() Stats {
 }
 
 func (e *Engine) orecFor(addr uint64) *atomic.Uint64 {
-	return &e.orecs[(addr>>3)&e.mask]
+	return &e.orecs[(addr>>StripeShift)&e.mask]
 }
 
 // Run implements TM.

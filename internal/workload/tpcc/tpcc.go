@@ -258,8 +258,11 @@ func (db *DB) load(txRun func(fn func(memdb.Ctx) error) error) error {
 	}); err != nil {
 		return err
 	}
-	// Items and stock, batched.
-	const batch = 256
+	// Items and stock, batched. A batch of 64 items with four
+	// warehouses' stock writes ≈4.3 K words into B+-tree tables, well
+	// inside the 16 383 writes a default DudeTM pool lets one
+	// transaction log (256 items took ≈17.4 K).
+	const batch = 64
 	for start := 0; start < cfg.Items; start += batch {
 		end := start + batch
 		if end > cfg.Items {
